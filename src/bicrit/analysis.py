@@ -1,4 +1,4 @@
-"""Closed-form guarantee factors, trade-off curves, and cross-comparison certificates.
+"""Closed-form guarantee factors, trade-off curves, and guarantee certificates.
 
 All factors are functions of the demand regularity parameter alpha and, for
 multi-bundle markets, of the bundle size ratio.  alpha = 1 makes every factor
@@ -11,11 +11,10 @@ import math
 from dataclasses import dataclass, field
 
 from .demand import ALPHA_LIMIT
-from .market import MarketInstance, PricingSolution
+from .market import PricingSolution
 
 __all__ = [
     "GuaranteeCertificate",
-    "certify_cross",
     "mm_profit_factor",
     "mm_welfare_factor",
     "peak_decay",
@@ -26,8 +25,8 @@ __all__ = [
     "zeta",
 ]
 
-# Default slack for comparing measured ratios against their factors:
-# absolute plus relative in the optimum welfare.
+# Default slack for comparing measured ratios against their factors, and for
+# every ladder inequality: absolute plus relative in the optimum welfare.
 BOUND_TOL = 1e-6
 
 
@@ -126,30 +125,6 @@ def tradeoff_bound(c: float, alpha: float) -> tuple[float, float]:
         raise ValueError("c exceeds the welfare factor bound")
     c1, c2 = threshold_coefficients(alpha)
     return min(c * c1, c * c2 / (c - 1.0)), c
-
-
-def certify_cross(
-    inst: MarketInstance,
-    candidate_profit: float,
-    benchmark: PricingSolution,
-    sw_star: float,
-) -> float:
-    """Welfare floor for any pricing whose profit matches our benchmark's.
-
-    Any solution with profit >= profit(benchmark) has welfare >= its own
-    profit >= SW*/factor, where the factor is zeta for unit-demand markets
-    and the ladder profit factor otherwise.  Raises if the candidate earns
-    less than the benchmark (no guarantee applies then).
-    """
-    if candidate_profit < benchmark.profit - 1e-12 * (1.0 + abs(benchmark.profit)):
-        raise ValueError(
-            "candidate profit below the benchmark's; certificate refused"
-        )
-    if inst.is_unit_demand():
-        factor = zeta(inst.alpha)
-    else:
-        factor = mm_profit_factor(inst.alpha, inst.bundle_size_ratio)
-    return sw_star / factor
 
 
 def _verdict(achieved: float, factor: float, tol: float) -> str:

@@ -136,7 +136,6 @@ def _rung_record(rung, dump_solutions: bool) -> dict:
         "sw": rung.solution.sw,
         "profit": rung.solution.profit,
         "saturated": sorted(rung.saturated),
-        "price_residual": rung.price_residual,
     }
     if dump_solutions:
         rec["solution"] = _solution_record(rung.solution)

@@ -211,15 +211,15 @@ def _demand_at_price(d: InverseDemand, q: float) -> float:
 def min_bundle_price(inst: MarketInstance, prices: dict[str, float], type_id: str):
     """Cheapest bundle price for the type and one argmin bundle.
 
-    Ties resolve to the lexicographically smallest bundle (bundles are stored
-    as sorted good-id tuples, themselves sorted).
+    Ties, decided by tied_bundles, resolve to the lexicographically smallest
+    bundle (bundles are stored as sorted good-id tuples, themselves sorted).
     """
     pvec = inst.price_vector(prices)
     for idx, t in enumerate(inst.buyer_types):
         if t.type_id == type_id:
             sums = inst.bundle_masks[idx] @ pvec
-            best = int(np.argmin(sums))
-            return float(sums[best]), t.bundles[best]
+            first = int(np.flatnonzero(tied_bundles(sums, inst.lambda_max))[0])
+            return float(np.min(sums)), t.bundles[first]
     raise KeyError(f"unknown buyer type {type_id!r}")
 
 

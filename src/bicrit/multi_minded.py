@@ -1,11 +1,18 @@
 """Ladder pricing for markets with multi-good bundles.
 
 The welfare optimum itself may earn almost nothing, so the algorithm probes a
-doubling sequence of reserve prices.  Each rung solves the welfare program
-with one price-taking dummy buyer per good (a reserve price in disguise),
-strips the dummies, and keeps the resulting posted prices.  A final scan
-picks the smallest rung whose profit is within a fixed factor of the optimum
-welfare; that rung provably also keeps a constant fraction of the welfare.
+doubling sequence of reserve prices.  In the paper each rung adds one
+price-taking dummy buyer per good, valuing it flatly at the reserve price r,
+solves the welfare program, and strips the dummies.  A dummy at r turns good
+g's cost C_g into the reserve-floored cost
+
+    C~_g(y) = min over d >= 0 of [C_g(y + d) - r d],
+
+whose marginal is max(r, c_g(y)), so each rung solves the unchanged welfare
+program against C~_g and posts those marginals; the dummy's take is
+max(y0 - y_g, 0) with y0 = c_g^-1(r).  A final scan picks the smallest rung
+whose profit is within a fixed factor of the optimum welfare; that rung
+provably also keeps a constant fraction of the welfare.
 """
 
 from __future__ import annotations
@@ -13,27 +20,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .analysis import peak_ratio, selection_base_factor
-from .demand import InverseDemand
-from .market import MarketInstance, PricingSolution, SPLIT_DUST
-from .solver import (
-    Participant,
-    SolverConfig,
-    SolverError,
-    _build_participants,
-    _solve_flow,
-    solve_welfare,
-)
+from .analysis import BOUND_TOL, peak_ratio, selection_base_factor
+from .costs import CostFunction
+from .market import MarketInstance, PricingSolution
+from .solver import SolverConfig, SolverError, _solution_from_splits, _solve_flow
 from .unit_demand import resolve_alpha, threshold_price
 
 __all__ = [
-    "BenchmarkSolution",
     "BoundCheck",
     "LadderSolution",
     "augmented_we",
-    "benchmark",
     "certify_ladder",
     "ladder",
     "rung_count",
@@ -41,28 +37,8 @@ __all__ = [
     "selection_threshold",
 ]
 
-# Absolute-plus-relative slack for every ladder inequality.
-BOUND_TOL = 1e-6
 # Goods priced above the dummy price by more than this margin count saturated.
 _SAT_TOL = 1e-9
-# The stripped prices must reproduce max(dummy price, marginal cost) this well.
-_PRICE_IDENTITY_TOL = 1e-6
-_MAX_CAP_RETRIES = 5
-
-
-@dataclass
-class BenchmarkSolution:
-    """Welfare optimum truncated at the threshold price, with personalized payments.
-
-    profit is what per-buyer payments at lambda_i(x_i) would earn; it is a
-    yardstick only, not a realizable item pricing.
-    """
-
-    demand: dict[str, float]
-    split: dict[tuple[str, tuple[str, ...]], float]
-    allocation: dict[str, float]
-    sw: float
-    profit: float
 
 
 def _benchmark_demand(inst, opt, price_floor):
@@ -78,59 +54,13 @@ def _benchmark_demand(inst, opt, price_floor):
     }
 
 
-def benchmark(
-    inst: MarketInstance, opt: PricingSolution, alpha: float | None = None
-) -> BenchmarkSolution:
-    """Scale the welfare optimum down so nobody's price falls below the threshold."""
-    alpha = resolve_alpha(inst, alpha)
-    floor = threshold_price(alpha, inst.lambda_max)
-    x_b = _benchmark_demand(inst, opt, floor)
-    split = {}
-    y = np.zeros(len(inst.good_ids))
-    for t, mask in zip(inst.buyer_types, inst.bundle_masks):
-        x_opt = opt.demand[t.type_id]
-        if x_opt <= SPLIT_DUST:
-            continue
-        ratio = x_b[t.type_id] / x_opt
-        for j, b in enumerate(t.bundles):
-            v = opt.split.get((t.type_id, b), 0.0) * ratio
-            if v > SPLIT_DUST:
-                split[(t.type_id, b)] = v
-                y += v * mask[j]
-    utility = sum(t.demand.utility_integral(x_b[t.type_id]) for t in inst.buyer_types)
-    income = sum(
-        t.demand.eval(x_b[t.type_id]) * x_b[t.type_id] for t in inst.buyer_types
-    )
-    cost = inst.total_cost(y)
-    bench = BenchmarkSolution(
-        demand=x_b,
-        split=split,
-        allocation=inst.prices_dict(y),
-        sw=float(utility - cost),
-        profit=float(income - cost),
-    )
-    _check_flat_threshold_bound(alpha, bench.sw, bench.profit)
-    return bench
-
-
-def _check_flat_threshold_bound(alpha, sw, profit):
-    # Everyone in the benchmark pays at least the threshold price and goods
-    # never price below marginal cost, so SW <= (2 * peak_ratio - 1) * profit.
-    factor = 2.0 * peak_ratio(alpha) - 1.0
-    if math.isfinite(factor) and sw > factor * profit + BOUND_TOL * (1.0 + abs(sw)):
-        raise AssertionError(
-            f"benchmark violates its welfare-to-profit bound: {sw} > {factor} * {profit}"
-        )
-
-
 @dataclass
 class LadderSolution:
     """One rung: the stripped equilibrium at a given dummy (reserve) price.
 
     index -1 denotes the plain welfare optimum.  saturated lists goods priced
-    strictly above the dummy price (their price equals marginal cost).
-    price_residual records how far the stripped prices were from the identity
-    max(dummy price, marginal cost) before snapping.
+    strictly above the dummy price (their price equals marginal cost);
+    dummy_allocation is what each good's dummy buyer would take.
     """
 
     index: int
@@ -138,11 +68,28 @@ class LadderSolution:
     solution: PricingSolution
     saturated: frozenset[str] = frozenset()
     dummy_allocation: dict[str, float] = field(default_factory=dict)
-    price_residual: float = 0.0
 
 
-def _flat_reserve_buyer(price: float, population: float) -> InverseDemand:
-    return InverseDemand.tabulated([(0.0, price), (population, price)], alpha=0.0)
+class _ReserveFloored:
+    """Cost C~ with marginal max(r, c(y)): C plus a dummy buyer valuing the good at r.
+
+    Below y0 = c^-1(r) the dummy takes y0 - y and C~ is linear at slope r;
+    from y0 on the dummy takes nothing and C~ is C.  Scalar in, scalar out.
+    """
+
+    def __init__(self, cost: CostFunction, reserve: float):
+        self.cost = cost
+        self.reserve = reserve
+        self.y0 = float(cost.marginal_inverse(reserve))
+        self._total_at_y0 = float(cost.total(self.y0))
+
+    def marginal(self, y):
+        return max(self.reserve, self.cost.marginal(y))
+
+    def total(self, y):
+        if y < self.y0:
+            return self._total_at_y0 + self.reserve * (y - self.y0)
+        return self.cost.total(y)
 
 
 def augmented_we(
@@ -150,77 +97,26 @@ def augmented_we(
 ) -> LadderSolution:
     """Welfare optimum with a flat-valuation dummy buyer per good, dummies stripped.
 
-    The dummy population starts at twice the total demand the market could
-    ever express and doubles (up to 5 times) if a dummy ever consumes its
-    whole cap, which would invalidate the reserve-price semantics.
+    The dummies enter as reserve-floored costs, so the posted prices are
+    exactly max(dummy price, marginal cost) at the real buyers' allocation.
     """
     if not dummy_price > 0:
         raise ValueError("dummy price must be positive")
     cfg = cfg or SolverConfig()
-    n = len(inst.good_ids)
-    real = _build_participants(inst)
-    population = 2.0 * sum(t.demand.support_ceiling for t in inst.buyer_types)
-    for _ in range(_MAX_CAP_RETRIES + 1):
-        dummies = []
-        for k in range(n):
-            mask = np.zeros((1, n))
-            mask[0, k] = 1.0
-            dummies.append(
-                Participant(_flat_reserve_buyer(dummy_price, population), mask, population)
-            )
-        result = _solve_flow(real + dummies, inst.cost_functions, cfg)
-        dummy_take = np.array([float(result.splits[len(real) + k][0]) for k in range(n)])
-        if np.all(dummy_take < population * (1.0 - 1e-6)):
-            break
-        population *= 2.0
-    else:
-        raise SolverError("dummy buyers kept saturating their population cap")
-
-    y_aug = result.y
-    y_real = y_aug - dummy_take
-    y_real = np.maximum(y_real, 0.0)
-    marg_aug = inst.marginal_vector(y_aug)
-    marg_real = inst.marginal_vector(y_real)
-    snapped = np.maximum(dummy_price, marg_real)
-    residual = float(np.max(np.abs(marg_aug - snapped))) if n else 0.0
-    if residual > _PRICE_IDENTITY_TOL * (1.0 + inst.lambda_max):
-        raise SolverError(
-            f"stripped prices miss the reserve identity by {residual:.3e}",
-            residual=residual,
-        )
-
-    demand = {}
-    paid = {}
-    split = {}
-    for t, sp, mask in zip(inst.buyer_types, result.splits[: len(real)], inst.bundle_masks):
-        x = float(np.sum(sp))
-        demand[t.type_id] = x
-        paid[t.type_id] = float(np.min(mask @ snapped))
-        for b, v in zip(t.bundles, sp):
-            if v > SPLIT_DUST:
-                split[(t.type_id, b)] = float(v)
-    utility = sum(t.demand.utility_integral(demand[t.type_id]) for t in inst.buyer_types)
-    cost = inst.total_cost(y_real)
-    solution = PricingSolution(
-        prices=inst.prices_dict(snapped),
-        demand=demand,
-        split=split,
-        allocation=inst.prices_dict(y_real),
-        sw=float(utility - cost),
-        profit=float(snapped @ y_real - cost),
-        paid=paid,
-    )
+    floored = [_ReserveFloored(c, dummy_price) for c in inst.cost_functions]
+    result = _solve_flow(inst, floored, cfg)
+    solution = _solution_from_splits(inst, result.splits, result.y, floored)
     margin = _SAT_TOL * (1.0 + dummy_price)
-    saturated = frozenset(
-        g for g, m in zip(inst.good_ids, marg_real) if m > dummy_price + margin
-    )
     return LadderSolution(
         index=0,
         dummy_price=dummy_price,
         solution=solution,
-        saturated=saturated,
-        dummy_allocation=inst.prices_dict(dummy_take),
-        price_residual=residual,
+        saturated=frozenset(
+            g for g, p in solution.prices.items() if p > dummy_price + margin
+        ),
+        dummy_allocation=inst.prices_dict(
+            [max(c.y0 - y, 0.0) for c, y in zip(floored, result.y)]
+        ),
     )
 
 
@@ -333,9 +229,6 @@ def certify_ladder(
     for r in rungs:
         sol = r.solution
         cost = inst.total_cost(sol.allocation_vector(inst))
-        checks.append(
-            BoundCheck(f"price_identity[{r.index}]", r.price_residual, 0.0, _PRICE_IDENTITY_TOL)
-        )
         checks.append(BoundCheck(f"profit_covers_cost[{r.index}]", cost, sol.profit, tol))
 
     start = by_index[0].solution

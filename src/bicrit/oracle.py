@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import dump_record, instance_digest
 from .market import (
     MarketInstance,
     evaluate,
@@ -190,18 +189,3 @@ def oracle_min_split_cost(
     for k, c in enumerate(inst.cost_functions):
         cost += c.total(Y[:, k])
     return float(cost.min())
-
-
-def fixture_record(kind: str, inst: MarketInstance, quantity: str, value: float) -> dict:
-    """One (instance-hash, quantity, value) provenance record for frozen oracles."""
-    return {
-        "kind": kind,
-        "instance": instance_digest(inst),
-        "quantity": quantity,
-        "value": value,
-    }
-
-
-def write_fixtures(path, records):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_record(list(records)))

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .costs import CostFunction
-from .demand import InverseDemand
 from .market import (
     MarketInstance,
     PricingSolution,
@@ -71,15 +69,6 @@ class SolverError(RuntimeError):
 
 
 @dataclass
-class Participant:
-    """One demand stream in the flow program (a buyer type or a dummy buyer)."""
-
-    demand: InverseDemand
-    mask: np.ndarray  # (bundle count, good count) incidence
-    cap: float
-
-
-@dataclass
 class FlowResult:
     splits: list[np.ndarray]
     y: np.ndarray
@@ -89,24 +78,21 @@ class FlowResult:
     history: list[float] = field(default_factory=list)
 
 
-def _build_participants(inst: MarketInstance) -> list[Participant]:
-    return [
-        Participant(t.demand, mask, t.demand.support_ceiling)
-        for t, mask in zip(inst.buyer_types, inst.bundle_masks)
-    ]
-
-
 class _FlowProgram:
-    def __init__(self, participants, cost_fns):
-        self.participants = participants
+    """The welfare program of the instance's buyer types against cost_fns.
+
+    Each type's total is capped at its demand support; cost_fns are usually
+    the instance's own costs, or reserve-floored ones on a ladder rung.
+    """
+
+    def __init__(self, inst: MarketInstance, cost_fns):
+        self.demands = [t.demand for t in inst.buyer_types]
         self.cost_fns = cost_fns
-        self.n_goods = participants[0].mask.shape[1] if participants else len(cost_fns)
-        self.sizes = [p.mask.shape[0] for p in participants]
+        self.sizes = [m.shape[0] for m in inst.bundle_masks]
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
-        self.stacked = np.vstack([p.mask for p in participants])
-        self.caps = np.concatenate(
-            [np.full(s, p.cap) for s, p in zip(self.sizes, participants)]
-        )
+        self.stacked = np.vstack(inst.bundle_masks)
+        self.type_caps = [d.support_ceiling for d in self.demands]
+        self.caps = np.repeat(self.type_caps, self.sizes)
 
     def totals(self, z):
         return np.add.reduceat(z, self.offsets[:-1])
@@ -117,36 +103,34 @@ class _FlowProgram:
     def objective(self, z):
         x = self.totals(z)
         y = self.allocation(z)
-        utility = sum(
-            p.demand.utility_integral(v) for p, v in zip(self.participants, x)
-        )
+        utility = sum(d.utility_integral(v) for d, v in zip(self.demands, x))
         cost = sum(c.total(v) for c, v in zip(self.cost_fns, y))
         return float(utility - cost)
 
     def gradient(self, z):
         x = self.totals(z)
         y = self.allocation(z)
-        lam = np.array([p.demand.eval(v) for p, v in zip(self.participants, x)])
+        lam = np.array([d.eval(v) for d, v in zip(self.demands, x)])
         marg = np.array([c.marginal(v) for c, v in zip(self.cost_fns, y)])
         return np.repeat(lam, self.sizes) - self.stacked @ marg
 
     def vertex_and_gap(self, z, g):
         """Conditional-gradient vertex and the duality gap g . (v - z)."""
         v = np.zeros_like(z)
-        for k in range(len(self.participants)):
+        for k, cap in enumerate(self.type_caps):
             sl = slice(self.offsets[k], self.offsets[k + 1])
             gk = g[sl]
             j = int(np.argmax(gk))
             if gk[j] > 0.0:
                 block = np.zeros(self.sizes[k])
-                block[j] = self.participants[k].cap
+                block[j] = cap
                 v[sl] = block
         return v, float(g @ (v - z))
 
     def dual_gap(self, z) -> float:
         """Upper bound on the remaining improvement via marginal-cost prices.
 
-        Concavity gives, per participant, at most the surplus of the best
+        Concavity gives, per buyer type, at most the surplus of the best
         response to its cheapest bundle's current marginal cost, plus the
         slack from mass routed over costlier bundles.  Unlike the linearized
         conditional-gradient gap this does not scale with the demand caps.
@@ -156,17 +140,16 @@ class _FlowProgram:
         marg = np.array([c.marginal(v) for c, v in zip(self.cost_fns, y)])
         bundle_costs = self.stacked @ marg
         total = 0.0
-        for k, p in enumerate(self.participants):
+        for k, (d, cap) in enumerate(zip(self.demands, self.type_caps)):
             sl = slice(self.offsets[k], self.offsets[k + 1])
             mc = bundle_costs[sl]
             cheapest = float(np.min(mc))
-            d = p.demand
             if cheapest >= d.lambda_max:
                 target = 0.0
             elif cheapest <= 0.0:
-                target = p.cap
+                target = cap
             else:
-                target = min(float(d._inverse_clamped(np.asarray(cheapest))), p.cap)
+                target = min(float(d._inverse_clamped(np.asarray(cheapest))), cap)
             xi = float(x[k])
             surplus = (
                 float(d.utility_integral(target))
@@ -242,8 +225,8 @@ def _run_quasi_newton(program, z, cfg):
     return np.maximum(res.x, 0.0)
 
 
-def _solve_flow(participants, cost_fns, cfg: SolverConfig) -> FlowResult:
-    program = _FlowProgram(participants, cost_fns)
+def _solve_flow(inst: MarketInstance, cost_fns, cfg: SolverConfig) -> FlowResult:
+    program = _FlowProgram(inst, cost_fns)
     z = np.zeros(int(program.offsets[-1]))
     history = [program.objective(z)]
     total_iters = 0
@@ -281,7 +264,7 @@ def _solve_flow(participants, cost_fns, cfg: SolverConfig) -> FlowResult:
     z[z < SPLIT_DUST] = 0.0
     splits = [
         z[program.offsets[k] : program.offsets[k + 1]]
-        for k in range(len(participants))
+        for k in range(len(program.sizes))
     ]
     return FlowResult(
         splits=splits,
@@ -293,10 +276,14 @@ def _solve_flow(participants, cost_fns, cfg: SolverConfig) -> FlowResult:
     )
 
 
-def _solution_from_splits(inst: MarketInstance, splits, y) -> PricingSolution:
-    """Assemble the canonical welfare-optimal solution, pricing at marginal cost."""
+def _solution_from_splits(inst: MarketInstance, splits, y, cost_fns) -> PricingSolution:
+    """Assemble a solved program's solution, pricing at the marginals of cost_fns.
+
+    cost_fns are the costs the program was solved against; welfare and profit
+    are always measured with the instance's own costs.
+    """
     yvec = np.asarray(y, dtype=float)
-    prices = inst.marginal_vector(yvec)
+    prices = np.array([c.marginal(v) for c, v in zip(cost_fns, yvec)])
     demand = {}
     paid = {}
     split_dict = {}
@@ -326,8 +313,8 @@ def _solution_from_splits(inst: MarketInstance, splits, y) -> PricingSolution:
 def solve_welfare(inst: MarketInstance, cfg: SolverConfig | None = None) -> PricingSolution:
     """Welfare-maximizing solution with each good priced at its marginal cost."""
     cfg = cfg or SolverConfig()
-    result = _solve_flow(_build_participants(inst), inst.cost_functions, cfg)
-    return _solution_from_splits(inst, result.splits, result.y)
+    result = _solve_flow(inst, inst.cost_functions, cfg)
+    return _solution_from_splits(inst, result.splits, result.y, inst.cost_functions)
 
 
 def solve_constrained_welfare(inst: MarketInstance, demand_fixed) -> dict[str, float]:
@@ -343,7 +330,7 @@ def solve_constrained_welfare(inst: MarketInstance, demand_fixed) -> dict[str, f
 
 def projected_gradient_norm(inst: MarketInstance, splits) -> float:
     """Infinity norm of the objective gradient projected on the feasible cone."""
-    program = _FlowProgram(_build_participants(inst), inst.cost_functions)
+    program = _FlowProgram(inst, inst.cost_functions)
     z = np.concatenate([np.asarray(s, dtype=float) for s in splits])
     g = program.gradient(z)
     active = z <= SPLIT_DUST

@@ -1,10 +1,20 @@
-"""Command-line smoke tests on the twin-goods instance."""
+"""Command-line smoke tests on the twin-goods and a two-good bundle instance."""
 
 import json
 
 import pytest
 
-from bicrit import cli, instances
+from bicrit import MarketInstance, cli, instances
+
+
+@pytest.fixture
+def pair_bundle_instance(linear_demand, quadratic_cost):
+    # Bundle size ratio 2, so verify runs a three-rung ladder; the reserve
+    # binds on g2 at the last rung.
+    return MarketInstance.create(
+        [("g1", quadratic_cost), ("g2", quadratic_cost)],
+        [("b1", [["g1"]], linear_demand), ("b2", [["g1", "g2"]], linear_demand)],
+    )
 
 
 def test_help_exits_zero(capsys):
@@ -14,13 +24,18 @@ def test_help_exits_zero(capsys):
     assert "verify" in capsys.readouterr().out
 
 
-def test_verify_twin_goods_passes_every_check(twin_goods_instance, tmp_path):
-    infile = tmp_path / "twin.json"
+@pytest.mark.parametrize(
+    "instance_name, n_checks",
+    [("twin_goods_instance", 9), ("pair_bundle_instance", 18)],
+    ids=["twin-goods", "pair-bundle"],
+)
+def test_verify_passes_every_check(instance_name, n_checks, request, tmp_path):
+    infile = tmp_path / "instance.json"
     outfile = tmp_path / "verify.json"
-    instances.save(twin_goods_instance, infile)
+    instances.save(request.getfixturevalue(instance_name), infile)
     code = cli.main(["verify", "--in", str(infile), "--out", str(outfile)])
     record = json.loads(outfile.read_text())
     assert code == cli.EXIT_OK
     assert record["ok"] is True
-    assert len(record["checks"]) == 9
+    assert len(record["checks"]) == n_checks
     assert all(c["ok"] for c in record["checks"])

@@ -44,8 +44,12 @@ class TestMinBundlePrice:
         assert q == pytest.approx(0.8)
         assert bundle == ("g1", "g2")
 
-    def test_tie_breaks_lexicographically(self, substitutes):
-        q, bundle = min_bundle_price(substitutes, {"g1": 0.4, "g2": 0.4}, "b1")
+    @pytest.mark.parametrize(
+        "g1_price", [0.4, 0.4 + 5e-8], ids=["exact-tie", "near-tie"]
+    )
+    def test_tie_breaks_lexicographically(self, substitutes, g1_price):
+        # 5e-8 lies inside the tie band of tied_bundles, so both bundles tie.
+        q, bundle = min_bundle_price(substitutes, {"g1": g1_price, "g2": 0.4}, "b1")
         assert q == pytest.approx(0.4)
         assert bundle == ("g1",)
 

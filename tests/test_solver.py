@@ -15,7 +15,7 @@ from bicrit import (
     solve_welfare,
 )
 from bicrit.oracle import oracle_min_split_cost
-from bicrit.solver import _build_participants, _FlowProgram, projected_gradient_norm
+from bicrit.solver import _FlowProgram, projected_gradient_norm
 
 from conftest import random_unit_demand_instance, random_multi_minded_instance
 
@@ -76,7 +76,7 @@ class TestOptimalityCertificates:
 
         cfg = SolverConfig(method="cg", tol=1e-7)
         result = _solve_flow(
-            _build_participants(twin_goods_instance),
+            twin_goods_instance,
             twin_goods_instance.cost_functions,
             cfg,
         )
@@ -159,7 +159,7 @@ class TestConfig:
 class TestDualGap:
     def test_gap_bounds_true_suboptimality(self, twin_goods_instance):
         program = _FlowProgram(
-            _build_participants(twin_goods_instance),
+            twin_goods_instance,
             twin_goods_instance.cost_functions,
         )
         z_opt = np.array([1.0 / 3.0, 1.0 / 3.0])
