@@ -13,11 +13,32 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["CostDomainError", "CostFunction"]
+__all__ = ["CostBatch", "CostDomainError", "CostFunction"]
 
 
 class CostDomainError(ValueError):
     """Raised for negative quantities or invalid cost parameters."""
+
+
+def _nonnegative(y):
+    arr = np.asarray(y, dtype=float)
+    if (arr < 0).any():
+        raise CostDomainError("cost evaluated at negative quantity")
+    return arr
+
+
+# The piece formulas, written once: they broadcast over the piece parameters
+# and the quantity, so CostFunction applies them to one good's piece and
+# CostBatch to one piece per good.  A power cost is a single piece starting
+# at 0 with nothing accrued before it.
+
+
+def _piece_marginal(coeff, exp, y):
+    return coeff * y**exp
+
+
+def _piece_total(total_at_start, coeff, exp, start_pow, y):
+    return total_at_start + coeff * (y ** (exp + 1.0) - start_pow) / (exp + 1.0)
 
 
 @dataclass(frozen=True)
@@ -69,7 +90,7 @@ class CostFunction:
 
     @cached_property
     def _pieces(self):
-        """Arrays (start_y, coeff, exponent, total_at_start) per piece."""
+        """Arrays (start_y, coeff, exponent, total_at_start, start_y^(exponent+1))."""
         starts = [0.0]
         coeffs = [self.a]
         exps = [self.beta]
@@ -82,61 +103,41 @@ class CostFunction:
             coeffs.append(marginal_at_break / y_break**new_exp)
             exps.append(new_exp)
             totals.append(total_at_break)
-        return (
-            np.array(starts),
-            np.array(coeffs),
-            np.array(exps),
-            np.array(totals),
-        )
+        starts, exps = np.array(starts), np.array(exps)
+        return starts, np.array(coeffs), exps, np.array(totals), starts ** (exps + 1.0)
 
     def _piece_index(self, y):
         starts = self._pieces[0]
+        if len(starts) == 1:
+            return 0
         return np.clip(np.searchsorted(starts, y, side="right") - 1, 0, len(starts) - 1)
 
     def marginal(self, y):
         """Marginal cost c(y)."""
-        arr = np.asarray(y, dtype=float)
-        scalar = arr.ndim == 0
-        if np.any(arr < 0):
-            raise CostDomainError("cost evaluated at negative quantity")
-        if self.family == "power":
-            out = self.a * arr**self.beta
-        else:
-            _, coeffs, exps, _ = self._pieces
-            k = self._piece_index(arr)
-            out = coeffs[k] * arr ** exps[k]
-        return float(out) if scalar else out
+        arr = _nonnegative(y)
+        _, coeffs, exps, _, _ = self._pieces
+        k = self._piece_index(arr)
+        out = _piece_marginal(coeffs[k], exps[k], arr)
+        return float(out) if arr.ndim == 0 else out
 
     def total(self, y):
         """Total cost C(y), the integral of the marginal."""
-        arr = np.asarray(y, dtype=float)
-        scalar = arr.ndim == 0
-        if np.any(arr < 0):
-            raise CostDomainError("cost evaluated at negative quantity")
-        if self.family == "power":
-            out = self.a * arr ** (self.beta + 1.0) / (self.beta + 1.0)
-        else:
-            starts, coeffs, exps, totals = self._pieces
-            k = self._piece_index(arr)
-            out = totals[k] + coeffs[k] * (
-                arr ** (exps[k] + 1.0) - starts[k] ** (exps[k] + 1.0)
-            ) / (exps[k] + 1.0)
-        return float(out) if scalar else out
+        arr = _nonnegative(y)
+        _, coeffs, exps, totals, start_pows = self._pieces
+        k = self._piece_index(arr)
+        out = _piece_total(totals[k], coeffs[k], exps[k], start_pows[k], arr)
+        return float(out) if arr.ndim == 0 else out
 
     def marginal_inverse(self, p):
         """Quantity y with c(y) = p."""
         arr = np.asarray(p, dtype=float)
-        scalar = arr.ndim == 0
         if np.any(arr < 0):
             raise CostDomainError("marginal inverse needs a non-negative price")
-        if self.family == "power":
-            out = (arr / self.a) ** (1.0 / self.beta)
-        else:
-            starts, coeffs, exps, _ = self._pieces
-            marg_at_start = coeffs * starts**exps
-            k = np.clip(np.searchsorted(marg_at_start, arr, side="right") - 1, 0, len(starts) - 1)
-            out = (arr / coeffs[k]) ** (1.0 / exps[k])
-        return float(out) if scalar else out
+        starts, coeffs, exps, _, _ = self._pieces
+        marg_at_start = coeffs * starts**exps
+        k = np.clip(np.searchsorted(marg_at_start, arr, side="right") - 1, 0, len(starts) - 1)
+        out = (arr / coeffs[k]) ** (1.0 / exps[k])
+        return float(out) if arr.ndim == 0 else out
 
     def _validate_half_income_bound(self):
         # Double convexity gives C(y) <= c(y) * y / 2; spot-check it on a grid
@@ -164,3 +165,43 @@ class CostFunction:
             (float(y), float(b)) for y, b in d.get("breakpoints", ())
         )
         return CostFunction(d["family"], float(d["a"]), float(d["beta"]), breakpoints)
+
+
+class CostBatch:
+    """A market's cost functions compiled into piece tables, one row per good.
+
+    marginal and total take one quantity per good (in the order the costs were
+    given), check the domain once and evaluate every good in one broadcast
+    call of the piece formulas.
+    """
+
+    def __init__(self, cost_fns):
+        pieces = [c._pieces for c in cost_fns]
+        width = max(len(p[0]) for p in pieces)
+        # Rows shorter than the widest repeat their last piece behind a start
+        # of +inf, which no quantity reaches.
+        def padded(j, a):
+            return np.concatenate([a, np.full(width - len(a), np.inf if j == 0 else a[-1])])
+
+        table = [[padded(j, a) for j, a in enumerate(p)] for p in pieces]
+        self._starts, *params = (np.array(col) for col in zip(*table))
+        # (coeff, exponent, total_at_start, start power), each goods x pieces.
+        self._params = np.array(params)
+        self._rows = np.arange(len(pieces))
+
+    def _piece_params(self, y):
+        """(coeff, exponent, total_at_start, start power) of each good's piece at y."""
+        if self._starts.shape[1] == 1:
+            return self._params[:, :, 0]
+        k = (self._starts[:, 1:] <= y[:, None]).sum(axis=1)
+        return self._params[:, self._rows, k]
+
+    def marginal(self, y):
+        y = _nonnegative(y)
+        coeff, exp, _, _ = self._piece_params(y)
+        return _piece_marginal(coeff, exp, y)
+
+    def total(self, y):
+        y = _nonnegative(y)
+        coeff, exp, total_at_start, start_pow = self._piece_params(y)
+        return _piece_total(total_at_start, coeff, exp, start_pow, y)

@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "ALPHA_LIMIT",
     "DEFAULT_PRICE_FLOOR",
+    "DemandBatch",
     "DemandDomainError",
     "InverseDemand",
     "verify_regularity",
@@ -43,8 +44,75 @@ def _as_float_array(x):
     return arr, arr.ndim == 0
 
 
+def _nonnegative(x, message):
+    """x as a float array; DemandDomainError(message) if an entry is negative."""
+    arr = np.asarray(x, dtype=float)
+    if (arr < 0).any():
+        raise DemandDomainError(message)
+    return arr
+
+
 def _scalar_or_array(arr, scalar):
     return float(arr) if scalar else arr
+
+
+# -- family formulas ---------------------------------------------------------
+# One (eval, utility integral, inverse) triple per kind of analytic curve.
+# Every formula broadcasts over its parameters and argument: InverseDemand
+# applies it with one curve's scalars, DemandBatch with one array per kind, so
+# each expression is written once.  The kinds are the families, except that
+# a generalized Pareto below ALPHA_LIMIT is "exponential" (its alpha -> 0
+# limit) and one at alpha = 1 is "gp-log" (its utility integral is a log).
+
+
+def _linear_eval(lam, alpha, scale, x):
+    return lam * np.maximum(0.0, 1.0 - x / scale)
+
+
+def _linear_utility(lam, alpha, scale, z):
+    return lam * (z - z * z / (2.0 * scale))
+
+
+def _linear_inverse(lam, alpha, scale, p):
+    return scale * (1.0 - p / lam)
+
+
+def _exp_eval(lam, alpha, scale, x):
+    return lam * np.exp(-x / scale)
+
+
+def _exp_utility(lam, alpha, scale, z):
+    return lam * scale * (1.0 - np.exp(-z / scale))
+
+
+def _exp_inverse(lam, alpha, scale, p):
+    return scale * np.log(lam / p)
+
+
+def _gp_eval(lam, alpha, scale, x):
+    return lam * (1.0 + alpha * x / scale) ** (-1.0 / alpha)
+
+
+def _gp_utility(lam, alpha, scale, z):
+    base = 1.0 + alpha * z / scale
+    return lam * scale / (1.0 - alpha) * (1.0 - base ** (1.0 - 1.0 / alpha))
+
+
+def _gp_log_utility(lam, alpha, scale, z):
+    return lam * scale * np.log1p(z / scale)
+
+
+def _gp_inverse(lam, alpha, scale, p):
+    return scale / alpha * ((lam / p) ** alpha - 1.0)
+
+
+_EVAL, _UTILITY, _INVERSE = range(3)
+_FORMULAS = {
+    "linear": (_linear_eval, _linear_utility, _linear_inverse),
+    "exponential": (_exp_eval, _exp_utility, _exp_inverse),
+    "generalized-pareto": (_gp_eval, _gp_utility, _gp_inverse),
+    "gp-log": (_gp_eval, _gp_log_utility, _gp_inverse),
+}
 
 
 @dataclass(frozen=True)
@@ -162,11 +230,13 @@ class InverseDemand:
         return np.concatenate([[0.0], np.cumsum(seg)])
 
     @cached_property
-    def _exp_like(self) -> bool:
-        """Exponential, or a generalized-pareto at its alpha -> 0 limit."""
-        return self.family == "exponential" or (
-            self.family == "generalized-pareto" and self.alpha < ALPHA_LIMIT
-        )
+    def _kind(self) -> str:
+        """The curve's key in _FORMULAS, or "tabulated"."""
+        if self.family != "generalized-pareto":
+            return self.family
+        if self.alpha < ALPHA_LIMIT:
+            return "exponential"
+        return "gp-log" if self.alpha > 1.0 - 1e-12 else "generalized-pareto"
 
     @cached_property
     def _floor_price(self) -> float:
@@ -175,37 +245,34 @@ class InverseDemand:
             return self.lambda_max * max(0.0, 1.0 - self.support_ceiling / self.scale)
         if self.family == "tabulated":
             return float(self._ls[-1])
-        return self._analytic_eval(np.asarray(self.support_ceiling))
+        return self._formula(_EVAL, np.asarray(self.support_ceiling))
 
     # -- core evaluations --------------------------------------------------
 
-    def _analytic_eval(self, x):
-        if self.family == "linear":
-            return self.lambda_max * np.maximum(0.0, 1.0 - x / self.scale)
-        if self._exp_like:
-            return self.lambda_max * np.exp(-x / self.scale)
-        if self.family == "generalized-pareto":
-            return self.lambda_max * (1.0 + self.alpha * x / self.scale) ** (
-                -1.0 / self.alpha
-            )
-        return np.interp(x, self._xs, self._ls, right=0.0)
+    def _formula(self, which, x):
+        """The curve's formula which (_EVAL, _UTILITY or _INVERSE) at x."""
+        x = np.asarray(x)
+        if self.family == "tabulated":
+            return (self._tabulated_eval, self._tabulated_utility, self._inverse_tabulated)[
+                which
+            ](x)
+        # On a 0-d x the formula's intermediates would be NumPy scalars, whose
+        # ** rounds differently from the array power DemandBatch uses.
+        formula = _FORMULAS[self._kind][which]
+        return formula(self.lambda_max, self.alpha, self.scale, np.atleast_1d(x)).reshape(x.shape)
 
     def eval(self, x):
         """Price lambda(x); zero at or beyond the support ceiling."""
-        arr, scalar = _as_float_array(x)
-        if np.any(arr < 0):
-            raise DemandDomainError("demand evaluated at negative quantity")
-        out = np.where(arr >= self.support_ceiling, 0.0, self._analytic_eval(arr))
-        return _scalar_or_array(out, scalar)
+        arr = _nonnegative(x, "demand evaluated at negative quantity")
+        out = np.where(arr >= self.support_ceiling, 0.0, self._formula(_EVAL, arr))
+        return _scalar_or_array(out, arr.ndim == 0)
 
     def derivative(self, x):
         """Slope lambda'(x); zero beyond the support ceiling."""
-        arr, scalar = _as_float_array(x)
-        if np.any(arr < 0):
-            raise DemandDomainError("demand derivative at negative quantity")
+        arr = _nonnegative(x, "demand derivative at negative quantity")
         if self.family == "linear":
             der = np.full_like(arr, -self.lambda_max / self.scale)
-        elif self._exp_like:
+        elif self._kind == "exponential":
             der = -self.lambda_max / self.scale * np.exp(-arr / self.scale)
         elif self.family == "generalized-pareto":
             der = (
@@ -217,7 +284,7 @@ class InverseDemand:
             seg = np.clip(np.searchsorted(self._xs, arr, side="right") - 1, 0, len(self._slopes) - 1)
             der = self._slopes[seg]
         out = np.where(arr >= self.support_ceiling, 0.0, der)
-        return _scalar_or_array(out, scalar)
+        return _scalar_or_array(out, arr.ndim == 0)
 
     def inverse(self, p):
         """Largest x with lambda(x) >= p, for prices in (0, lambda_max]."""
@@ -233,15 +300,10 @@ class InverseDemand:
     def _inverse_clamped(self, arr):
         """Inverse with prices below the truncation floor mapping to the ceiling."""
         p = np.maximum(arr, max(self._floor_price, 1e-300))
-        if self.family == "linear":
-            x = self.scale * (1.0 - p / self.lambda_max)
-        elif self._exp_like:
-            x = self.scale * np.log(self.lambda_max / p)
-        elif self.family == "generalized-pareto":
-            x = self.scale / self.alpha * ((self.lambda_max / p) ** self.alpha - 1.0)
-        else:
-            return self._inverse_tabulated(arr)
-        return np.minimum(x, self.support_ceiling)
+        return np.minimum(self._formula(_INVERSE, p), self.support_ceiling)
+
+    def _tabulated_eval(self, x):
+        return np.interp(x, self._xs, self._ls, right=0.0)
 
     def _inverse_tabulated(self, p):
         # Index of the last node with lambda >= p.  searchsorted on the negated
@@ -253,35 +315,18 @@ class InverseDemand:
         kk = np.minimum(k, len(self._slopes) - 1)
         slope = np.minimum(self._slopes[kk], -1e-300)
         interp = self._xs[kk] + (p - self._ls[kk]) / slope
-        x = np.where(at_end, self._xs[-1], interp)
-        return np.minimum(x, self.support_ceiling)
+        return np.where(at_end, self._xs[-1], interp)
+
+    def _tabulated_utility(self, z):
+        seg = np.clip(np.searchsorted(self._xs, z, side="right") - 1, 0, len(self._slopes) - 1)
+        dx = z - self._xs[seg]
+        return self._cum_utility[seg] + self._ls[seg] * dx + 0.5 * self._slopes[seg] * dx * dx
 
     def utility_integral(self, x):
         """Buyer surplus integral of lambda from 0 to x (flat past the ceiling)."""
-        arr, scalar = _as_float_array(x)
-        if np.any(arr < 0):
-            raise DemandDomainError("utility integral over negative quantity")
-        z = np.minimum(arr, self.support_ceiling)
-        if self.family == "linear":
-            u = self.lambda_max * (z - z * z / (2.0 * self.scale))
-        elif self._exp_like:
-            u = self.lambda_max * self.scale * (1.0 - np.exp(-z / self.scale))
-        elif self.family == "generalized-pareto":
-            if self.alpha > 1.0 - 1e-12:
-                u = self.lambda_max * self.scale * np.log1p(z / self.scale)
-            else:
-                base = 1.0 + self.alpha * z / self.scale
-                u = (
-                    self.lambda_max
-                    * self.scale
-                    / (1.0 - self.alpha)
-                    * (1.0 - base ** (1.0 - 1.0 / self.alpha))
-                )
-        else:
-            seg = np.clip(np.searchsorted(self._xs, z, side="right") - 1, 0, len(self._slopes) - 1)
-            dx = z - self._xs[seg]
-            u = self._cum_utility[seg] + self._ls[seg] * dx + 0.5 * self._slopes[seg] * dx * dx
-        return _scalar_or_array(u, scalar)
+        arr = _nonnegative(x, "utility integral over negative quantity")
+        u = self._formula(_UTILITY, np.minimum(arr, self.support_ceiling))
+        return _scalar_or_array(u, arr.ndim == 0)
 
     def hazard_ratio(self, x):
         """lambda(x) / |lambda'(x)|; +inf where the slope vanishes."""
@@ -314,6 +359,64 @@ class InverseDemand:
             scale=float(d.get("scale", 1.0)),
             support_ceiling=float(d["support_ceiling"]),
             points=tuple((float(x), float(l)) for x, l in points) if points else None,
+        )
+
+
+class DemandBatch:
+    """A market's demand curves compiled into one parameter array per kind.
+
+    Every method takes one value per curve, in the order the curves were
+    given: it checks the domain once and applies each kind's formula in one
+    broadcast call, looping only over tabulated curves.
+    """
+
+    def __init__(self, curves):
+        curves = tuple(curves)
+        self.lambda_max = np.array([d.lambda_max for d in curves])
+        self.support_ceiling = np.array([d.support_ceiling for d in curves])
+        self._floor = np.array([max(d._floor_price, 1e-300) for d in curves])
+        params = (
+            self.lambda_max,
+            np.array([d.alpha for d in curves]),
+            np.array([d.scale for d in curves]),
+        )
+        kinds = [d._kind for d in curves]
+        self._kinds = []  # (index, formulas, parameters at index) per analytic kind
+        self._tabulated = [(i, d) for i, d in enumerate(curves) if d._kind == "tabulated"]
+        for kind in dict.fromkeys(k for k in kinds if k != "tabulated"):
+            at = [i for i, k in enumerate(kinds) if k == kind]
+            index = slice(None) if len(at) == len(curves) else np.array(at)
+            self._kinds.append((index, _FORMULAS[kind], tuple(a[index] for a in params)))
+
+    def _apply(self, which, x):
+        out = np.empty_like(x)
+        for index, formulas, params in self._kinds:
+            out[index] = formulas[which](*params, x[index])
+        for i, d in self._tabulated:
+            out[i] = d._formula(which, x[i])
+        return out
+
+    def eval(self, x):
+        """Prices lambda_i(x_i); zero at or beyond each support ceiling."""
+        x = _nonnegative(x, "demand evaluated at negative quantity")
+        return np.where(x >= self.support_ceiling, 0.0, self._apply(_EVAL, x))
+
+    def utility_integral(self, x):
+        """Surplus integrals of lambda_i from 0 to x_i (flat past the ceiling)."""
+        x = _nonnegative(x, "utility integral over negative quantity")
+        return self._apply(_UTILITY, np.minimum(x, self.support_ceiling))
+
+    def demand_at_price(self, q):
+        """Mass each curve buys at price q_i: the clamped inverse.
+
+        Zero at q_i >= lambda_max, the whole support at q_i <= 0 or below the
+        truncation floor.
+        """
+        q = np.asarray(q, dtype=float)
+        x = self._apply(_INVERSE, np.clip(q, self._floor, self.lambda_max))
+        inner = np.minimum(x, self.support_ceiling)
+        return np.where(
+            q >= self.lambda_max, 0.0, np.where(q <= 0.0, self.support_ceiling, inner)
         )
 
 

@@ -10,7 +10,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 
@@ -23,7 +22,6 @@ __all__ = [
     "InstanceFormatError",
     "dump_record",
     "dumps",
-    "instance_digest",
     "load",
     "loads",
     "save",
@@ -194,8 +192,3 @@ def dumps(inst: MarketInstance, metadata: dict | None = None) -> str:
 def save(inst: MarketInstance, path, metadata: dict | None = None):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(inst, metadata))
-
-
-def instance_digest(inst: MarketInstance) -> str:
-    """Stable content hash of the instance (metadata excluded)."""
-    return hashlib.sha256(dumps(inst).encode("utf-8")).hexdigest()[:16]

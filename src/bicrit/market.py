@@ -3,17 +3,23 @@
 A market couples goods (each with a production cost) and buyer types (each
 with a set of acceptable bundles and an inverse demand curve).  Populations
 are continuous: demand quantities are real masses of infinitesimal buyers.
+
+An instance caches its struct-of-arrays forms: every type's bundles stacked
+into one incidence matrix (rows of type i from bundle_offsets[i]), and its
+curves and costs compiled into a DemandBatch and a CostBatch.  Bundle
+prices, envy-free demand, welfare and the min-cost split are computed over
+these in one pass per price vector, not type by type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .costs import CostFunction
-from .demand import InverseDemand
+from .costs import CostBatch, CostFunction
+from .demand import DemandBatch, InverseDemand
 
 __all__ = [
     "BuyerType",
@@ -140,6 +146,28 @@ class MarketInstance:
         return tuple(masks)
 
     @cached_property
+    def bundle_sizes(self) -> np.ndarray:
+        return np.array([len(t.bundles) for t in self.buyer_types])
+
+    @cached_property
+    def bundle_offsets(self) -> np.ndarray:
+        """Row of stacked_masks where each type's bundles start, then the row count."""
+        return np.concatenate([[0], np.cumsum(self.bundle_sizes)])
+
+    @cached_property
+    def stacked_masks(self) -> np.ndarray:
+        """Every type's bundle_masks, stacked in type order."""
+        return np.vstack(self.bundle_masks)
+
+    @cached_property
+    def demand_batch(self) -> DemandBatch:
+        return DemandBatch(t.demand for t in self.buyer_types)
+
+    @cached_property
+    def cost_batch(self) -> CostBatch:
+        return _cost_batch(self.cost_functions)
+
+    @cached_property
     def lambda_max(self) -> float:
         return self.buyer_types[0].demand.lambda_max
 
@@ -169,10 +197,10 @@ class MarketInstance:
         return {g: float(pvec[k]) for k, g in enumerate(self.good_ids)}
 
     def total_cost(self, yvec) -> float:
-        return float(sum(c.total(y) for c, y in zip(self.cost_functions, yvec)))
+        return float(np.sum(self.cost_batch.total(yvec)))
 
     def marginal_vector(self, yvec) -> np.ndarray:
-        return np.array([c.marginal(y) for c, y in zip(self.cost_functions, yvec)])
+        return self.cost_batch.marginal(yvec)
 
 
 @dataclass
@@ -199,15 +227,6 @@ class PricingSolution:
         return np.array([self.allocation[g] for g in inst.good_ids])
 
 
-def _demand_at_price(d: InverseDemand, q: float) -> float:
-    """Mass purchasing when the cheapest bundle costs q (clamped inverse)."""
-    if q >= d.lambda_max:
-        return 0.0
-    if q <= 0.0:
-        return d.support_ceiling
-    return float(d._inverse_clamped(np.asarray(q, dtype=float)))
-
-
 def min_bundle_price(inst: MarketInstance, prices: dict[str, float], type_id: str):
     """Cheapest bundle price for the type and one argmin bundle.
 
@@ -225,12 +244,13 @@ def min_bundle_price(inst: MarketInstance, prices: dict[str, float], type_id: st
 
 def best_response(inst: MarketInstance, prices: dict[str, float]) -> dict[str, float]:
     """Envy-free demand: each type buys its cheapest bundle up to its valuation."""
-    pvec = inst.price_vector(prices)
-    out = {}
-    for t, mask in zip(inst.buyer_types, inst.bundle_masks):
-        q = float(np.min(mask @ pvec))
-        out[t.type_id] = _demand_at_price(t.demand, q)
-    return out
+    _, cheapest, _ = _bundle_prices(inst, inst.price_vector(prices))
+    demand = inst.demand_batch.demand_at_price(cheapest)
+    return {t.type_id: float(x) for t, x in zip(inst.buyer_types, demand)}
+
+
+def _within_tie_band(sums, cheapest, lambda_max: float):
+    return sums <= cheapest + PRICE_TIE_REL * (1.0 + lambda_max)
 
 
 def tied_bundles(sums, lambda_max: float) -> np.ndarray:
@@ -242,17 +262,30 @@ def tied_bundles(sums, lambda_max: float) -> np.ndarray:
     This is the one tie rule: _argmin_bundle_sets (hence min_cost_allocation
     and evaluate), oracle._sweep and oracle.oracle_min_split_cost all decide
     ties with it, so the oracles audit exactly the bundle sets the optimizing
-    code splits over.
+    code splits over; _bundle_prices applies the same band to all types at
+    once.
     """
-    return sums <= sums.min(axis=-1, keepdims=True) + PRICE_TIE_REL * (1.0 + lambda_max)
+    return _within_tie_band(sums, sums.min(axis=-1, keepdims=True), lambda_max)
+
+
+def _bundle_prices(inst: MarketInstance, pvec):
+    """One pass over the stacked incidence at price vector pvec.
+
+    Returns every bundle's price (in stacked_masks row order), each type's
+    cheapest bundle price, and the mask of bundles tied with their type's
+    cheapest.
+    """
+    sums = inst.stacked_masks @ pvec
+    cheapest = np.minimum.reduceat(sums, inst.bundle_offsets[:-1])
+    tied = _within_tie_band(sums, np.repeat(cheapest, inst.bundle_sizes), inst.lambda_max)
+    return sums, cheapest, tied
 
 
 def _argmin_bundle_sets(inst, pvec):
     """Per type: indices of the bundles tied at the cheapest price."""
-    return [
-        np.flatnonzero(tied_bundles(mask @ pvec, inst.lambda_max))
-        for mask in inst.bundle_masks
-    ]
+    _, _, tied = _bundle_prices(inst, pvec)
+    offsets = inst.bundle_offsets
+    return [np.flatnonzero(tied[offsets[i] : offsets[i + 1]]) for i in range(len(offsets) - 1)]
 
 
 def argmin_bundles(inst: MarketInstance, prices: dict[str, float]):
@@ -262,6 +295,12 @@ def argmin_bundles(inst: MarketInstance, prices: dict[str, float]):
         t.type_id: [t.bundles[j] for j in tied]
         for t, tied in zip(inst.buyer_types, _argmin_bundle_sets(inst, pvec))
     }
+
+
+@lru_cache(maxsize=16)
+def _cost_batch(cost_fns: tuple[CostFunction, ...]) -> CostBatch:
+    """CostBatch of cost_fns, compiled once per set of costs."""
+    return CostBatch(cost_fns)
 
 
 def split_min_cost(
@@ -277,10 +316,13 @@ def split_min_cost(
     masks is one (m_i, n_goods) incidence matrix per type and totals the mass
     each type must route.  Types with a single admissible bundle are folded
     into the fixed base allocation; the rest are optimized by projected
-    gradient on the product of scaled simplices.
+    gradient on the product of scaled simplices.  Costs and gradients are
+    evaluated over all goods at once (a CostBatch of cost_fns), and the
+    blocks of each size are projected together, as the rows of one matrix.
 
     Returns (list of per-type split vectors, allocation vector y).
     """
+    costs = _cost_batch(tuple(cost_fns))
     n_goods = masks[0].shape[1] if masks else len(cost_fns)
     base = np.zeros(n_goods) if base_y is None else np.array(base_y, dtype=float)
     splits = [np.zeros(m.shape[0]) for m in masks]
@@ -296,44 +338,31 @@ def split_min_cost(
     if not free:
         return splits, base
 
-    blocks = [masks[i] for i in free]
     block_totals = np.array([totals[i] for i in free])
-    sizes = [b.shape[0] for b in blocks]
+    sizes = np.array([masks[i].shape[0] for i in free])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    stacked = np.vstack(blocks)
+    starts = offsets[:-1]
+    stacked = np.vstack([masks[i] for i in free])
+    groups = _size_groups(starts, sizes, block_totals)
 
     def allocation(z):
         return base + stacked.T @ z
 
     def cost(y):
-        return float(sum(c.total(v) for c, v in zip(cost_fns, y)))
+        return float(costs.total(y).sum())
 
     def grad(y):
-        marg = np.array([c.marginal(v) for c, v in zip(cost_fns, y)])
-        return stacked @ marg
-
-    def project(z):
-        out = np.empty_like(z)
-        for k in range(len(free)):
-            sl = slice(offsets[k], offsets[k + 1])
-            out[sl] = _project_simplex(z[sl], block_totals[k])
-        return out
+        return stacked @ costs.marginal(y)
 
     def used_spread(z, y):
         # Largest gap between a used bundle's marginal-cost sum and the
         # type's cheapest; zero certifies optimality.
-        marg = np.array([c.marginal(v) for c, v in zip(cost_fns, y)])
-        sums = stacked @ marg
-        worst = 0.0
-        for k in range(len(free)):
-            sl = slice(offsets[k], offsets[k + 1])
-            block_sums = sums[sl]
-            used = block_sums[z[sl] > SPLIT_DUST]
-            if used.size:
-                worst = max(worst, float(used.max() - block_sums.min()))
-        return worst
+        sums = grad(y)
+        cheapest = np.minimum.reduceat(sums, starts)
+        used_max = np.maximum.reduceat(np.where(z > SPLIT_DUST, sums, -np.inf), starts)
+        return max(0.0, float(np.max(used_max - cheapest)))
 
-    z = np.concatenate([np.full(s, t / s) for s, t in zip(sizes, block_totals)])
+    z = np.repeat(block_totals / sizes, sizes)
     y = allocation(z)
     f = cost(y)
     step = 1.0
@@ -341,7 +370,7 @@ def split_min_cost(
     for _ in range(max_iters):
         g = grad(y)
         while True:
-            z_new = project(z - step * g)
+            z_new = _project_blocks(z - step * g, groups)
             dz = z_new - z
             sq = float(dz @ dz)
             if sq == 0.0:
@@ -370,13 +399,31 @@ def split_min_cost(
     return splits, allocation(z)
 
 
-def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto {w >= 0, sum w = total}."""
-    u = np.sort(v)[::-1]
-    cumsum = np.cumsum(u) - total
-    rho = np.flatnonzero(u - cumsum / np.arange(1, v.size + 1) > 0)[-1]
-    theta = cumsum[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+def _size_groups(starts, sizes, totals):
+    """Per block size: the positions of those blocks (one row each) and their totals."""
+    return [
+        (starts[sizes == s][:, None] + np.arange(s), totals[sizes == s])
+        for s in np.unique(sizes)
+    ]
+
+
+def _project_blocks(z, groups):
+    """Project each block of z onto its scaled simplex, one matrix per block size."""
+    out = np.empty_like(z)
+    for rows, row_totals in groups:
+        out[rows] = _project_rows(z[rows], row_totals)
+    return out
+
+
+def _project_rows(v: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row of v onto {w >= 0, sum w = its total}."""
+    u = np.sort(v, axis=1)[:, ::-1]
+    cumsum = u.cumsum(axis=1) - totals[:, None]
+    positive = u - cumsum / np.arange(1, v.shape[1] + 1) > 0
+    # rho: the last position where the sorted row stays above its threshold.
+    rho = v.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
+    theta = cumsum[np.arange(len(rho)), rho] / (rho + 1.0)
+    return np.maximum(v - theta[:, None], 0.0)
 
 
 def min_cost_allocation(inst: MarketInstance, prices: dict[str, float], demand):
@@ -406,17 +453,13 @@ def min_cost_allocation(inst: MarketInstance, prices: dict[str, float], demand):
 def evaluate(inst: MarketInstance, prices: dict[str, float]) -> PricingSolution:
     """Full market outcome at the posted prices."""
     pvec = inst.price_vector(prices)
-    demand = {}
-    paid = {}
-    for t, mask in zip(inst.buyer_types, inst.bundle_masks):
-        q = float(np.min(mask @ pvec))
-        paid[t.type_id] = q
-        demand[t.type_id] = _demand_at_price(t.demand, q)
+    _, cheapest, _ = _bundle_prices(inst, pvec)
+    xvec = inst.demand_batch.demand_at_price(cheapest)
+    type_ids = [t.type_id for t in inst.buyer_types]
+    demand = dict(zip(type_ids, xvec.tolist()))
     split, allocation = min_cost_allocation(inst, prices, demand)
     yvec = np.array([allocation[g] for g in inst.good_ids])
-    utility = sum(
-        t.demand.utility_integral(demand[t.type_id]) for t in inst.buyer_types
-    )
+    utility = float(np.sum(inst.demand_batch.utility_integral(xvec)))
     cost = inst.total_cost(yvec)
     income = float(pvec @ yvec)
     return PricingSolution(
@@ -426,7 +469,7 @@ def evaluate(inst: MarketInstance, prices: dict[str, float]) -> PricingSolution:
         allocation=allocation,
         sw=float(utility - cost),
         profit=income - cost,
-        paid=paid,
+        paid=dict(zip(type_ids, cheapest.tolist())),
     )
 
 

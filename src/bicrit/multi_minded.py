@@ -20,8 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .analysis import BOUND_TOL, peak_ratio, selection_base_factor
-from .costs import CostFunction
 from .market import MarketInstance, PricingSolution
 from .solver import SolverConfig, SolverError, _solution_from_splits, _solve_flow
 from .unit_demand import resolve_alpha, threshold_price
@@ -71,25 +72,25 @@ class LadderSolution:
 
 
 class _ReserveFloored:
-    """Cost C~ with marginal max(r, c(y)): C plus a dummy buyer valuing the good at r.
+    """Costs C~ with marginal max(r, c(y)): C plus a dummy buyer valuing each good at r.
 
     Below y0 = c^-1(r) the dummy takes y0 - y and C~ is linear at slope r;
-    from y0 on the dummy takes nothing and C~ is C.  Scalar in, scalar out.
+    from y0 on the dummy takes nothing and C~ is C.  Batched like the
+    instance's CostBatch: one value per good in, one per good out.
     """
 
-    def __init__(self, cost: CostFunction, reserve: float):
-        self.cost = cost
+    def __init__(self, inst: MarketInstance, reserve: float):
+        self.costs = inst.cost_batch
         self.reserve = reserve
-        self.y0 = float(cost.marginal_inverse(reserve))
-        self._total_at_y0 = float(cost.total(self.y0))
+        self.y0 = np.array([c.marginal_inverse(reserve) for c in inst.cost_functions])
+        self._total_at_y0 = self.costs.total(self.y0)
 
     def marginal(self, y):
-        return max(self.reserve, self.cost.marginal(y))
+        return np.maximum(self.reserve, self.costs.marginal(y))
 
     def total(self, y):
-        if y < self.y0:
-            return self._total_at_y0 + self.reserve * (y - self.y0)
-        return self.cost.total(y)
+        below = self._total_at_y0 + self.reserve * (y - self.y0)
+        return np.where(y < self.y0, below, self.costs.total(y))
 
 
 def augmented_we(
@@ -103,7 +104,7 @@ def augmented_we(
     if not dummy_price > 0:
         raise ValueError("dummy price must be positive")
     cfg = cfg or SolverConfig()
-    floored = [_ReserveFloored(c, dummy_price) for c in inst.cost_functions]
+    floored = _ReserveFloored(inst, dummy_price)
     result = _solve_flow(inst, floored, cfg)
     solution = _solution_from_splits(inst, result.splits, result.y, floored)
     margin = _SAT_TOL * (1.0 + dummy_price)
@@ -114,9 +115,7 @@ def augmented_we(
         saturated=frozenset(
             g for g, p in solution.prices.items() if p > dummy_price + margin
         ),
-        dummy_allocation=inst.prices_dict(
-            [max(c.y0 - y, 0.0) for c, y in zip(floored, result.y)]
-        ),
+        dummy_allocation=inst.prices_dict(np.maximum(floored.y0 - result.y, 0.0)),
     )
 
 

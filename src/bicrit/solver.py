@@ -9,6 +9,12 @@ tolerances when the optimum sits on a face, so the default strategy runs a
 projected quasi-Newton pass (L-BFGS-B) and uses the conditional-gradient
 duality gap as the optimality certificate, falling back to explicit
 conditional-gradient rounds if the gap is still too large.
+
+The program works on the instance's struct-of-arrays forms: the stacked
+bundle incidence, the DemandBatch of its curves and a batched cost (the
+instance's CostBatch, or reserve-floored costs on a ladder rung).  Each
+objective or gradient evaluation is one kernel call per family, and
+L-BFGS-B gets both from one fused value_and_gradient.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .market import (
     MarketInstance,
     PricingSolution,
     SPLIT_DUST,
+    _bundle_prices,
     split_min_cost,
 )
 
@@ -79,20 +86,27 @@ class FlowResult:
 
 
 class _FlowProgram:
-    """The welfare program of the instance's buyer types against cost_fns.
+    """The welfare program of the instance's buyer types against costs.
 
-    Each type's total is capped at its demand support; cost_fns are usually
-    the instance's own costs, or reserve-floored ones on a ladder rung.
+    costs is a batched cost over the instance's goods (marginal and total
+    take and return one value per good): usually inst.cost_batch, or
+    reserve-floored costs on a ladder rung.  Each type's total is capped at
+    its demand support.
     """
 
-    def __init__(self, inst: MarketInstance, cost_fns):
-        self.demands = [t.demand for t in inst.buyer_types]
-        self.cost_fns = cost_fns
-        self.sizes = [m.shape[0] for m in inst.bundle_masks]
-        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
-        self.stacked = np.vstack(inst.bundle_masks)
-        self.type_caps = [d.support_ceiling for d in self.demands]
+    def __init__(self, inst: MarketInstance, costs):
+        self.demand = inst.demand_batch
+        self.costs = costs
+        self.sizes = inst.bundle_sizes
+        self.offsets = inst.bundle_offsets
+        self.stacked = inst.stacked_masks
+        self.type_caps = self.demand.support_ceiling
         self.caps = np.repeat(self.type_caps, self.sizes)
+        # Each split coordinate's (type, bundle) cell in a types x bundles grid.
+        self._cells = (
+            np.repeat(np.arange(len(self.sizes)), self.sizes),
+            np.arange(self.offsets[-1]) - np.repeat(self.offsets[:-1], self.sizes),
+        )
 
     def totals(self, z):
         return np.add.reduceat(z, self.offsets[:-1])
@@ -100,31 +114,33 @@ class _FlowProgram:
     def allocation(self, z):
         return self.stacked.T @ z
 
-    def objective(self, z):
-        x = self.totals(z)
-        y = self.allocation(z)
-        utility = sum(d.utility_integral(v) for d, v in zip(self.demands, x))
-        cost = sum(c.total(v) for c, v in zip(self.cost_fns, y))
+    def _value(self, x, y):
+        utility = self.demand.utility_integral(x).sum()
+        cost = self.costs.total(y).sum()
         return float(utility - cost)
 
+    def _gradient(self, x, y):
+        return np.repeat(self.demand.eval(x), self.sizes) - self.stacked @ self.costs.marginal(y)
+
+    def objective(self, z):
+        return self._value(self.totals(z), self.allocation(z))
+
     def gradient(self, z):
-        x = self.totals(z)
-        y = self.allocation(z)
-        lam = np.array([d.eval(v) for d, v in zip(self.demands, x)])
-        marg = np.array([c.marginal(v) for c, v in zip(self.cost_fns, y)])
-        return np.repeat(lam, self.sizes) - self.stacked @ marg
+        return self._gradient(self.totals(z), self.allocation(z))
+
+    def value_and_gradient(self, z):
+        """(objective(z), gradient(z)) from one pass of totals and allocation."""
+        x, y = self.totals(z), self.allocation(z)
+        return self._value(x, y), self._gradient(x, y)
 
     def vertex_and_gap(self, z, g):
         """Conditional-gradient vertex and the duality gap g . (v - z)."""
+        grid = np.full((len(self.sizes), int(self.sizes.max())), -np.inf)
+        grid[self._cells] = g
+        best = np.argmax(grid, axis=1)
+        types = np.flatnonzero(grid[np.arange(len(best)), best] > 0.0)
         v = np.zeros_like(z)
-        for k, cap in enumerate(self.type_caps):
-            sl = slice(self.offsets[k], self.offsets[k + 1])
-            gk = g[sl]
-            j = int(np.argmax(gk))
-            if gk[j] > 0.0:
-                block = np.zeros(self.sizes[k])
-                block[j] = cap
-                v[sl] = block
+        v[self.offsets[types] + best[types]] = self.type_caps[types]
         return v, float(g @ (v - z))
 
     def dual_gap(self, z) -> float:
@@ -136,29 +152,15 @@ class _FlowProgram:
         conditional-gradient gap this does not scale with the demand caps.
         """
         x = self.totals(z)
-        y = self.allocation(z)
-        marg = np.array([c.marginal(v) for c, v in zip(self.cost_fns, y)])
-        bundle_costs = self.stacked @ marg
-        total = 0.0
-        for k, (d, cap) in enumerate(zip(self.demands, self.type_caps)):
-            sl = slice(self.offsets[k], self.offsets[k + 1])
-            mc = bundle_costs[sl]
-            cheapest = float(np.min(mc))
-            if cheapest >= d.lambda_max:
-                target = 0.0
-            elif cheapest <= 0.0:
-                target = cap
-            else:
-                target = min(float(d._inverse_clamped(np.asarray(cheapest))), cap)
-            xi = float(x[k])
-            surplus = (
-                float(d.utility_integral(target))
-                - float(d.utility_integral(xi))
-                - cheapest * (target - xi)
-            )
-            misrouted = float((mc - cheapest) @ z[sl])
-            total += max(surplus, 0.0) + misrouted
-        return total
+        bundle_costs = self.stacked @ self.costs.marginal(self.allocation(z))
+        starts = self.offsets[:-1]
+        cheapest = np.minimum.reduceat(bundle_costs, starts)
+        # The best response never exceeds the support, which is the cap.
+        target = self.demand.demand_at_price(cheapest)
+        utility = self.demand.utility_integral
+        surplus = utility(target) - utility(x) - cheapest * (target - x)
+        misrouted = np.add.reduceat((bundle_costs - np.repeat(cheapest, self.sizes)) * z, starts)
+        return float(np.sum(np.maximum(surplus, 0.0) + misrouted))
 
 
 def _line_search(program, z, direction, f0):
@@ -212,7 +214,8 @@ def _run_cg(program, z, cfg, budget, history):
 
 def _run_quasi_newton(program, z, cfg):
     def neg(zv):
-        return -program.objective(zv), -program.gradient(zv)
+        f, g = program.value_and_gradient(zv)
+        return -f, -g
 
     res = minimize(
         neg,
@@ -225,8 +228,8 @@ def _run_quasi_newton(program, z, cfg):
     return np.maximum(res.x, 0.0)
 
 
-def _solve_flow(inst: MarketInstance, cost_fns, cfg: SolverConfig) -> FlowResult:
-    program = _FlowProgram(inst, cost_fns)
+def _solve_flow(inst: MarketInstance, costs, cfg: SolverConfig) -> FlowResult:
+    program = _FlowProgram(inst, costs)
     z = np.zeros(int(program.offsets[-1]))
     history = [program.objective(z)]
     total_iters = 0
@@ -276,27 +279,24 @@ def _solve_flow(inst: MarketInstance, cost_fns, cfg: SolverConfig) -> FlowResult
     )
 
 
-def _solution_from_splits(inst: MarketInstance, splits, y, cost_fns) -> PricingSolution:
-    """Assemble a solved program's solution, pricing at the marginals of cost_fns.
+def _solution_from_splits(inst: MarketInstance, splits, y, costs) -> PricingSolution:
+    """Assemble a solved program's solution, pricing at the marginals of costs.
 
-    cost_fns are the costs the program was solved against; welfare and profit
-    are always measured with the instance's own costs.
+    costs is the batched cost the program was solved against; welfare and
+    profit are always measured with the instance's own costs.
     """
     yvec = np.asarray(y, dtype=float)
-    prices = np.array([c.marginal(v) for c, v in zip(cost_fns, yvec)])
+    prices = costs.marginal(yvec)
+    _, cheapest, _ = _bundle_prices(inst, prices)
+    xvec = np.array([float(np.sum(sp)) for sp in splits])
     demand = {}
-    paid = {}
     split_dict = {}
-    for t, sp, mask in zip(inst.buyer_types, splits, inst.bundle_masks):
-        x = float(np.sum(sp))
+    for t, sp, x in zip(inst.buyer_types, splits, xvec.tolist()):
         demand[t.type_id] = x
-        paid[t.type_id] = float(np.min(mask @ prices))
         for b, v in zip(t.bundles, sp):
             if v > SPLIT_DUST:
                 split_dict[(t.type_id, b)] = float(v)
-    utility = sum(
-        t.demand.utility_integral(demand[t.type_id]) for t in inst.buyer_types
-    )
+    utility = float(np.sum(inst.demand_batch.utility_integral(xvec)))
     cost = inst.total_cost(yvec)
     income = float(prices @ yvec)
     return PricingSolution(
@@ -306,15 +306,15 @@ def _solution_from_splits(inst: MarketInstance, splits, y, cost_fns) -> PricingS
         allocation=inst.prices_dict(yvec),
         sw=float(utility - cost),
         profit=income - cost,
-        paid=paid,
+        paid={t.type_id: float(q) for t, q in zip(inst.buyer_types, cheapest)},
     )
 
 
 def solve_welfare(inst: MarketInstance, cfg: SolverConfig | None = None) -> PricingSolution:
     """Welfare-maximizing solution with each good priced at its marginal cost."""
     cfg = cfg or SolverConfig()
-    result = _solve_flow(inst, inst.cost_functions, cfg)
-    return _solution_from_splits(inst, result.splits, result.y, inst.cost_functions)
+    result = _solve_flow(inst, inst.cost_batch, cfg)
+    return _solution_from_splits(inst, result.splits, result.y, inst.cost_batch)
 
 
 def solve_constrained_welfare(inst: MarketInstance, demand_fixed) -> dict[str, float]:
@@ -330,7 +330,7 @@ def solve_constrained_welfare(inst: MarketInstance, demand_fixed) -> dict[str, f
 
 def projected_gradient_norm(inst: MarketInstance, splits) -> float:
     """Infinity norm of the objective gradient projected on the feasible cone."""
-    program = _FlowProgram(inst, inst.cost_functions)
+    program = _FlowProgram(inst, inst.cost_batch)
     z = np.concatenate([np.asarray(s, dtype=float) for s in splits])
     g = program.gradient(z)
     active = z <= SPLIT_DUST

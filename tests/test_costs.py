@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bicrit.costs import CostDomainError, CostFunction
+from bicrit.costs import CostBatch, CostDomainError, CostFunction
 
 
 def sample_costs():
@@ -108,3 +108,42 @@ class TestStructure:
             left = cf.marginal(y_break * (1.0 - 1e-9))
             right = cf.marginal(y_break * (1.0 + 1e-9))
             assert right - left < 1e-6 * (1.0 + right)
+
+
+class TestCostBatch:
+    """CostBatch applies the same piece formulas as CostFunction, all goods per call."""
+
+    def _points(self, costs, rng, n=40):
+        # Quantities from 0 to past the last breakpoint; for piecewise goods
+        # also exactly at each breakpoint and just either side of it.
+        rows = [np.zeros(len(costs)), *rng.uniform(0.0, 4.0, size=(n, len(costs)))]
+        for j in range(2):
+            at = np.array([c.breakpoints[j][0] if c.breakpoints else 1.0 for c in costs])
+            rows += [at, at * (1.0 - 1e-12), at * (1.0 + 1e-12)]
+        return rows
+
+    @pytest.mark.parametrize("method", ["marginal", "total"])
+    def test_matches_scalar_methods(self, method):
+        costs = sample_costs()
+        assert {c.family for c in costs} == {"power", "piecewise-power"}
+        batch = CostBatch(costs)
+        for row in self._points(costs, np.random.default_rng(8)):
+            got = getattr(batch, method)(row)
+            want = [getattr(c, method)(float(y)) for c, y in zip(costs, row)]
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("method", ["marginal", "total"])
+    def test_power_only_batch_matches(self, method):
+        costs = [c for c in sample_costs() if c.family == "power"]
+        batch = CostBatch(costs)
+        for row in self._points(costs, np.random.default_rng(9)):
+            want = [getattr(c, method)(float(y)) for c, y in zip(costs, row)]
+            np.testing.assert_allclose(getattr(batch, method)(row), want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("method", ["marginal", "total"])
+    def test_negative_quantity_raises(self, method):
+        costs = sample_costs()
+        y = np.full(len(costs), 0.5)
+        y[-1] = -1e-12
+        with pytest.raises(CostDomainError):
+            getattr(CostBatch(costs), method)(y)

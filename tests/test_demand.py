@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bicrit.analysis import peak_ratio
-from bicrit.demand import DemandDomainError, InverseDemand, verify_regularity
+from bicrit.demand import (
+    ALPHA_LIMIT,
+    DemandBatch,
+    DemandDomainError,
+    InverseDemand,
+    verify_regularity,
+)
 
 
 def make_tabulated_concave(rng, n_segments=8, lambda_max=1.0):
@@ -294,3 +300,70 @@ class TestTabulated:
         assert d.utility_integral(1.0) == pytest.approx(0.75)
         assert d.utility_integral(2.0) == pytest.approx(1.0)
         assert d.utility_integral(5.0) == pytest.approx(1.0)
+
+
+def batch_curves():
+    """One curve per formula branch, each family with two parameter sets."""
+    rng = np.random.default_rng(29)
+    curves = []
+    for scale in (0.6, 1.4):
+        curves += [
+            InverseDemand.linear(1.0, scale),
+            InverseDemand.exponential(1.0, scale),
+            InverseDemand.generalized_pareto(1.0, 0.5 * ALPHA_LIMIT, scale),
+            InverseDemand.generalized_pareto(1.0, float(rng.uniform(0.05, 0.95)), scale),
+            InverseDemand.generalized_pareto(1.0, 1.0, scale),
+            make_tabulated_concave(rng),
+        ]
+    return curves
+
+
+class TestDemandBatch:
+    """DemandBatch applies the same formulas as InverseDemand, many curves per call."""
+
+    def _points(self, curves, rng, n=40):
+        # Rows of one quantity per curve, from 0 to past the support ceiling.
+        ceilings = np.array([d.support_ceiling for d in curves])
+        xs = rng.uniform(0.0, 1.2, size=(n, len(curves))) * ceilings
+        return np.vstack([np.zeros(len(curves)), 1e-7 * ceilings, xs, ceilings])
+
+    def test_curves_cover_every_formula_branch(self):
+        kinds = {d._kind for d in batch_curves()}
+        assert kinds == {"linear", "exponential", "generalized-pareto", "gp-log", "tabulated"}
+
+    @pytest.mark.parametrize("method", ["eval", "utility_integral"])
+    def test_matches_scalar_methods(self, method):
+        curves = batch_curves()
+        batch = DemandBatch(curves)
+        for row in self._points(curves, np.random.default_rng(3)):
+            got = getattr(batch, method)(row)
+            want = [getattr(d, method)(float(x)) for d, x in zip(curves, row)]
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_demand_at_price_is_the_clamped_inverse(self):
+        curves = batch_curves()
+        batch = DemandBatch(curves)
+        rng = np.random.default_rng(4)
+        # 1e-9 and 1e-7 lie below every analytic curve's truncation floor.
+        for q in [1e-9, 1e-7, *rng.uniform(0.0, 1.0, size=40)]:
+            got = batch.demand_at_price(np.full(len(curves), q))
+            want = [float(d._inverse_clamped(np.asarray(q))) for d in curves]
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_demand_at_price_edges(self):
+        curves = batch_curves()
+        batch = DemandBatch(curves)
+        n = len(curves)
+        assert np.all(batch.demand_at_price(np.full(n, 1.0)) == 0.0)
+        assert np.all(batch.demand_at_price(np.full(n, 1.5)) == 0.0)
+        ceilings = [d.support_ceiling for d in curves]
+        assert list(batch.demand_at_price(np.zeros(n))) == ceilings
+        assert list(batch.demand_at_price(np.full(n, -0.5))) == ceilings
+
+    @pytest.mark.parametrize("method", ["eval", "utility_integral"])
+    def test_negative_quantity_raises(self, method):
+        curves = batch_curves()
+        x = np.full(len(curves), 0.5)
+        x[3] = -1e-12
+        with pytest.raises(DemandDomainError):
+            getattr(DemandBatch(curves), method)(x)

@@ -15,7 +15,7 @@ from bicrit import (
     min_cost_allocation,
     solve_constrained_welfare,
 )
-from bicrit.market import argmin_bundles, split_kkt_violation
+from bicrit.market import _project_blocks, _size_groups, argmin_bundles, split_kkt_violation
 from bicrit.oracle import oracle_min_split_cost
 
 from conftest import random_prices, random_unit_demand_instance
@@ -106,6 +106,30 @@ class TestMinCostAllocation:
         # an absolute 1e-9 slack: both sides must still split over both goods
         # (cost 0.09), not route everything onto g1 (cost 0.18).
         _assert_matches_enumeration_oracle(substitutes, {"g1": 0.4, "g2": 0.4 + 5e-8})
+
+
+class TestBlockProjection:
+    """Blocks of mixed sizes projected onto their scaled simplices, one matrix per size."""
+
+    def test_projection_meets_kkt_conditions(self):
+        rng = np.random.default_rng(23)
+        sizes = np.array([2, 3, 2, 5, 1, 3, 2, 4])
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        totals = rng.uniform(0.1, 3.0, size=len(sizes))
+        groups = _size_groups(starts, sizes, totals)
+        assert sorted(rows.shape[1] for rows, _ in groups) == [1, 2, 3, 4, 5]
+        for _ in range(50):
+            v = rng.normal(0.0, 2.0, size=int(sizes.sum()))
+            w = _project_blocks(v, groups)
+            for start, size, total in zip(starts, sizes, totals):
+                vb, wb = v[start : start + size], w[start : start + size]
+                assert np.all(wb >= 0.0)
+                assert wb.sum() == pytest.approx(total, rel=1e-12)
+                # KKT: w = v - theta on the support, and v <= theta off it.
+                on = wb > 0.0
+                theta = vb[on] - wb[on]
+                assert np.ptp(theta) <= 1e-12 * (1.0 + np.abs(vb).max())
+                assert np.all(vb[~on] <= theta[0] + 1e-12)
 
 
 class TestEvaluate:

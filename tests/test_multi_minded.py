@@ -8,6 +8,7 @@ import pytest
 from bicrit import solve_welfare
 from bicrit.analysis import BOUND_TOL, mm_profit_factor
 from bicrit.multi_minded import (
+    _ReserveFloored,
     augmented_we,
     certify_ladder,
     certify_selection,
@@ -19,6 +20,27 @@ from bicrit.multi_minded import (
 from conftest import random_multi_minded_instance
 
 N_LADDERS = 30
+
+
+class TestReserveFlooredCosts:
+    """The batched floored costs against CostFunction's scalar methods."""
+
+    @pytest.mark.parametrize("reserve", [0.05, 0.3, 0.9])
+    def test_matches_scalar_closed_form_on_both_sides_of_y0(self, reserve):
+        inst = random_multi_minded_instance(np.random.default_rng(17), alpha=0.3, size_ratio=2)
+        floored = _ReserveFloored(inst, reserve)
+        costs = inst.cost_functions
+        y0 = np.array([c.marginal_inverse(reserve) for c in costs])
+        assert np.all(floored.y0 == y0) and np.all(y0 > 0)
+        for factor in (0.0, 0.25, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.7, 3.0):
+            y = factor * y0
+            want_marginal = [max(reserve, c.marginal(v)) for c, v in zip(costs, y)]
+            want_total = [
+                c.total(w) + reserve * (v - w) if v < w else c.total(v)
+                for c, v, w in zip(costs, y, y0)
+            ]
+            np.testing.assert_allclose(floored.marginal(y), want_marginal, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(floored.total(y), want_total, rtol=1e-14, atol=0.0)
 
 
 class TestAugmentedWelfareClosedForm:

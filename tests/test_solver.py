@@ -77,7 +77,7 @@ class TestOptimalityCertificates:
         cfg = SolverConfig(method="cg", tol=1e-7)
         result = _solve_flow(
             twin_goods_instance,
-            twin_goods_instance.cost_functions,
+            twin_goods_instance.cost_batch,
             cfg,
         )
         history = np.array(result.history)
@@ -160,10 +160,35 @@ class TestDualGap:
     def test_gap_bounds_true_suboptimality(self, twin_goods_instance):
         program = _FlowProgram(
             twin_goods_instance,
-            twin_goods_instance.cost_functions,
+            twin_goods_instance.cost_batch,
         )
         z_opt = np.array([1.0 / 3.0, 1.0 / 3.0])
         f_opt = program.objective(z_opt)
         for z in (np.array([0.0, 0.0]), np.array([0.5, 0.1]), np.array([0.2, 0.2])):
             gap = program.dual_gap(z)
             assert f_opt - program.objective(z) <= gap + 1e-12
+
+
+class TestValueAndGradient:
+    """The fused evaluation L-BFGS-B uses, on instance and reserve-floored costs."""
+
+    @pytest.mark.parametrize("reserve", [None, 0.3])
+    def test_equals_objective_and_gradient_and_finite_differences(self, reserve):
+        from bicrit.multi_minded import _ReserveFloored
+
+        rng = np.random.default_rng(41)
+        for ratio in (1, 2, 4):
+            inst = random_multi_minded_instance(rng, alpha=0.4, size_ratio=ratio)
+            costs = inst.cost_batch if reserve is None else _ReserveFloored(inst, reserve)
+            program = _FlowProgram(inst, costs)
+            z = rng.uniform(0.05, 1.0, size=program.caps.size)
+            assert np.all(program.totals(z) < program.type_caps)
+            f, g = program.value_and_gradient(z)
+            assert f == program.objective(z)
+            assert np.array_equal(g, program.gradient(z))
+            h = 1e-6
+            for j in range(z.size):
+                step = np.zeros_like(z)
+                step[j] = h
+                fd = (program.objective(z + step) - program.objective(z - step)) / (2.0 * h)
+                assert fd == pytest.approx(g[j], rel=1e-6, abs=1e-7)
