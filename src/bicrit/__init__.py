@@ -13,7 +13,7 @@ from .market import (
     min_bundle_price,
     min_cost_allocation,
 )
-from .solver import SolverConfig, SolverError, solve_constrained_welfare, solve_welfare
+from .solver import SolverConfig, SolverError, solve_welfare
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,6 @@ __all__ = [
     "evaluate",
     "min_bundle_price",
     "min_cost_allocation",
-    "solve_constrained_welfare",
     "solve_welfare",
     "verify_regularity",
 ]

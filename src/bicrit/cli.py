@@ -65,12 +65,8 @@ def _emit(record, out_path):
 
 
 def _solver_config(args) -> SolverConfig:
-    cfg = SolverConfig()
-    if getattr(args, "tol", None) is not None:
-        cfg.tol = args.tol
-    if getattr(args, "max_iters", None) is not None:
-        cfg.max_iters = args.max_iters
-    return cfg
+    given = {k: getattr(args, k, None) for k in ("tol", "max_iters")}
+    return SolverConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _load(args) -> MarketInstance:
@@ -288,7 +284,7 @@ def _build_parser() -> _Parser:
                            help="reject unknown keys in the instance file")
         p.add_argument("--out", default=None, help="result file (default stdout)")
         p.add_argument("--tol", type=float, default=None, help="solver tolerance")
-        p.add_argument("--max-iters", type=int, default=None, help="solver iteration cap")
+        p.add_argument("--max-iters", type=int, default=None, help="cap on L-BFGS-B iterations per solver round")
 
     p = sub.add_parser("solve-welfare", help="welfare-maximizing prices")
     common(p)

@@ -205,3 +205,18 @@ class CostBatch:
         y = _nonnegative(y)
         coeff, exp, total_at_start, start_pow = self._piece_params(y)
         return _piece_total(total_at_start, coeff, exp, start_pow, y)
+
+    def conjugate(self, p):
+        """(C*(p), y0): the convex conjugate max_y [p y - C(y)] and its maximizer.
+
+        y0 = c^-1(p) solves c(y0) = p, so C*(p) = p y0 - C(y0); p is one
+        non-negative price per good.
+        """
+        p = np.asarray(p, dtype=float)
+        if (p < 0).any():
+            raise CostDomainError("cost conjugate needs non-negative prices")
+        coeff, exp = self._params[0], self._params[1]
+        # Marginal at each piece's start; the +inf starts of padding are never reached.
+        k = (coeff[:, 1:] * self._starts[:, 1:] ** exp[:, 1:] <= p[:, None]).sum(axis=1)
+        y0 = (p / coeff[self._rows, k]) ** (1.0 / exp[self._rows, k])
+        return p * y0 - self.total(y0), y0

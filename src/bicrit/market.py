@@ -303,14 +303,7 @@ def _cost_batch(cost_fns: tuple[CostFunction, ...]) -> CostBatch:
     return CostBatch(cost_fns)
 
 
-def split_min_cost(
-    cost_fns,
-    masks,
-    totals,
-    base_y=None,
-    max_iters: int = 10_000,
-    improve_tol: float = 1e-10,
-):
+def split_min_cost(cost_fns, masks, totals):
     """Distribute each type's total mass over its admissible bundles at least cost.
 
     masks is one (m_i, n_goods) incidence matrix per type and totals the mass
@@ -324,7 +317,7 @@ def split_min_cost(
     """
     costs = _cost_batch(tuple(cost_fns))
     n_goods = masks[0].shape[1] if masks else len(cost_fns)
-    base = np.zeros(n_goods) if base_y is None else np.array(base_y, dtype=float)
+    base = np.zeros(n_goods)
     splits = [np.zeros(m.shape[0]) for m in masks]
     free = []
     for i, (m, tot) in enumerate(zip(masks, totals)):
@@ -367,7 +360,7 @@ def split_min_cost(
     f = cost(y)
     step = 1.0
     stalled = 0
-    for _ in range(max_iters):
+    for _ in range(10_000):
         g = grad(y)
         while True:
             z_new = _project_blocks(z - step * g, groups)
@@ -387,7 +380,7 @@ def split_min_cost(
         step *= 1.25
         # A vanishing objective improvement alone is not proof of optimality:
         # stop only once the used bundles' marginal sums have equalized too.
-        if improved < improve_tol * (1.0 + abs(f)):
+        if improved < 1e-10 * (1.0 + abs(f)):
             stalled += 1
             if stalled > 2000 or used_spread(z, y) <= 0.1 * KKT_TOL:
                 break

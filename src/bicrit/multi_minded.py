@@ -92,6 +92,11 @@ class _ReserveFloored:
         below = self._total_at_y0 + self.reserve * (y - self.y0)
         return np.where(y < self.y0, below, self.costs.total(y))
 
+    def conjugate(self, p):
+        """(C~*(p), maximizer): C~* is C*(max(p, r)), flat at slope 0 below r."""
+        value, y0 = self.costs.conjugate(np.maximum(p, self.reserve))
+        return value, np.where(p < self.reserve, 0.0, y0)
+
 
 def augmented_we(
     inst: MarketInstance, dummy_price: float, cfg: SolverConfig | None = None

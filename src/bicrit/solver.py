@@ -1,25 +1,30 @@
 """Welfare-maximizing solver for the market's concave flow program.
 
 The program maximizes total buyer surplus minus production cost over bundle
-splits x_i(S) >= 0, with x_i and y_t induced linearly.  The feasible set is a
-product of scaled simplices (one per buyer type, capped at the demand
-support), so the linear subproblem of conditional gradient is just a
-cheapest-bundle assignment.  Plain conditional gradient stalls at tight
-tolerances when the optimum sits on a face, so the default strategy runs a
-projected quasi-Newton pass (L-BFGS-B) and uses the conditional-gradient
-duality gap as the optimality certificate, falling back to explicit
-conditional-gradient rounds if the gap is still too large.
+splits x_i(S) >= 0, with x_i and y_t induced linearly; each type's total is
+capped at its demand support.  Its Lagrangian dual in the goods' prices p,
+
+    D(p) = sum_g C*_g(p_g) + sum_i max_t [U_i(t) - q_i t],  q_i = min_S p(S),
+
+is convex and bounds the optimum from above at every p >= 0 (weak duality),
+so D(p) - SW(z) bounds how far an iterate z is from optimal.
+
+A solve runs up to four rounds of projected quasi-Newton (L-BFGS-B), each
+restarted from the last iterate.  After each round the gap is tried at the
+marginal-cost prices p = c(y(z)); only if that misses the target is p
+improved by L-BFGS-B on D, with a subgradient.  The posted prices are always
+c(y); the improved p only certifies.
 
 The program works on the instance's struct-of-arrays forms: the stacked
 bundle incidence, the DemandBatch of its curves and a batched cost (the
 instance's CostBatch, or reserve-floored costs on a ladder rung).  Each
-objective or gradient evaluation is one kernel call per family, and
-L-BFGS-B gets both from one fused value_and_gradient.
+objective, gradient or dual evaluation is one kernel call per family, and
+L-BFGS-B gets value and gradient from one fused call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -29,41 +34,34 @@ from .market import (
     PricingSolution,
     SPLIT_DUST,
     _bundle_prices,
-    split_min_cost,
 )
 
 __all__ = [
     "SolverConfig",
     "SolverError",
-    "solve_constrained_welfare",
     "solve_welfare",
 ]
+
+_ROUNDS = 4
 
 
 @dataclass
 class SolverConfig:
-    """Iteration and tolerance knobs for the welfare solver.
+    """Tolerance and iteration cap of the welfare solver.
 
-    tol is the relative duality-gap target; method is "auto" (quasi-Newton
-    with conditional-gradient certification), "cg", or "pg"; step_rule picks
-    the conditional-gradient step ("line-search" or the classic diminishing
-    2/(k+2) schedule).
+    tol is the relative target of the weak-duality gap: a solve is certified
+    once D(p) - SW(z) <= tol * (1 + |SW(z)|).  max_iters caps the iterations
+    of each L-BFGS-B call, in every round.
     """
 
-    max_iters: int = 50_000
+    max_iters: int = 20_000
     tol: float = 1e-8
-    method: str = "auto"
-    step_rule: str = "line-search"
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.method not in ("auto", "cg", "pg"):
-            raise ValueError(f"unknown solver method {self.method!r}")
-        if self.step_rule not in ("line-search", "diminishing"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
 
 
 class SolverError(RuntimeError):
@@ -79,19 +77,15 @@ class SolverError(RuntimeError):
 class FlowResult:
     splits: list[np.ndarray]
     y: np.ndarray
-    objective: float
-    gap: float
-    iterations: int
-    history: list[float] = field(default_factory=list)
 
 
 class _FlowProgram:
     """The welfare program of the instance's buyer types against costs.
 
-    costs is a batched cost over the instance's goods (marginal and total
-    take and return one value per good): usually inst.cost_batch, or
-    reserve-floored costs on a ladder rung.  Each type's total is capped at
-    its demand support.
+    costs is a batched cost over the instance's goods (marginal, total and
+    conjugate take and return one value per good): usually inst.cost_batch,
+    or reserve-floored costs on a ladder rung.  Each type's total is capped
+    at its demand support.
     """
 
     def __init__(self, inst: MarketInstance, costs):
@@ -133,86 +127,46 @@ class _FlowProgram:
         x, y = self.totals(z), self.allocation(z)
         return self._value(x, y), self._gradient(x, y)
 
-    def vertex_and_gap(self, z, g):
-        """Conditional-gradient vertex and the duality gap g . (v - z)."""
-        grid = np.full((len(self.sizes), int(self.sizes.max())), -np.inf)
-        grid[self._cells] = g
-        best = np.argmax(grid, axis=1)
-        types = np.flatnonzero(grid[np.arange(len(best)), best] > 0.0)
-        v = np.zeros_like(z)
-        v[self.offsets[types] + best[types]] = self.type_caps[types]
-        return v, float(g @ (v - z))
+    def dual(self, p):
+        """(D(p), a subgradient of D at p), for prices p >= 0.
 
-    def dual_gap(self, z) -> float:
-        """Upper bound on the remaining improvement via marginal-cost prices.
-
-        Concavity gives, per buyer type, at most the surplus of the best
-        response to its cheapest bundle's current marginal cost, plus the
-        slack from mass routed over costlier bundles.  Unlike the linearized
-        conditional-gradient gap this does not scale with the demand caps.
+        A subgradient is the supply c^-1(p) that the conjugates pick, less
+        the goods of each type's best response routed to one cheapest bundle.
         """
-        x = self.totals(z)
-        bundle_costs = self.stacked @ self.costs.marginal(self.allocation(z))
-        starts = self.offsets[:-1]
-        cheapest = np.minimum.reduceat(bundle_costs, starts)
-        # The best response never exceeds the support, which is the cap.
-        target = self.demand.demand_at_price(cheapest)
-        utility = self.demand.utility_integral
-        surplus = utility(target) - utility(x) - cheapest * (target - x)
-        misrouted = np.add.reduceat((bundle_costs - np.repeat(cheapest, self.sizes)) * z, starts)
-        return float(np.sum(np.maximum(surplus, 0.0) + misrouted))
+        conjugate, supply = self.costs.conjugate(p)
+        grid = np.full((len(self.sizes), int(self.sizes.max())), np.inf)
+        grid[self._cells] = self.stacked @ p
+        best = np.argmin(grid, axis=1)
+        q = grid[np.arange(len(best)), best]
+        t = self.demand.demand_at_price(q)
+        value = conjugate.sum() + (self.demand.utility_integral(t) - q * t).sum()
+        return float(value), supply - self.stacked[self.offsets[:-1] + best].T @ t
+
+    def certificate(self, z, tol, max_iters):
+        """(gap, target): the best weak-duality gap D(p) - SW(z) found, and tol * (1 + |SW(z)|).
+
+        The gap is tried at p = c(y(z)) first; only if it misses the target
+        is p improved by L-BFGS-B on D, run until it makes no progress: the
+        default stopping tests end it long before the gap is near the target.
+        """
+        f = self.objective(z)
+        target = tol * (1.0 + abs(f))
+        p = self.costs.marginal(self.allocation(z))
+        gap = self.dual(p)[0] - f
+        if gap > target:
+            res = minimize(
+                self.dual,
+                p,
+                jac=True,
+                method="L-BFGS-B",
+                bounds=[(0.0, None)] * p.size,
+                options={"maxiter": max_iters, "ftol": 0.0, "gtol": 0.0},
+            )
+            gap = min(gap, res.fun - f)
+        return gap, target
 
 
-def _line_search(program, z, direction, f0):
-    """Maximize the concave 1-D restriction along z + gamma * direction."""
-    lo, hi = 0.0, 1.0
-    # Golden-section on the derivative sign is overkill; bisection on the
-    # directional derivative converges fast and needs only gradient calls.
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        slope = float(program.gradient(z + mid * direction) @ direction)
-        if slope > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    gamma = 0.5 * (lo + hi)
-    f1 = program.objective(z + gamma * direction)
-    if f1 < f0:
-        return 0.0, f0
-    return gamma, f1
-
-
-def _run_cg(program, z, cfg, budget, history):
-    f = program.objective(z)
-    gap = np.inf
-    it = 0
-    for it in range(1, budget + 1):
-        g = program.gradient(z)
-        v, gap = program.vertex_and_gap(z, g)
-        if gap <= cfg.tol * (1.0 + abs(f)):
-            break
-        gap = min(gap, program.dual_gap(z))
-        if gap <= cfg.tol * (1.0 + abs(f)):
-            break
-        direction = v - z
-        if cfg.step_rule == "diminishing":
-            gamma = 2.0 / (it + 2.0)
-            f_new = program.objective(z + gamma * direction)
-            if f_new < f:
-                gamma, f_new = _line_search(program, z, direction, f)
-        else:
-            gamma, f_new = _line_search(program, z, direction, f)
-        if gamma == 0.0:
-            break
-        z = z + gamma * direction
-        f = f_new
-        history.append(f)
-    return z, f, gap, it
-
-
-def _run_quasi_newton(program, z, cfg):
+def _run_quasi_newton(program, z, max_iters):
     def neg(zv):
         f, g = program.value_and_gradient(zv)
         return -f, -g
@@ -223,7 +177,7 @@ def _run_quasi_newton(program, z, cfg):
         jac=True,
         method="L-BFGS-B",
         bounds=[(0.0, c) for c in program.caps],
-        options={"maxiter": 20_000, "ftol": 1e-18, "gtol": 1e-14},
+        options={"maxiter": max_iters, "ftol": 1e-18, "gtol": 1e-14},
     )
     return np.maximum(res.x, 0.0)
 
@@ -231,36 +185,14 @@ def _run_quasi_newton(program, z, cfg):
 def _solve_flow(inst: MarketInstance, costs, cfg: SolverConfig) -> FlowResult:
     program = _FlowProgram(inst, costs)
     z = np.zeros(int(program.offsets[-1]))
-    history = [program.objective(z)]
-    total_iters = 0
-    gap = np.inf
-
-    if cfg.method == "cg":
-        z, f, gap, it = _run_cg(program, z, cfg, cfg.max_iters, history)
-        total_iters = it
+    for _ in range(_ROUNDS):
+        z = _run_quasi_newton(program, z, cfg.max_iters)
+        gap, target = program.certificate(z, cfg.tol, cfg.max_iters)
+        if gap <= target:
+            break
     else:
-        rounds = 1 if cfg.method == "pg" else 4
-        for attempt in range(rounds):
-            z = _run_quasi_newton(program, z, cfg)
-            f = program.objective(z)
-            history.append(f)
-            g = program.gradient(z)
-            _, gap = program.vertex_and_gap(z, g)
-            gap = min(gap, program.dual_gap(z))
-            total_iters += 1
-            if gap <= cfg.tol * (1.0 + abs(f)):
-                break
-            if cfg.method == "auto" and attempt < rounds - 1:
-                budget = max(200, cfg.max_iters // 100)
-                z, f, gap, it = _run_cg(program, z, cfg, budget, history)
-                total_iters += it
-                if gap <= cfg.tol * (1.0 + abs(f)):
-                    break
-        f = program.objective(z)
-
-    if gap > cfg.tol * (1.0 + abs(f)):
         raise SolverError(
-            f"welfare solver gap {gap:.3e} above tolerance after {total_iters} rounds",
+            f"welfare solver gap {gap:.3e} above tolerance after {_ROUNDS} rounds",
             best_splits=z,
             residual=gap,
         )
@@ -269,14 +201,7 @@ def _solve_flow(inst: MarketInstance, costs, cfg: SolverConfig) -> FlowResult:
         z[program.offsets[k] : program.offsets[k + 1]]
         for k in range(len(program.sizes))
     ]
-    return FlowResult(
-        splits=splits,
-        y=program.allocation(z),
-        objective=program.objective(z),
-        gap=gap,
-        iterations=total_iters,
-        history=history,
-    )
+    return FlowResult(splits=splits, y=program.allocation(z))
 
 
 def _solution_from_splits(inst: MarketInstance, splits, y, costs) -> PricingSolution:
@@ -315,17 +240,6 @@ def solve_welfare(inst: MarketInstance, cfg: SolverConfig | None = None) -> Pric
     cfg = cfg or SolverConfig()
     result = _solve_flow(inst, inst.cost_batch, cfg)
     return _solution_from_splits(inst, result.splits, result.y, inst.cost_batch)
-
-
-def solve_constrained_welfare(inst: MarketInstance, demand_fixed) -> dict[str, float]:
-    """Cheapest allocation serving the fixed per-type demand, prices ignored.
-
-    Every bundle of a type is admissible; this is the welfare maximizer
-    constrained to the given demand vector.  Returns the allocation dict.
-    """
-    totals = [float(demand_fixed[t.type_id]) for t in inst.buyer_types]
-    _, y = split_min_cost(inst.cost_functions, list(inst.bundle_masks), totals)
-    return inst.prices_dict(y)
 
 
 def projected_gradient_norm(inst: MarketInstance, splits) -> float:

@@ -39,3 +39,11 @@ def test_verify_passes_every_check(instance_name, n_checks, request, tmp_path):
     assert record["ok"] is True
     assert len(record["checks"]) == n_checks
     assert all(c["ok"] for c in record["checks"])
+
+
+@pytest.mark.parametrize("flag", [["--max-iters", "0"], ["--tol", "0"]])
+def test_invalid_solver_settings_exit_with_validation_code(flag, twin_goods_instance, tmp_path, capsys):
+    infile = tmp_path / "instance.json"
+    instances.save(twin_goods_instance, infile)
+    assert cli.main(["solve-welfare", "--in", str(infile), *flag]) == cli.EXIT_VALIDATION
+    assert "must be" in capsys.readouterr().err

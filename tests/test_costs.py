@@ -140,6 +140,21 @@ class TestCostBatch:
             want = [getattr(c, method)(float(y)) for c, y in zip(costs, row)]
             np.testing.assert_allclose(getattr(batch, method)(row), want, rtol=1e-14, atol=0.0)
 
+    def test_conjugate_matches_scalar_inverse_and_total(self):
+        costs = sample_costs()
+        batch = CostBatch(costs)
+        # Prices at the sample quantities' marginals, so at each breakpoint's
+        # marginal and just either side of it too.
+        for row in self._points(costs, np.random.default_rng(10)):
+            p = np.array([c.marginal(float(y)) for c, y in zip(costs, row)])
+            value, y0 = batch.conjugate(p)
+            want_y0 = [c.marginal_inverse(float(q)) for c, q in zip(costs, p)]
+            np.testing.assert_allclose(y0, want_y0, rtol=1e-14, atol=0.0)
+            want = [q * y - c.total(y) for c, q, y in zip(costs, p, want_y0)]
+            np.testing.assert_allclose(value, want, rtol=1e-13, atol=1e-15)
+        with pytest.raises(CostDomainError):
+            batch.conjugate(np.full(len(costs), -1e-12))
+
     @pytest.mark.parametrize("method", ["marginal", "total"])
     def test_negative_quantity_raises(self, method):
         costs = sample_costs()

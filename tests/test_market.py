@@ -13,7 +13,6 @@ from bicrit import (
     evaluate,
     min_bundle_price,
     min_cost_allocation,
-    solve_constrained_welfare,
 )
 from bicrit.market import _project_blocks, _size_groups, argmin_bundles, split_kkt_violation
 from bicrit.oracle import oracle_min_split_cost
@@ -231,7 +230,7 @@ class TestSolutionIdentities:
 
 
 def _constrained(inst, demand):
-    y = solve_constrained_welfare(inst, demand)
+    y = min_cost_allocation(inst, {g: 0.0 for g in inst.good_ids}, demand)[1]
     rates = buyer_marginal_costs(inst, y)
     return y, rates
 
