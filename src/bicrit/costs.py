@@ -37,6 +37,11 @@ def _piece_marginal(coeff, exp, y):
     return coeff * y**exp
 
 
+def _piece_slope(coeff, exp, y):
+    # 0.0 ** 0.0 is 1, so at y = 0 this is coeff for exp = 1 and 0 for exp > 1.
+    return coeff * exp * y ** (exp - 1.0)
+
+
 def _piece_total(total_at_start, coeff, exp, start_pow, y):
     return total_at_start + coeff * (y ** (exp + 1.0) - start_pow) / (exp + 1.0)
 
@@ -170,9 +175,9 @@ class CostFunction:
 class CostBatch:
     """A market's cost functions compiled into piece tables, one row per good.
 
-    marginal and total take one quantity per good (in the order the costs were
-    given), check the domain once and evaluate every good in one broadcast
-    call of the piece formulas.
+    marginal, slope and total take one quantity per good (in the order the
+    costs were given), check the domain once and evaluate every good in one
+    broadcast call of the piece formulas.
     """
 
     def __init__(self, cost_fns):
@@ -200,6 +205,12 @@ class CostBatch:
         y = _nonnegative(y)
         coeff, exp, _, _ = self._piece_params(y)
         return _piece_marginal(coeff, exp, y)
+
+    def slope(self, y):
+        """Derivative c'(y) of the marginal, the cost's curvature."""
+        y = _nonnegative(y)
+        coeff, exp, _, _ = self._piece_params(y)
+        return _piece_slope(coeff, exp, y)
 
     def total(self, y):
         y = _nonnegative(y)

@@ -7,8 +7,12 @@ are continuous: demand quantities are real masses of infinitesimal buyers.
 An instance caches its struct-of-arrays forms: every type's bundles stacked
 into one incidence matrix (rows of type i from bundle_offsets[i]), and its
 curves and costs compiled into a DemandBatch and a CostBatch.  Bundle
-prices, envy-free demand, welfare and the min-cost split are computed over
-these in one pass per price vector, not type by type.
+prices, envy-free demand and welfare are computed over these in one pass
+per price vector, not type by type.
+
+The min-cost split solves each connected component of the goods that the
+types free to split touch by active-set Newton, and stops only when
+split_kkt_violation's used-bundle spread is at most 0.1 * KKT_TOL.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from .costs import CostBatch, CostFunction
 from .demand import DemandBatch, InverseDemand
@@ -160,6 +166,12 @@ class MarketInstance:
         return np.vstack(self.bundle_masks)
 
     @cached_property
+    def bundle_rows(self) -> dict[tuple[str, tuple[str, ...]], int]:
+        """(type id, bundle) -> its row of stacked_masks."""
+        keys = ((t.type_id, b) for t in self.buyer_types for b in t.bundles)
+        return {key: row for row, key in enumerate(keys)}
+
+    @cached_property
     def demand_batch(self) -> DemandBatch:
         return DemandBatch(t.demand for t in self.buyer_types)
 
@@ -259,11 +271,10 @@ def tied_bundles(sums, lambda_max: float) -> np.ndarray:
     A bundle ties when its price lies within PRICE_TIE_REL * (1 + lambda_max)
     of the row minimum.  sums is one type's bundle prices (1-D) or a stack of
     them (2-D, one row per price vector).
-    This is the one tie rule: _argmin_bundle_sets (hence min_cost_allocation
-    and evaluate), oracle._sweep and oracle.oracle_min_split_cost all decide
-    ties with it, so the oracles audit exactly the bundle sets the optimizing
-    code splits over; _bundle_prices applies the same band to all types at
-    once.
+    This is the one tie rule: oracle._sweep and oracle.oracle_min_split_cost
+    decide ties with it, and _bundle_prices applies the same band to all
+    types at once for min_cost_allocation and evaluate, so the oracles audit
+    exactly the bundle sets the optimizing code splits over.
     """
     return _within_tie_band(sums, sums.min(axis=-1, keepdims=True), lambda_max)
 
@@ -281,19 +292,18 @@ def _bundle_prices(inst: MarketInstance, pvec):
     return sums, cheapest, tied
 
 
-def _argmin_bundle_sets(inst, pvec):
-    """Per type: indices of the bundles tied at the cheapest price."""
-    _, _, tied = _bundle_prices(inst, pvec)
+def _argmin_bundle_sets(inst, tied):
+    """Per type: indices of its bundles in the stacked tie mask tied."""
     offsets = inst.bundle_offsets
     return [np.flatnonzero(tied[offsets[i] : offsets[i + 1]]) for i in range(len(offsets) - 1)]
 
 
 def argmin_bundles(inst: MarketInstance, prices: dict[str, float]):
     """Per type id, the bundles tied at the cheapest price."""
-    pvec = inst.price_vector(prices)
+    _, _, tied = _bundle_prices(inst, inst.price_vector(prices))
     return {
-        t.type_id: [t.bundles[j] for j in tied]
-        for t, tied in zip(inst.buyer_types, _argmin_bundle_sets(inst, pvec))
+        t.type_id: [t.bundles[j] for j in sets]
+        for t, sets in zip(inst.buyer_types, _argmin_bundle_sets(inst, tied))
     }
 
 
@@ -308,14 +318,12 @@ def split_min_cost(cost_fns, masks, totals):
 
     masks is one (m_i, n_goods) incidence matrix per type and totals the mass
     each type must route.  Types with a single admissible bundle are folded
-    into the fixed base allocation; the rest are optimized by projected
-    gradient on the product of scaled simplices.  Costs and gradients are
-    evaluated over all goods at once (a CostBatch of cost_fns), and the
-    blocks of each size are projected together, as the rows of one matrix.
+    into the fixed base allocation.  The others, the free types, are grouped
+    by connected component of the goods their bundles touch; costs are
+    separable over goods, so _newton_split solves each component apart.
 
     Returns (list of per-type split vectors, allocation vector y).
     """
-    costs = _cost_batch(tuple(cost_fns))
     n_goods = masks[0].shape[1] if masks else len(cost_fns)
     base = np.zeros(n_goods)
     splits = [np.zeros(m.shape[0]) for m in masks]
@@ -331,92 +339,104 @@ def split_min_cost(cost_fns, masks, totals):
     if not free:
         return splits, base
 
-    block_totals = np.array([totals[i] for i in free])
     sizes = np.array([masks[i].shape[0] for i in free])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    starts = offsets[:-1]
     stacked = np.vstack([masks[i] for i in free])
-    groups = _size_groups(starts, sizes, block_totals)
+    owner = np.repeat(np.arange(len(free)), sizes)
+    # Nodes are the free types, then the goods; each bundle links its type
+    # to its goods.
+    rows, cols = np.nonzero(stacked)
+    n = len(free) + n_goods
+    links = csr_array((np.ones(len(rows)), (owner[rows], len(free) + cols)), shape=(n, n))
+    _, label = connected_components(links, directed=False)
+    type_label, good_label = label[: len(free)], label[len(free) :]
+    y = base.copy()
+    for comp in np.unique(type_label):
+        members = np.flatnonzero(type_label == comp)
+        goods = np.flatnonzero(good_label == comp)
+        mask = stacked[np.ix_(type_label[owner] == comp, goods)]
+        costs = CostBatch([cost_fns[g] for g in goods])
+        masses = np.array([totals[free[k]] for k in members])
+        z = _newton_split(costs, mask, base[goods], sizes[members], masses)
+        y[goods] += mask.T @ z
+        for k, part in zip(members, np.split(z, np.cumsum(sizes[members])[:-1])):
+            splits[free[k]] = part
+    return splits, y
 
-    def allocation(z):
-        return base + stacked.T @ z
 
-    def cost(y):
-        return float(costs.total(y).sum())
+def _newton_split(costs, mask, base, sizes, totals):
+    """Active-set Newton for min sum C(base + mask^T z), z >= 0, block sums = totals.
 
-    def grad(y):
-        return stacked @ costs.marginal(y)
-
-    def used_spread(z, y):
-        # Largest gap between a used bundle's marginal-cost sum and the
-        # type's cheapest; zero certifies optimality.
-        sums = grad(y)
-        cheapest = np.minimum.reduceat(sums, starts)
-        used_max = np.maximum.reduceat(np.where(z > SPLIT_DUST, sums, -np.inf), starts)
-        return max(0.0, float(np.max(used_max - cheapest)))
-
-    z = np.repeat(block_totals / sizes, sizes)
-    y = allocation(z)
-    f = cost(y)
-    step = 1.0
-    stalled = 0
-    for _ in range(10_000):
-        g = grad(y)
+    z holds each type's bundle masses, sizes[i] of them per type.  Each step
+    solves the equality-constrained Newton system over the working set W, the
+    used bundles plus those at their type's cheapest marginal-cost sum: the
+    Hessian is mask_W diag(c'(y)) mask_W^T and each type's mass stays fixed.
+    Armijo backtracking then searches along the projection arc: the step is
+    clipped at z >= 0 and each block rescaled to its exact total, so one step
+    can empty many bundles, where a ratio test would stop at the first, and a
+    zero-mass bundle that the step would drive negative just stays at zero.
+    The loop ends only on the used-bundle spread, never on a small change in
+    cost.
+    """
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    z = np.repeat(totals / sizes, sizes)
+    for _ in range(500):  # a safety cap: no component has needed over 14 steps
+        y = base + mask.T @ z
+        sums = mask @ costs.marginal(y)
+        if _used_spread(sums, z > SPLIT_DUST, starts) <= 0.1 * KKT_TOL:
+            break
+        # Each bundle's excess over its type's cheapest: the gradient, less
+        # a per-type constant that the fixed masses make irrelevant.
+        gaps = sums - np.repeat(np.minimum.reduceat(sums, starts), sizes)
+        work = (z > 0.0) | (gaps == 0.0)
+        d = _newton_direction(mask, costs.slope(y), gaps, work, z, starts, owner)
+        if not gaps @ d < 0.0:
+            break
+        step = 1.0
+        cost = float(costs.total(y).sum())
         while True:
-            z_new = _project_blocks(z - step * g, groups)
-            dz = z_new - z
-            sq = float(dz @ dz)
-            if sq == 0.0:
-                break
-            y_new = allocation(z_new)
-            f_new = cost(y_new)
-            if f_new <= f + float(g @ dz) + sq / (2.0 * step) + 1e-18:
+            z_new = np.maximum(z + step * d, 0.0)
+            z_new *= np.repeat(totals / np.add.reduceat(z_new, starts), sizes)
+            cost_new = float(costs.total(base + mask.T @ z_new).sum())
+            # The slack is rounding in the cost sums: near the optimum a
+            # Newton step's decrease falls below it.
+            if cost_new <= cost + 1e-4 * float(gaps @ (z_new - z)) + 1e-15 * cost:
                 break
             step *= 0.5
-        if sq == 0.0:
-            break
-        improved = f - f_new
-        z, y, f = z_new, y_new, f_new
-        step *= 1.25
-        # A vanishing objective improvement alone is not proof of optimality:
-        # stop only once the used bundles' marginal sums have equalized too.
-        if improved < 1e-10 * (1.0 + abs(f)):
-            stalled += 1
-            if stalled > 2000 or used_spread(z, y) <= 0.1 * KKT_TOL:
-                break
-        else:
-            stalled = 0
-
-    for k, i in enumerate(free):
-        splits[i] = z[offsets[k] : offsets[k + 1]]
-    return splits, allocation(z)
+        z = z_new
+    return z
 
 
-def _size_groups(starts, sizes, totals):
-    """Per block size: the positions of those blocks (one row each) and their totals."""
-    return [
-        (starts[sizes == s][:, None] + np.arange(s), totals[sizes == s])
-        for s in np.unique(sizes)
-    ]
+def _newton_direction(mask, curvature, gaps, work, z, starts, owner):
+    """Newton step on the working set: zero outside it, zero net mass per type.
+
+    Mass moves between each type's largest bundle and its other working
+    bundles, so every block keeps its total.  Exchanges between types that
+    leave y unchanged make the system singular; least squares takes the
+    smallest such step.
+    """
+    ref = np.lexsort((-z, owner))[starts]
+    w = np.flatnonzero(work)
+    w = w[w != ref[owner[w]]]
+    r = ref[owner[w]]
+    rows = mask[w] - mask[r]
+    u = np.linalg.lstsq((rows * curvature) @ rows.T, gaps[r] - gaps[w], rcond=None)[0]
+    d = np.zeros(len(z))
+    d[w] = u
+    d[ref] = -np.bincount(owner[w], weights=u, minlength=len(starts))
+    return d
 
 
-def _project_blocks(z, groups):
-    """Project each block of z onto its scaled simplex, one matrix per block size."""
-    out = np.empty_like(z)
-    for rows, row_totals in groups:
-        out[rows] = _project_rows(z[rows], row_totals)
-    return out
+def _used_spread(sums, used, starts, allowed=None):
+    """Largest gap between a used bundle's marginal-cost sum and its type's cheapest.
 
-
-def _project_rows(v: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of v onto {w >= 0, sum w = its total}."""
-    u = np.sort(v, axis=1)[:, ::-1]
-    cumsum = u.cumsum(axis=1) - totals[:, None]
-    positive = u - cumsum / np.arange(1, v.shape[1] + 1) > 0
-    # rho: the last position where the sorted row stays above its threshold.
-    rho = v.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
-    theta = cumsum[np.arange(len(rho)), rho] / (rho + 1.0)
-    return np.maximum(v - theta[:, None], 0.0)
+    sums holds every bundle's marginal-cost sum, each type's bundles in one
+    run from starts; allowed, if given, masks the bundles the cheapest is
+    taken over.  Zero certifies that the split is cost minimal.
+    """
+    best = np.minimum.reduceat(sums if allowed is None else np.where(allowed, sums, np.inf), starts)
+    gaps = sums - np.repeat(best, np.diff(starts, append=len(sums)))
+    return float(np.max(gaps, where=used, initial=0.0))
 
 
 def min_cost_allocation(inst: MarketInstance, prices: dict[str, float], demand):
@@ -425,32 +445,31 @@ def min_cost_allocation(inst: MarketInstance, prices: dict[str, float], demand):
     demand maps type id -> mass and is expected to be a best response to the
     prices.  Returns (split dict, allocation dict).
     """
-    pvec = inst.price_vector(prices)
-    argmins = _argmin_bundle_sets(inst, pvec)
-    masks = []
-    keys = []
-    totals = []
-    for t, full_mask, tied in zip(inst.buyer_types, inst.bundle_masks, argmins):
-        masks.append(full_mask[tied])
-        keys.append([t.bundles[j] for j in tied])
-        totals.append(float(demand[t.type_id]))
+    _, _, tied = _bundle_prices(inst, inst.price_vector(prices))
+    return _min_cost_split(inst, tied, [float(demand[t.type_id]) for t in inst.buyer_types])
+
+
+def _min_cost_split(inst: MarketInstance, tied, totals):
+    """min_cost_allocation over the stacked tie mask tied, one mass per type."""
+    sets = _argmin_bundle_sets(inst, tied)
+    masks = [full_mask[rows] for full_mask, rows in zip(inst.bundle_masks, sets)]
     splits, y = split_min_cost(inst.cost_functions, masks, totals)
     split_dict = {}
-    for t, ks, sp in zip(inst.buyer_types, keys, splits):
-        for b, v in zip(ks, sp):
+    for t, rows, sp in zip(inst.buyer_types, sets, splits):
+        for j, v in zip(rows, sp):
             if v > SPLIT_DUST:
-                split_dict[(t.type_id, b)] = float(v)
+                split_dict[(t.type_id, t.bundles[j])] = float(v)
     return split_dict, inst.prices_dict(y)
 
 
 def evaluate(inst: MarketInstance, prices: dict[str, float]) -> PricingSolution:
     """Full market outcome at the posted prices."""
     pvec = inst.price_vector(prices)
-    _, cheapest, _ = _bundle_prices(inst, pvec)
+    _, cheapest, tied = _bundle_prices(inst, pvec)
     xvec = inst.demand_batch.demand_at_price(cheapest)
     type_ids = [t.type_id for t in inst.buyer_types]
     demand = dict(zip(type_ids, xvec.tolist()))
-    split, allocation = min_cost_allocation(inst, prices, demand)
+    split, allocation = _min_cost_split(inst, tied, xvec.tolist())
     yvec = np.array([allocation[g] for g in inst.good_ids])
     utility = float(np.sum(inst.demand_batch.utility_integral(xvec)))
     cost = inst.total_cost(yvec)
@@ -499,17 +518,11 @@ def split_kkt_violation(inst: MarketInstance, allocation, split, admissible=None
     argmin-priced ones); by default every bundle of the type competes.
     """
     yvec = np.array([allocation[g] for g in inst.good_ids])
-    marg = inst.marginal_vector(yvec)
-    worst = 0.0
-    for t, mask in zip(inst.buyer_types, inst.bundle_masks):
-        sums = mask @ marg
-        if admissible is not None:
-            allowed = set(admissible[t.type_id])
-            candidates = [float(sums[j]) for j, b in enumerate(t.bundles) if b in allowed]
-        else:
-            candidates = [float(s) for s in sums]
-        best = min(candidates)
-        for j, b in enumerate(t.bundles):
-            if split.get((t.type_id, b), 0.0) > SPLIT_DUST:
-                worst = max(worst, float(sums[j]) - best)
-    return worst
+    sums = inst.stacked_masks @ inst.marginal_vector(yvec)
+    used = np.zeros(len(sums), dtype=bool)
+    used[[inst.bundle_rows[key] for key, v in split.items() if v > SPLIT_DUST]] = True
+    allowed = None
+    if admissible is not None:
+        allowed = np.zeros(len(sums), dtype=bool)
+        allowed[[inst.bundle_rows[(tid, b)] for tid, bs in admissible.items() for b in bs]] = True
+    return _used_spread(sums, used, inst.bundle_offsets[:-1], allowed)

@@ -155,7 +155,25 @@ class TestCostBatch:
         with pytest.raises(CostDomainError):
             batch.conjugate(np.full(len(costs), -1e-12))
 
-    @pytest.mark.parametrize("method", ["marginal", "total"])
+    def test_slope_matches_differences_of_marginal(self):
+        costs = sample_costs()
+        batch = CostBatch(costs)
+        rng = np.random.default_rng(11)
+        breaks = [c.breakpoints[j][0] if c.breakpoints else 1.0 for c in costs for j in range(2)]
+        for y in [*rng.uniform(0.05, 4.0, size=40), *breaks]:
+            for point in (y * (1.0 - 1e-4), y, y * (1.0 + 1e-4)):
+                h = 1e-7 * point
+                row = np.full(len(costs), point)
+                # At a breakpoint the slope is the next piece's, a right derivative.
+                at_break = np.array([point in (b for b, _ in c.breakpoints) for c in costs])
+                low = np.where(at_break, row, row - h)
+                want = (batch.marginal(row + h) - batch.marginal(low)) / (row + h - low)
+                np.testing.assert_allclose(batch.slope(row), want, rtol=1e-5)
+        # At y = 0: the coefficient for a linear marginal, zero for a steeper one.
+        pair = CostBatch([CostFunction.power(1.7, 1.0), CostFunction.power(1.7, 2.3)])
+        np.testing.assert_array_equal(pair.slope(np.zeros(2)), [1.7, 0.0])
+
+    @pytest.mark.parametrize("method", ["slope", "marginal", "total"])
     def test_negative_quantity_raises(self, method):
         costs = sample_costs()
         y = np.full(len(costs), 0.5)

@@ -14,10 +14,10 @@ from bicrit import (
     min_bundle_price,
     min_cost_allocation,
 )
-from bicrit.market import _project_blocks, _size_groups, argmin_bundles, split_kkt_violation
+from bicrit.market import KKT_TOL, SPLIT_DUST, argmin_bundles, split_kkt_violation
 from bicrit.oracle import oracle_min_split_cost
 
-from conftest import random_prices, random_unit_demand_instance
+from conftest import random_multi_minded_instance, random_prices, random_unit_demand_instance
 
 
 @pytest.fixture
@@ -107,28 +107,52 @@ class TestMinCostAllocation:
         _assert_matches_enumeration_oracle(substitutes, {"g1": 0.4, "g2": 0.4 + 5e-8})
 
 
-class TestBlockProjection:
-    """Blocks of mixed sizes projected onto their scaled simplices, one matrix per size."""
+class TestSplitKKT:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_all_tied_split_meets_kkt_target(self, seed):
+        # At zero prices every bundle ties, so each type with several goods
+        # is free to split; the split must end on its KKT test.
+        rng = np.random.default_rng(seed)
+        inst = random_unit_demand_instance(rng, 0.0, max_goods=6, max_types=40)
+        demand = {t.type_id: float(rng.uniform(0.1, 1.0)) for t in inst.buyer_types}
+        split, y = min_cost_allocation(inst, dict.fromkeys(inst.good_ids, 0.0), demand)
+        assert split_kkt_violation(inst, y, split) <= 0.1 * KKT_TOL
+        for tid, mass in demand.items():
+            routed = sum(v for (t, _), v in split.items() if t == tid)
+            assert routed == pytest.approx(mass, rel=1e-12)
 
-    def test_projection_meets_kkt_conditions(self):
-        rng = np.random.default_rng(23)
-        sizes = np.array([2, 3, 2, 5, 1, 3, 2, 4])
-        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        totals = rng.uniform(0.1, 3.0, size=len(sizes))
-        groups = _size_groups(starts, sizes, totals)
-        assert sorted(rows.shape[1] for rows, _ in groups) == [1, 2, 3, 4, 5]
-        for _ in range(50):
-            v = rng.normal(0.0, 2.0, size=int(sizes.sum()))
-            w = _project_blocks(v, groups)
-            for start, size, total in zip(starts, sizes, totals):
-                vb, wb = v[start : start + size], w[start : start + size]
-                assert np.all(wb >= 0.0)
-                assert wb.sum() == pytest.approx(total, rel=1e-12)
-                # KKT: w = v - theta on the support, and v <= theta off it.
-                on = wb > 0.0
-                theta = vb[on] - wb[on]
-                assert np.ptp(theta) <= 1e-12 * (1.0 + np.abs(vb).max())
-                assert np.all(vb[~on] <= theta[0] + 1e-12)
+    def test_violation_matches_per_type_loop(self):
+        # Random splits over random bundles, some outside the admissible sets.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            inst = random_multi_minded_instance(rng, 0.3, 1 + seed % 3)
+            allocation = {g: float(rng.uniform(0.0, 2.0)) for g in inst.good_ids}
+            split = {
+                (t.type_id, b): float(rng.choice([0.0, 1e-13, rng.uniform(0.1, 1.0)]))
+                for t in inst.buyer_types
+                for b in t.bundles
+            }
+            admissible = {
+                t.type_id: [b for b in t.bundles if rng.uniform() < 0.6] or [t.bundles[0]]
+                for t in inst.buyer_types
+            }
+            for allowed in (None, admissible):
+                assert split_kkt_violation(inst, allocation, split, allowed) == pytest.approx(
+                    _violation_by_type(inst, allocation, split, allowed), rel=1e-12, abs=1e-15
+                )
+
+
+def _violation_by_type(inst, allocation, split, admissible):
+    marg = inst.marginal_vector(np.array([allocation[g] for g in inst.good_ids]))
+    worst = 0.0
+    for t, mask in zip(inst.buyer_types, inst.bundle_masks):
+        sums = mask @ marg
+        allowed = t.bundles if admissible is None else admissible[t.type_id]
+        best = min(float(s) for s, b in zip(sums, t.bundles) if b in allowed)
+        for s, b in zip(sums, t.bundles):
+            if split.get((t.type_id, b), 0.0) > SPLIT_DUST:
+                worst = max(worst, float(s) - best)
+    return worst
 
 
 class TestEvaluate:
