@@ -10,6 +10,7 @@ Set BICRIT_LOG to a logging level name for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -273,6 +274,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_BOUNDS
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bicrit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -99,18 +99,23 @@ class _ReserveFloored:
 
 
 def augmented_we(
-    inst: MarketInstance, dummy_price: float, cfg: SolverConfig | None = None
+    inst: MarketInstance, dummy_price: float, cfg: SolverConfig | None = None, start=None
 ) -> LadderSolution:
     """Welfare optimum with a flat-valuation dummy buyer per good, dummies stripped.
 
     The dummies enter as reserve-floored costs, so the posted prices are
     exactly max(dummy price, marginal cost) at the real buyers' allocation.
+    start is the solver's first split (see _solve_flow).  Prices and demand
+    do not depend on it.  Where the reserve binds on goods shared by tied
+    bundles the floored cost is linear, the optimal split is not unique, and
+    neither are the allocation, sw and profit (measured with the instance's
+    own costs): which optimum is returned depends on start.
     """
     if not dummy_price > 0:
         raise ValueError("dummy price must be positive")
     cfg = cfg or SolverConfig()
     floored = _ReserveFloored(inst, dummy_price)
-    result = _solve_flow(inst, floored, cfg)
+    result = _solve_flow(inst, floored, cfg, start)
     solution = _solution_from_splits(inst, result.splits, result.y, floored)
     margin = _SAT_TOL * (1.0 + dummy_price)
     return LadderSolution(
@@ -140,12 +145,23 @@ def ladder(
     cfg: SolverConfig | None = None,
     alpha: float | None = None,
 ) -> list[LadderSolution]:
-    """All augmented equilibria at dummy prices 2^j * threshold / (2 * max size)."""
+    """All augmented equilibria at dummy prices 2^j * threshold / (2 * max size).
+
+    Every rung's solve starts from the welfare optimum opt's split, so the
+    rungs do not depend on each other or on their order.  A rung that fails
+    to certify raises SolverError naming its index and reserve price.
+    """
     alpha = resolve_alpha(inst, alpha)
-    steps = rung_count(inst)
+    start = np.zeros(int(inst.bundle_offsets[-1]))
+    start[[inst.bundle_rows[key] for key in opt.split]] = list(opt.split.values())
     rungs = []
-    for j in range(steps + 2):
-        rung = augmented_we(inst, dummy_price_at(inst, j, alpha), cfg)
+    for j in range(rung_count(inst) + 2):
+        price = dummy_price_at(inst, j, alpha)
+        try:
+            rung = augmented_we(inst, price, cfg, start)
+        except SolverError as e:
+            message = f"ladder rung {j} at reserve price {price:.12g}: {e}"
+            raise SolverError(message, e.best_splits, e.residual) from e
         rung.index = j
         rungs.append(rung)
     return rungs

@@ -10,10 +10,11 @@ is convex and bounds the optimum from above at every p >= 0 (weak duality),
 so D(p) - SW(z) bounds how far an iterate z is from optimal.
 
 A solve runs up to four rounds of projected quasi-Newton (L-BFGS-B), each
-restarted from the last iterate.  After each round the gap is tried at the
-marginal-cost prices p = c(y(z)); only if that misses the target is p
-improved by L-BFGS-B on D, with a subgradient.  The posted prices are always
-c(y); the improved p only certifies.
+restarted from the last iterate; the first starts from zero or a given split
+(ladder rungs start from the welfare optimum's).  After each round the gap is
+tried at the marginal-cost prices p = c(y(z)); only if that misses the target
+is p improved by L-BFGS-B on D, with a subgradient.  The posted prices are
+always c(y); the improved p only certifies.
 
 The program works on the instance's struct-of-arrays forms: the stacked
 bundle incidence, the DemandBatch of its curves and a batched cost (the
@@ -182,9 +183,14 @@ def _run_quasi_newton(program, z, max_iters):
     return np.maximum(res.x, 0.0)
 
 
-def _solve_flow(inst: MarketInstance, costs, cfg: SolverConfig) -> FlowResult:
+def _solve_flow(inst: MarketInstance, costs, cfg: SolverConfig, start=None) -> FlowResult:
+    """Certified optimum of the program against costs.
+
+    The first round starts from start, a split in stacked_masks row order
+    (zero if None); the bounds clip it into [0, cap].
+    """
     program = _FlowProgram(inst, costs)
-    z = np.zeros(int(program.offsets[-1]))
+    z = np.zeros(int(program.offsets[-1])) if start is None else start
     for _ in range(_ROUNDS):
         z = _run_quasi_newton(program, z, cfg.max_iters)
         gap, target = program.certificate(z, cfg.tol, cfg.max_iters)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from bicrit import MarketInstance, cli, instances
+from bicrit.solver import SolverConfig
 
 
 @pytest.fixture
@@ -47,3 +48,21 @@ def test_invalid_solver_settings_exit_with_validation_code(flag, twin_goods_inst
     instances.save(twin_goods_instance, infile)
     assert cli.main(["solve-welfare", "--in", str(infile), *flag]) == cli.EXIT_VALIDATION
     assert "must be" in capsys.readouterr().err
+
+
+def test_solver_flags_do_not_leak_between_calls(twin_goods_instance, tmp_path, monkeypatch):
+    # main reuses one parser per process; each call must start from its defaults.
+    infile = tmp_path / "instance.json"
+    instances.save(twin_goods_instance, infile)
+    real = cli.solve_welfare
+    tols = []
+
+    def recording(inst, cfg):
+        tols.append(cfg.tol)
+        return real(inst, cfg)
+
+    monkeypatch.setattr(cli, "solve_welfare", recording)
+    out = str(tmp_path / "out.json")
+    assert cli.main(["solve-welfare", "--in", str(infile), "--out", out, "--tol", "1e-6"]) == cli.EXIT_OK
+    assert cli.main(["solve-welfare", "--in", str(infile), "--out", out]) == cli.EXIT_OK
+    assert tols == [1e-6, SolverConfig().tol]

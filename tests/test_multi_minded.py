@@ -5,7 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from bicrit import solve_welfare
+from bicrit import multi_minded, solve_welfare
 from bicrit.analysis import BOUND_TOL, mm_profit_factor
 from bicrit.multi_minded import (
     _ReserveFloored,
@@ -16,6 +16,7 @@ from bicrit.multi_minded import (
     ladder,
     select_index,
 )
+from bicrit.solver import SolverError
 
 from conftest import random_multi_minded_instance
 
@@ -114,3 +115,53 @@ class TestRandomLadders:
             if sol.profit > 0 and opt.sw <= factor * sol.profit + slack
         ]
         assert select_index(inst, rungs, opt).index == qualifying[0]
+
+    def test_warm_rungs_agree_with_cold_where_unique(self, k):
+        """Each rung, started from the optimum's split, against a cold solve from zero.
+
+        Prices and demand are unique, so they must agree.  Allocation, sw and
+        profit are not compared: where a reserve binds on goods shared by tied
+        bundles the floored cost is linear and the rung's optimal split (and
+        with it the allocation, and sw and profit measured with the instance's
+        own costs) is not unique, so it depends on where the solve starts.
+        """
+        inst, opt, rungs = _ladder(k)
+        cold_rungs = []
+        for rung in rungs:
+            cold = augmented_we(inst, rung.dummy_price)
+            cold.index = rung.index
+            cold_rungs.append(cold)
+            for warm_v, cold_v in (
+                (rung.solution.prices, cold.solution.prices),
+                (rung.solution.demand, cold.solution.demand),
+            ):
+                for key, v in cold_v.items():
+                    assert abs(warm_v[key] - v) <= 1e-7 * (1.0 + abs(v))
+            assert rung.saturated == cold.saturated
+        selected = select_index(inst, cold_rungs, opt)
+        assert selected.index == select_index(inst, rungs, opt).index
+        checks = certify_ladder(inst, opt, cold_rungs) + certify_selection(inst, opt, selected)
+        assert [c.name for c in checks if not c.ok] == []
+
+
+def test_failing_rung_names_its_index_and_reserve_price(monkeypatch):
+    inst, opt, _ = _ladder(0)
+    best = np.arange(3.0)
+    real = multi_minded._solve_flow
+    calls = []
+
+    def fail_on_second_rung(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise SolverError("welfare solver gap above tolerance", best_splits=best, residual=0.5)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(multi_minded, "_solve_flow", fail_on_second_rung)
+    with pytest.raises(SolverError) as exc:
+        ladder(inst, opt)
+    message = str(exc.value)
+    assert "rung 1" in message
+    assert f"{multi_minded.dummy_price_at(inst, 1):.12g}" in message
+    assert "welfare solver gap above tolerance" in message
+    assert exc.value.best_splits is best
+    assert exc.value.residual == 0.5
