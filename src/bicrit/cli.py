@@ -286,7 +286,7 @@ def _build_parser() -> _Parser:
                            help="reject unknown keys in the instance file")
         p.add_argument("--out", default=None, help="result file (default stdout)")
         p.add_argument("--tol", type=float, default=None, help="solver tolerance")
-        p.add_argument("--max-iters", type=int, default=None, help="cap on L-BFGS-B iterations per solver round")
+        p.add_argument("--max-iters", type=int, default=None, help="cap on Newton steps per solver round")
 
     p = sub.add_parser("solve-welfare", help="welfare-maximizing prices")
     common(p)

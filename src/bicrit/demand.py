@@ -57,8 +57,8 @@ def _scalar_or_array(arr, scalar):
 
 
 # -- family formulas ---------------------------------------------------------
-# One (eval, utility integral, inverse) triple per kind of analytic curve.
-# Every formula broadcasts over its parameters and argument: InverseDemand
+# One (eval, utility integral, inverse, derivative) tuple per kind of analytic
+# curve.  Every formula broadcasts over its parameters and argument: InverseDemand
 # applies it with one curve's scalars, DemandBatch with one array per kind, so
 # each expression is written once.  The kinds are the families, except that
 # a generalized Pareto below ALPHA_LIMIT is "exponential" (its alpha -> 0
@@ -77,6 +77,10 @@ def _linear_inverse(lam, alpha, scale, p):
     return scale * (1.0 - p / lam)
 
 
+def _linear_derivative(lam, alpha, scale, x):
+    return np.zeros_like(x) - lam / scale
+
+
 def _exp_eval(lam, alpha, scale, x):
     return lam * np.exp(-x / scale)
 
@@ -87,6 +91,10 @@ def _exp_utility(lam, alpha, scale, z):
 
 def _exp_inverse(lam, alpha, scale, p):
     return scale * np.log(lam / p)
+
+
+def _exp_derivative(lam, alpha, scale, x):
+    return -lam / scale * np.exp(-x / scale)
 
 
 def _gp_eval(lam, alpha, scale, x):
@@ -106,12 +114,16 @@ def _gp_inverse(lam, alpha, scale, p):
     return scale / alpha * ((lam / p) ** alpha - 1.0)
 
 
-_EVAL, _UTILITY, _INVERSE = range(3)
+def _gp_derivative(lam, alpha, scale, x):
+    return -lam / scale * (1.0 + alpha * x / scale) ** (-1.0 / alpha - 1.0)
+
+
+_EVAL, _UTILITY, _INVERSE, _DERIVATIVE = range(4)
 _FORMULAS = {
-    "linear": (_linear_eval, _linear_utility, _linear_inverse),
-    "exponential": (_exp_eval, _exp_utility, _exp_inverse),
-    "generalized-pareto": (_gp_eval, _gp_utility, _gp_inverse),
-    "gp-log": (_gp_eval, _gp_log_utility, _gp_inverse),
+    "linear": (_linear_eval, _linear_utility, _linear_inverse, _linear_derivative),
+    "exponential": (_exp_eval, _exp_utility, _exp_inverse, _exp_derivative),
+    "generalized-pareto": (_gp_eval, _gp_utility, _gp_inverse, _gp_derivative),
+    "gp-log": (_gp_eval, _gp_log_utility, _gp_inverse, _gp_derivative),
 }
 
 
@@ -250,12 +262,15 @@ class InverseDemand:
     # -- core evaluations --------------------------------------------------
 
     def _formula(self, which, x):
-        """The curve's formula which (_EVAL, _UTILITY or _INVERSE) at x."""
+        """The curve's formula which (_EVAL, _UTILITY, _INVERSE or _DERIVATIVE) at x."""
         x = np.asarray(x)
         if self.family == "tabulated":
-            return (self._tabulated_eval, self._tabulated_utility, self._inverse_tabulated)[
-                which
-            ](x)
+            return (
+                self._tabulated_eval,
+                self._tabulated_utility,
+                self._inverse_tabulated,
+                self._tabulated_derivative,
+            )[which](x)
         # On a 0-d x the formula's intermediates would be NumPy scalars, whose
         # ** rounds differently from the array power DemandBatch uses.
         formula = _FORMULAS[self._kind][which]
@@ -270,20 +285,7 @@ class InverseDemand:
     def derivative(self, x):
         """Slope lambda'(x); zero beyond the support ceiling."""
         arr = _nonnegative(x, "demand derivative at negative quantity")
-        if self.family == "linear":
-            der = np.full_like(arr, -self.lambda_max / self.scale)
-        elif self._kind == "exponential":
-            der = -self.lambda_max / self.scale * np.exp(-arr / self.scale)
-        elif self.family == "generalized-pareto":
-            der = (
-                -self.lambda_max
-                / self.scale
-                * (1.0 + self.alpha * arr / self.scale) ** (-1.0 / self.alpha - 1.0)
-            )
-        else:
-            seg = np.clip(np.searchsorted(self._xs, arr, side="right") - 1, 0, len(self._slopes) - 1)
-            der = self._slopes[seg]
-        out = np.where(arr >= self.support_ceiling, 0.0, der)
+        out = np.where(arr >= self.support_ceiling, 0.0, self._formula(_DERIVATIVE, arr))
         return _scalar_or_array(out, arr.ndim == 0)
 
     def inverse(self, p):
@@ -304,6 +306,10 @@ class InverseDemand:
 
     def _tabulated_eval(self, x):
         return np.interp(x, self._xs, self._ls, right=0.0)
+
+    def _tabulated_derivative(self, x):
+        seg = np.clip(np.searchsorted(self._xs, x, side="right") - 1, 0, len(self._slopes) - 1)
+        return self._slopes[seg]
 
     def _inverse_tabulated(self, p):
         # Index of the last node with lambda >= p.  searchsorted on the negated
@@ -400,6 +406,11 @@ class DemandBatch:
         """Prices lambda_i(x_i); zero at or beyond each support ceiling."""
         x = _nonnegative(x, "demand evaluated at negative quantity")
         return np.where(x >= self.support_ceiling, 0.0, self._apply(_EVAL, x))
+
+    def derivative(self, x):
+        """Slopes lambda_i'(x_i); zero at or beyond each support ceiling."""
+        x = _nonnegative(x, "demand derivative at negative quantity")
+        return np.where(x >= self.support_ceiling, 0.0, self._apply(_DERIVATIVE, x))
 
     def utility_integral(self, x):
         """Surplus integrals of lambda_i from 0 to x_i (flat past the ceiling)."""

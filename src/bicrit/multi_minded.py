@@ -88,6 +88,10 @@ class _ReserveFloored:
     def marginal(self, y):
         return np.maximum(self.reserve, self.costs.marginal(y))
 
+    def slope(self, y):
+        """Derivative of the floored marginal: 0 below y0, c'(y) from y0 on."""
+        return np.where(y < self.y0, 0.0, self.costs.slope(y))
+
     def total(self, y):
         below = self._total_at_y0 + self.reserve * (y - self.y0)
         return np.where(y < self.y0, below, self.costs.total(y))

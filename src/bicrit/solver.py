@@ -9,18 +9,38 @@ capped at its demand support.  Its Lagrangian dual in the goods' prices p,
 is convex and bounds the optimum from above at every p >= 0 (weak duality),
 so D(p) - SW(z) bounds how far an iterate z is from optimal.
 
-A solve runs up to four rounds of projected quasi-Newton (L-BFGS-B), each
-restarted from the last iterate; the first starts from zero or a given split
-(ladder rungs start from the welfare optimum's).  After each round the gap is
-tried at the marginal-cost prices p = c(y(z)); only if that misses the target
-is p improved by L-BFGS-B on D, with a subgradient.  The posted prices are
-always c(y); the improved p only certifies.
+A solve runs up to four rounds of damped projected Newton (Bertsekas, SIAM
+J. Control Optim. 20(2), 1982) on F = -SW over the box 0 <= z <= cap, each
+round continuing from the last iterate; the first starts from zero or a given
+split (ladder rungs start from the welfare optimum's).  A step fixes the
+epsilon-active coordinates, those at most min(1e-6, ||z - P(z - grad F)||)
+with F rising in them, and moves them toward 0 (a full step reaches it).  On
+the others it solves (H + mu I) d = -grad F, where
+
+    H = E^T diag(-lambda'(x)) E + A diag(c'(y)) A^T
+
+(E the type incidence, A the bundle rows) and mu is the projected gradient.
+The damping is needed: where reserve-floored costs are linear (c' = 0), H is
+singular along mass exchanges between tied bundles, which an undamped step
+ignores.  The step is solved in goods space, by Sherman-Morrison on each
+type's block and one Woodbury solve over the goods: one goods x goods
+Cholesky factorization plus work linear in the incidence's entry pairs, and
+never a matrix over the splits.  Armijo backtracking runs along the
+projection arc; a step whose predicted gain (the Newton decrement) is below
+the objective's rounding is taken whole.  A round ends once the decrement is
+at that level and the projected gradient is at most 1e-12 or has not halved
+in three steps.
+
+After each round the gap is tried at the marginal-cost prices p = c(y(z));
+only if that misses the target is p improved by L-BFGS-B on D, with a
+subgradient.  The posted prices are always c(y); the improved p only
+certifies.
 
 The program works on the instance's struct-of-arrays forms: the stacked
 bundle incidence, the DemandBatch of its curves and a batched cost (the
 instance's CostBatch, or reserve-floored costs on a ladder rung).  Each
-objective, gradient or dual evaluation is one kernel call per family, and
-L-BFGS-B gets value and gradient from one fused call.
+objective, gradient, curvature or dual evaluation is one kernel call per
+family.
 """
 
 from __future__ import annotations
@@ -28,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 
 from .market import (
@@ -44,6 +65,10 @@ __all__ = [
 ]
 
 _ROUNDS = 4
+# The Newton step's damping is the projected gradient, but at least this.
+_DAMPING_FLOOR = 1e-14
+# Armijo backtracking gives up, and ends the round, after this many halvings.
+_MAX_HALVINGS = 60
 
 
 @dataclass
@@ -51,8 +76,8 @@ class SolverConfig:
     """Tolerance and iteration cap of the welfare solver.
 
     tol is the relative target of the weak-duality gap: a solve is certified
-    once D(p) - SW(z) <= tol * (1 + |SW(z)|).  max_iters caps the iterations
-    of each L-BFGS-B call, in every round.
+    once D(p) - SW(z) <= tol * (1 + |SW(z)|).  max_iters caps the Newton
+    steps of each round, and the iterations of the dual price search.
     """
 
     max_iters: int = 20_000
@@ -97,11 +122,24 @@ class _FlowProgram:
         self.stacked = inst.stacked_masks
         self.type_caps = self.demand.support_ceiling
         self.caps = np.repeat(self.type_caps, self.sizes)
+        n_types, n_goods = len(self.sizes), self.stacked.shape[1]
+        owner = np.repeat(np.arange(n_types), self.sizes)
         # Each split coordinate's (type, bundle) cell in a types x bundles grid.
-        self._cells = (
-            np.repeat(np.arange(len(self.sizes)), self.sizes),
-            np.arange(self.offsets[-1]) - np.repeat(self.offsets[:-1], self.sizes),
-        )
+        self._cells = (owner, np.arange(self.offsets[-1]) - np.repeat(self.offsets[:-1], self.sizes))
+        # The incidence's nonzeros: entry e puts bundle row _rows[e] on good _goods[e].
+        self._rows, self._goods = np.nonzero(self.stacked)
+        # Every ordered pair of entries (e1, e2) on one type's rows: the
+        # nonzeros of newton_step's goods-space matrix A^T B^-1 A.
+        per_type = np.bincount(owner[self._rows], minlength=n_types)
+        count = per_type * per_type
+        self._pair_type = np.repeat(np.arange(n_types), count)
+        local = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        first = (np.cumsum(per_type) - per_type)[self._pair_type]
+        width = per_type[self._pair_type]
+        e1, e2 = first + local // width, first + local % width
+        self._pair_rows = self._rows[e1], self._rows[e2]
+        self._pair_same = (self._pair_rows[0] == self._pair_rows[1]).astype(float)
+        self._pair_cells = self._goods[e1] * n_goods + self._goods[e2]
 
     def totals(self, z):
         return np.add.reduceat(z, self.offsets[:-1])
@@ -127,6 +165,54 @@ class _FlowProgram:
         """(objective(z), gradient(z)) from one pass of totals and allocation."""
         x, y = self.totals(z), self.allocation(z)
         return self._value(x, y), self._gradient(x, y)
+
+    def projected_gradient(self, z, gradient=None):
+        """KKT residual ||z - P(z + grad SW(z))||_inf, P the projection on [0, cap].
+
+        Zero exactly at the program's optima.  gradient is grad SW(z), if
+        the caller has it.
+        """
+        if gradient is None:
+            gradient = self.gradient(z)
+        return float(np.abs(z - np.clip(z + gradient, 0.0, self.caps)).max())
+
+    def newton_step(self, z, gradient, free, damping):
+        """The d solving (H + damping I) d = gradient on the free coordinates, 0 elsewhere.
+
+        H = E^T diag(w) E + A diag(c'(y)) A^T, w = -lambda'(x), is the Hessian
+        of -SW at z (E the type incidence, A the bundle rows), restricted to
+        the free coordinates.  B = E^T diag(w) E + damping I has one block
+        w_i 11^T + damping I per type, inverted in closed form; the cost term
+        then enters through a Woodbury solve in goods space,
+        (I + S A^T B^-1 A S) t = S A^T B^-1 gradient with S = diag(sqrt(c')),
+        so that goods at c' = 0 drop out.
+        """
+        n_goods = self.stacked.shape[1]
+        on = free.astype(float)
+        w = -self.demand.derivative(self.totals(z))
+        s = np.sqrt(self.costs.slope(self.allocation(z)))
+        # A type's block on its m free coordinates is damping + w m along 1
+        # and damping across it.  Inverting the two parts apart gives a single
+        # free bundle 1 / (damping + w) with no cancellation.
+        m = np.maximum(np.add.reduceat(on, self.offsets[:-1]), 1.0)
+        along = 1.0 / (damping + w * m)
+
+        def solve_b(v):  # B^-1 v on the free coordinates
+            v = v * on
+            mean = on * np.repeat(np.add.reduceat(v, self.offsets[:-1]) / m, self.sizes)
+            return (v - mean) / damping + mean * np.repeat(along, self.sizes)
+
+        u = solve_b(gradient)
+        pt = self._pair_type
+        b_inv = (self._pair_same - 1.0 / m[pt]) / damping + (along / m)[pt]
+        weights = on[self._pair_rows[0]] * on[self._pair_rows[1]] * b_inv
+        k = np.bincount(self._pair_cells, weights, minlength=n_goods * n_goods).reshape(n_goods, n_goods)
+        k *= s[:, None] * s
+        k.flat[:: n_goods + 1] += 1.0
+        rhs = s * np.bincount(self._goods, u[self._rows], minlength=n_goods)
+        # k is symmetric with every eigenvalue at least 1: a Cholesky solve.
+        t = s * dpotrs(dpotrf(k)[0], rhs)[0]
+        return u - solve_b(np.bincount(self._rows, t[self._goods], minlength=len(z)))
 
     def dual(self, p):
         """(D(p), a subgradient of D at p), for prices p >= 0.
@@ -167,32 +253,52 @@ class _FlowProgram:
         return gap, target
 
 
-def _run_quasi_newton(program, z, max_iters):
-    def neg(zv):
-        f, g = program.value_and_gradient(zv)
-        return -f, -g
+def _run_newton(program, z, max_iters):
+    """One round of damped projected Newton on F = -SW(z) from z (see the module docstring).
 
-    res = minimize(
-        neg,
-        z,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(0.0, c) for c in program.caps],
-        options={"maxiter": max_iters, "ftol": 1e-18, "gtol": 1e-14},
-    )
-    return np.maximum(res.x, 0.0)
+    Returns the last iterate after the stopping test or max_iters steps.
+    """
+    z = np.clip(z, 0.0, program.caps)
+    f, grad = program.value_and_gradient(z)
+    history = []
+    for _ in range(max_iters):
+        pg = program.projected_gradient(z, grad)
+        history.append(pg)
+        # grad is the gradient of SW, so F rises with z_k where grad_k < 0.
+        fixed = (z <= min(1e-6, pg)) & (grad < 0.0)
+        d = program.newton_step(z, grad, ~fixed, max(pg, _DAMPING_FLOOR))
+        # A full step sends the fixed coordinates to 0; a shorter one only
+        # moves them toward it, so that every short enough step is a descent.
+        d[fixed] = -z[fixed]
+        # Below this decrement a step's gain is lost in the objective's rounding.
+        unseen = grad @ d <= 1e-15 * (1.0 + abs(f))
+        if unseen and (pg <= 1e-12 or (len(history) > 3 and pg > 0.5 * history[-4])):
+            break
+        step = 1.0
+        for _ in range(_MAX_HALVINGS):
+            z_new = np.clip(z + step * d, 0.0, program.caps)
+            f_new, grad_new = program.value_and_gradient(z_new)
+            # The slack is rounding in the objective, as in market._newton_split;
+            # a step whose gain F cannot resolve is taken whole.
+            if unseen or f_new >= f + 1e-4 * float(grad @ (z_new - z)) - 1e-15 * abs(f):
+                break
+            step *= 0.5
+        else:
+            break
+        z, f, grad = z_new, f_new, grad_new
+    return z
 
 
 def _solve_flow(inst: MarketInstance, costs, cfg: SolverConfig, start=None) -> FlowResult:
     """Certified optimum of the program against costs.
 
     The first round starts from start, a split in stacked_masks row order
-    (zero if None); the bounds clip it into [0, cap].
+    (zero if None), clipped into [0, cap].
     """
     program = _FlowProgram(inst, costs)
     z = np.zeros(int(program.offsets[-1])) if start is None else start
     for _ in range(_ROUNDS):
-        z = _run_quasi_newton(program, z, cfg.max_iters)
+        z = _run_newton(program, z, cfg.max_iters)
         gap, target = program.certificate(z, cfg.tol, cfg.max_iters)
         if gap <= target:
             break
@@ -249,10 +355,6 @@ def solve_welfare(inst: MarketInstance, cfg: SolverConfig | None = None) -> Pric
 
 
 def projected_gradient_norm(inst: MarketInstance, splits) -> float:
-    """Infinity norm of the objective gradient projected on the feasible cone."""
-    program = _FlowProgram(inst, inst.cost_batch)
+    """The welfare program's KKT residual at splits (_FlowProgram.projected_gradient)."""
     z = np.concatenate([np.asarray(s, dtype=float) for s in splits])
-    g = program.gradient(z)
-    active = z <= SPLIT_DUST
-    residual = np.where(active, np.maximum(g, 0.0), np.abs(g))
-    return float(np.max(residual)) if residual.size else 0.0
+    return _FlowProgram(inst, inst.cost_batch).projected_gradient(z)

@@ -340,6 +340,33 @@ class TestDemandBatch:
             want = [getattr(d, method)(float(x)) for d, x in zip(curves, row)]
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
+    def test_derivative_matches_scalar_bit_for_bit(self):
+        curves = batch_curves()
+        batch = DemandBatch(curves)
+        for row in self._points(curves, np.random.default_rng(5)):
+            want = [d.derivative(float(x)) for d, x in zip(curves, row)]
+            np.testing.assert_array_equal(batch.derivative(row), want)
+
+    def test_derivative_matches_differences_of_eval(self):
+        curves = batch_curves()
+        batch = DemandBatch(curves)
+        ceilings = np.array([d.support_ceiling for d in curves])
+        # Within 20 hazard scales of 0, where lambda keeps enough digits for
+        # differences; the steps are 1e-7 of that span.
+        scales = np.array([d.scale if d.scale > 0 else d.support_ceiling for d in curves])
+        span = np.minimum(ceilings, 20.0 * scales)
+        # Right differences: a tabulated curve's slope is its right segment's.
+        for frac in np.random.default_rng(6).uniform(0.0, 0.95, size=40):
+            x, h = frac * span, 1e-7 * span
+            want = (batch.eval(x + h) - batch.eval(x)) / h
+            np.testing.assert_allclose(batch.derivative(x), want, rtol=1e-5, atol=0.0)
+            scalar = [d.derivative(float(v)) for d, v in zip(curves, x)]
+            np.testing.assert_allclose(scalar, want, rtol=1e-5, atol=0.0)
+        assert np.all(batch.derivative(ceilings) == 0.0)
+        assert np.all(batch.derivative(1.5 * ceilings) == 0.0)
+        with pytest.raises(DemandDomainError):
+            batch.derivative(np.full(len(curves), -1e-12))
+
     def test_demand_at_price_is_the_clamped_inverse(self):
         curves = batch_curves()
         batch = DemandBatch(curves)

@@ -43,6 +43,21 @@ class TestReserveFlooredCosts:
             np.testing.assert_allclose(floored.marginal(y), want_marginal, rtol=1e-14, atol=0.0)
             np.testing.assert_allclose(floored.total(y), want_total, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("reserve", [0.05, 0.3, 0.9])
+    def test_slope_is_zero_below_y0_and_the_cost_slope_from_y0(self, reserve):
+        inst = random_multi_minded_instance(np.random.default_rng(17), alpha=0.3, size_ratio=2)
+        floored = _ReserveFloored(inst, reserve)
+        y0 = floored.y0
+        for factor in (0.0, 0.25, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.7, 3.0):
+            y = factor * y0
+            want = np.where(y < y0, 0.0, inst.cost_batch.slope(y))
+            np.testing.assert_array_equal(floored.slope(y), want)
+        # Away from the kink at y0, the slope is the marginal's derivative.
+        for factor in (0.25, 0.9, 1.1, 1.7, 3.0):
+            y, h = factor * y0, 1e-7 * factor * y0
+            want = (floored.marginal(y + h) - floored.marginal(y - h)) / (2.0 * h)
+            np.testing.assert_allclose(floored.slope(y), want, rtol=1e-5, atol=1e-9)
+
 
 class TestAugmentedWelfareClosedForm:
     # lambda(x) = 1 - x and c(y) = y: the rung clears where 1 - x = max(r, x),
@@ -83,6 +98,18 @@ def _ladder(k):
     inst = _instances()[k]
     opt = solve_welfare(inst)
     return inst, opt, ladder(inst, opt)
+
+
+@lru_cache(maxsize=None)
+def _cold_rungs(k):
+    """The k-th market's rungs, each solved from zero instead of the optimum's split."""
+    inst, _, rungs = _ladder(k)
+    cold_rungs = []
+    for rung in rungs:
+        cold = augmented_we(inst, rung.dummy_price)
+        cold.index = rung.index
+        cold_rungs.append(cold)
+    return cold_rungs
 
 
 @pytest.mark.parametrize("k", range(N_LADDERS))
@@ -126,11 +153,8 @@ class TestRandomLadders:
         own costs) is not unique, so it depends on where the solve starts.
         """
         inst, opt, rungs = _ladder(k)
-        cold_rungs = []
-        for rung in rungs:
-            cold = augmented_we(inst, rung.dummy_price)
-            cold.index = rung.index
-            cold_rungs.append(cold)
+        cold_rungs = _cold_rungs(k)
+        for rung, cold in zip(rungs, cold_rungs):
             for warm_v, cold_v in (
                 (rung.solution.prices, cold.solution.prices),
                 (rung.solution.demand, cold.solution.demand),
@@ -142,6 +166,22 @@ class TestRandomLadders:
         assert selected.index == select_index(inst, rungs, opt).index
         checks = certify_ladder(inst, opt, cold_rungs) + certify_selection(inst, opt, selected)
         assert [c.name for c in checks if not c.ok] == []
+
+    def test_warm_and_cold_rungs_agree_to_solver_precision(self, k):
+        """Prices and demand of warm and cold rungs, to the Newton solve's precision.
+
+        Both solves end at a projected gradient of about 1e-12, so the unique
+        prices and demand agree far below the weak-duality certificate's
+        resolution, which bounds them only by about sqrt(gap / curvature).
+        """
+        _, _, rungs = _ladder(k)
+        for rung, cold in zip(rungs, _cold_rungs(k)):
+            for warm_v, cold_v in (
+                (rung.solution.prices, cold.solution.prices),
+                (rung.solution.demand, cold.solution.demand),
+            ):
+                for key, v in cold_v.items():
+                    assert abs(warm_v[key] - v) <= 1e-10 * (1.0 + abs(v))
 
 
 def test_failing_rung_names_its_index_and_reserve_price(monkeypatch):

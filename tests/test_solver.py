@@ -72,6 +72,20 @@ class TestOptimalityCertificates:
             norm = projected_gradient_norm(inst, splits)
             assert norm <= 1e-6 * (1.0 + abs(opt.sw))
 
+    def test_solutions_meet_kkt_to_solver_precision(self):
+        rng = np.random.default_rng(23)
+        for k in range(12):
+            if k % 2:
+                inst = random_unit_demand_instance(rng, alpha=(0.0, 0.5, 0.9)[k % 3])
+            else:
+                inst = random_multi_minded_instance(rng, alpha=0.4, size_ratio=1 + k % 4)
+            opt = solve_welfare(inst)
+            splits = [
+                np.array([opt.split.get((t.type_id, b), 0.0) for b in t.bundles])
+                for t in inst.buyer_types
+            ]
+            assert projected_gradient_norm(inst, splits) <= 1e-10 * (1.0 + abs(opt.sw))
+
     def test_multi_minded_instances_certify(self):
         rng = np.random.default_rng(71)
         for ratio in (1, 2, 4):
@@ -86,9 +100,9 @@ class TestOptimalityCertificates:
         assert err.value.best_splits.shape == (int(inst.bundle_offsets[-1]),)
         assert err.value.residual > SolverConfig().tol
 
-    # Unit-demand draws whose gap at the marginal-cost prices stays above
-    # the target however long L-BFGS-B runs; only a better dual price
-    # certifies them.
+    # Unit-demand draws on which L-BFGS-B primal rounds never certified at
+    # the marginal-cost prices, so that only a better dual price did; the
+    # Newton rounds certify them at p = c(y).
     @pytest.mark.parametrize(
         "seed, alphas, shape",
         [(5, (0.0, 0.3), (4, 20)), (3, (0.0, 0.3), (4, 26)), (0, (0.0,), (6, 26))],
@@ -196,7 +210,7 @@ class TestDualGap:
 
 
 class TestValueAndGradient:
-    """The fused evaluation L-BFGS-B uses, on instance and reserve-floored costs."""
+    """The fused evaluation the Newton rounds use, on instance and reserve-floored costs."""
 
     @pytest.mark.parametrize("reserve", [None, 0.3])
     def test_equals_objective_and_gradient_and_finite_differences(self, reserve):
@@ -216,3 +230,57 @@ class TestValueAndGradient:
                 step[j] = h
                 fd = (program.objective(z + step) - program.objective(z - step)) / (2.0 * h)
                 assert fd == pytest.approx(g[j], rel=1e-6, abs=1e-7)
+
+
+class TestNewtonStep:
+    """The goods-space Newton step against a dense solve over the splits."""
+
+    @pytest.mark.parametrize("reserve", [None, 0.3])
+    def test_matches_dense_damped_newton_system(self, reserve):
+        rng = np.random.default_rng(47)
+        for ratio in (1, 2, 4):
+            inst = random_multi_minded_instance(rng, alpha=0.4, size_ratio=ratio)
+            costs = inst.cost_batch if reserve is None else _ReserveFloored(inst, reserve)
+            program = _FlowProgram(inst, costs)
+            n = program.caps.size
+            # Some coordinates at zero, so that a reserve binds on some goods.
+            z = rng.uniform(0.0, 0.6, size=n) * (rng.random(n) < 0.7)
+            x, y = program.totals(z), program.allocation(z)
+            owner = np.repeat(np.arange(len(x)), program.sizes)
+            types = (owner[:, None] == owner[None, :]).astype(float)
+            w = -inst.demand_batch.derivative(x)
+            hessian = w[owner][:, None] * types + (inst.stacked_masks * costs.slope(y)) @ inst.stacked_masks.T
+            grad = program.gradient(z)
+            # Within a type, B^-1 is 1 / damping across the 1 direction, so
+            # rounding in the goods-space correction grows like 1 / damping.
+            for damping in (1.0, 1e-3, 1e-6):
+                free = rng.random(n) < 0.8
+                want = np.zeros(n)
+                system = hessian[np.ix_(free, free)] + damping * np.eye(free.sum())
+                want[free] = np.linalg.solve(system, grad[free])
+                got = program.newton_step(z, grad, free, damping)
+                scale = np.abs(want).max()
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * (1.0 + 1.0 / damping) * scale)
+                assert np.all(got[~free] == 0.0)
+
+
+class TestProjectedGradient:
+    def test_is_the_clipped_gradient_residual(self):
+        rng = np.random.default_rng(53)
+        inst = random_multi_minded_instance(rng, alpha=0.4, size_ratio=2)
+        program = _FlowProgram(inst, inst.cost_batch)
+        z = rng.uniform(0.0, 0.5, size=program.caps.size) * (rng.random(program.caps.size) < 0.6)
+        g = program.gradient(z)
+        want = np.max(np.abs(z - np.clip(z + g, 0.0, program.caps)))
+        assert program.projected_gradient(z) == want
+        assert program.projected_gradient(z, g) == want
+        splits = np.split(z, program.offsets[1:-1])
+        assert projected_gradient_norm(inst, splits) == want
+
+    def test_vanishes_at_the_analytic_optimum(self, twin_goods_instance):
+        # lambda(x) = 1 - x and c(y) = y on both goods: the optimum splits 2/3 evenly.
+        program = _FlowProgram(twin_goods_instance, twin_goods_instance.cost_batch)
+        assert program.projected_gradient(np.array([1 / 3, 1 / 3])) <= 1e-15
+        assert program.projected_gradient(np.array([0.5, 0.1])) > 0.1
+        # At zero every bundle is worth entering: the residual is the full gradient.
+        assert program.projected_gradient(np.zeros(2)) == pytest.approx(1.0)
