@@ -183,6 +183,12 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
+def _fixed9(v: float) -> str:
+    """v to nine decimals; a value that rounds to zero prints unsigned."""
+    text = f"{v:.9f}"
+    return "0.000000000" if text == "-0.000000000" else text
+
+
 def _cmd_sweep(args) -> int:
     alphas = _parse_alpha_range(args.alpha)
     c = args.c
@@ -224,7 +230,7 @@ def _verify_checks(inst, args) -> list[dict]:
         add(
             "grid_never_beats_optimum",
             sw_oracle <= sw_star + 1e-9 * (1.0 + abs(sw_star)),
-            f"oracle {sw_oracle:.9f} vs optimum {sw_star:.9f}",
+            f"oracle {_fixed9(sw_oracle)} vs optimum {_fixed9(sw_star)}",
         )
         add(
             "optimum_reaches_grid",
@@ -252,10 +258,11 @@ def _verify_checks(inst, args) -> list[dict]:
     else:
         rungs = multi_minded.ladder(inst, opt, cfg)
         selected = multi_minded.select_index(inst, rungs, opt)
-        for check in multi_minded.certify_ladder(inst, opt, rungs):
-            add(f"ladder_{check.name}", check.ok, f"{check.lhs:.9f} <= {check.rhs:.9f}")
-        for check in multi_minded.certify_selection(inst, opt, selected):
-            add(f"ladder_{check.name}", check.ok, f"{check.lhs:.9f} <= {check.rhs:.9f}")
+        for check in [
+            *multi_minded.certify_ladder(inst, opt, rungs),
+            *multi_minded.certify_selection(inst, opt, selected),
+        ]:
+            add(f"ladder_{check.name}", check.ok, f"{_fixed9(check.lhs)} <= {_fixed9(check.rhs)}")
         for rung in rungs:
             problems = multi_minded.deviation_violations(inst, opt, rung)
             add(f"saturation_charging[{rung.index}]", not problems, "; ".join(problems))

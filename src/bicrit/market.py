@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from .costs import CostBatch, CostFunction
 from .demand import DemandBatch, InverseDemand
@@ -342,13 +340,11 @@ def split_min_cost(cost_fns, masks, totals):
     sizes = np.array([masks[i].shape[0] for i in free])
     stacked = np.vstack([masks[i] for i in free])
     owner = np.repeat(np.arange(len(free)), sizes)
-    # Nodes are the free types, then the goods; each bundle links its type
-    # to its goods.
     rows, cols = np.nonzero(stacked)
-    n = len(free) + n_goods
-    links = csr_array((np.ones(len(rows)), (owner[rows], len(free) + cols)), shape=(n, n))
-    _, label = connected_components(links, directed=False)
-    type_label, good_label = label[: len(free)], label[len(free) :]
+    good_label = _linked_goods(n_goods, owner[rows], cols)
+    # np.nonzero lists the entries row by row, so each type's entries form
+    # one run; all its goods share a label, the label of its first.
+    type_label = good_label[cols[np.searchsorted(owner[rows], np.arange(len(free)))]]
     y = base.copy()
     for comp in np.unique(type_label):
         members = np.flatnonzero(type_label == comp)
@@ -361,6 +357,33 @@ def split_min_cost(cost_fns, masks, totals):
         for k, part in zip(members, np.split(z, np.cumsum(sizes[members])[:-1])):
             splits[free[k]] = part
     return splits, y
+
+
+def _linked_goods(n_goods, owner, goods):
+    """Component label of each good, linking the goods that one owner touches.
+
+    owner[e] and goods[e] are the incidence's nonzeros.  The label is the
+    component's root good, found by union-find with union by size and path
+    halving: no recursion, and near-linear time in the nonzeros.
+    """
+    parent = list(range(n_goods))
+    size = [1] * n_goods
+
+    def find(g):
+        while parent[g] != g:
+            parent[g] = parent[parent[g]]
+            g = parent[g]
+        return g
+
+    first = {}
+    for o, g in zip(owner.tolist(), goods.tolist()):
+        a, b = find(first.setdefault(o, g)), find(g)
+        if a != b:
+            if size[a] < size[b]:
+                a, b = b, a
+            parent[b] = a
+            size[a] += size[b]
+    return np.array([find(g) for g in range(n_goods)], dtype=np.intp)
 
 
 def _newton_split(costs, mask, base, sizes, totals):

@@ -14,8 +14,9 @@ J. Control Optim. 20(2), 1982) on F = -SW over the box 0 <= z <= cap, each
 round continuing from the last iterate; the first starts from zero or a given
 split (ladder rungs start from the welfare optimum's).  A step fixes the
 epsilon-active coordinates, those at most min(1e-6, ||z - P(z - grad F)||)
-with F rising in them, and moves them toward 0 (a full step reaches it).  On
-the others it solves (H + mu I) d = -grad F, where
+with F rising in them, and moves them toward 0 (a full step reaches it).  It
+also holds at 0 every bundle that gains no more than one its type uses below
+the cap.  On the others it solves (H + mu I) d = -grad F, where
 
     H = E^T diag(-lambda'(x)) E + A diag(c'(y)) A^T
 
@@ -23,9 +24,9 @@ the others it solves (H + mu I) d = -grad F, where
 The damping is needed: where reserve-floored costs are linear (c' = 0), H is
 singular along mass exchanges between tied bundles, which an undamped step
 ignores.  The step is solved in goods space, by Sherman-Morrison on each
-type's block and one Woodbury solve over the goods: one goods x goods
-Cholesky factorization plus work linear in the incidence's entry pairs, and
-never a matrix over the splits.  Armijo backtracking runs along the
+type's block and one Woodbury solve over the goods: one dense goods x goods
+solve (LU, by np.linalg.solve) plus work linear in the incidence's entry
+pairs, and never a matrix over the splits.  Armijo backtracking runs along the
 projection arc; a step whose predicted gain (the Newton decrement) is below
 the objective's rounding is taken whole.  A round ends once the decrement is
 at that level and the projected gradient is at most 1e-12 or has not halved
@@ -33,8 +34,9 @@ in three steps.
 
 After each round the gap is tried at the marginal-cost prices p = c(y(z));
 only if that misses the target is p improved by L-BFGS-B on D, with a
-subgradient.  The posted prices are always c(y); the improved p only
-certifies.
+subgradient (SciPy's, imported on that first use, so that a solve that never
+needs it loads NumPy only).  The posted prices are always c(y); the improved
+p only certifies.
 
 The program works on the instance's struct-of-arrays forms: the stacked
 bundle incidence, the DemandBatch of its curves and a batched cost (the
@@ -48,8 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import minimize
 
 from .market import (
     MarketInstance,
@@ -210,8 +210,8 @@ class _FlowProgram:
         k *= s[:, None] * s
         k.flat[:: n_goods + 1] += 1.0
         rhs = s * np.bincount(self._goods, u[self._rows], minlength=n_goods)
-        # k is symmetric with every eigenvalue at least 1: a Cholesky solve.
-        t = s * dpotrs(dpotrf(k)[0], rhs)[0]
+        # k is symmetric with every eigenvalue at least 1, so well conditioned.
+        t = s * np.linalg.solve(k, rhs)
         return u - solve_b(np.bincount(self._rows, t[self._goods], minlength=len(z)))
 
     def dual(self, p):
@@ -253,6 +253,18 @@ class _FlowProgram:
         return gap, target
 
 
+def minimize(fun, x0, **kwargs):
+    """scipy.optimize.minimize, imported on the first call.
+
+    Only certificate's dual price search calls it, and only when the gap at
+    p = c(y) misses its target, so no command imports SciPy unless that
+    happens.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
+
+
 def _run_newton(program, z, max_iters):
     """One round of damped projected Newton on F = -SW(z) from z (see the module docstring).
 
@@ -266,6 +278,14 @@ def _run_newton(program, z, max_iters):
         history.append(pg)
         # grad is the gradient of SW, so F rises with z_k where grad_k < 0.
         fixed = (z <= min(1e-6, pg)) & (grad < 0.0)
+        # A bundle at zero stays there unless it gains more than every bundle
+        # its type uses below the cap, which can take the mass instead.  One
+        # that differs from a used bundle only in goods at c'(0) = 0 would
+        # otherwise get half of each mass shift, the damped step having no
+        # curvature to tell the two apart, and cycle in and out of zero.
+        used = (z > 0.0) & (z < program.caps)
+        best = np.maximum.reduceat(np.where(used, grad, -np.inf), program.offsets[:-1])
+        fixed |= (z == 0.0) & (grad <= np.repeat(best, program.sizes))
         d = program.newton_step(z, grad, ~fixed, max(pg, _DAMPING_FLOOR))
         # A full step sends the fixed coordinates to 0; a shorter one only
         # moves them toward it, so that every short enough step is a descent.

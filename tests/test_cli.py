@@ -66,3 +66,39 @@ def test_solver_flags_do_not_leak_between_calls(twin_goods_instance, tmp_path, m
     assert cli.main(["solve-welfare", "--in", str(infile), "--out", out, "--tol", "1e-6"]) == cli.EXIT_OK
     assert cli.main(["solve-welfare", "--in", str(infile), "--out", out]) == cli.EXIT_OK
     assert tols == [1e-6, SolverConfig().tol]
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(-1e-12, "0.000000000"), (-0.0, "0.000000000"), (0.0, "0.000000000"),
+     (-4e-10, "0.000000000"), (-2e-9, "-0.000000002"), (1.5, "1.500000000")],
+)
+def test_verify_details_print_rounded_zero_unsigned(value, text):
+    assert cli._fixed9(value) == text
+
+
+def test_verify_ladder_details_have_no_negative_zero(tmp_path):
+    # The ladder's welfare gap at the start is SW* less the first rung's SW,
+    # zero up to rounding here; it printed as "-0.000000000".
+    instance = {
+        "schema_version": "1",
+        "goods": [
+            {"id": "g0", "cost": {"family": "power", "a": 0.6644171607515976, "beta": 1.5695574413379723}},
+            {"id": "g1", "cost": {"family": "power", "a": 0.8702515148981068, "beta": 2.412555509373561}},
+            {"id": "g2", "cost": {"family": "power", "a": 0.7557596053188127, "beta": 1.4995806889469674}},
+        ],
+        "buyer_types": [
+            {"id": "t000", "bundles": [["g1"]], "demand": {
+                "family": "exponential", "lambda_max": 1.0, "alpha": 0.0,
+                "scale": 0.7744294624426651, "support_ceiling": 10.699138414775236}},
+            {"id": "t001", "bundles": [["g0"], ["g0", "g2"], ["g0", "g1", "g2"]], "demand": {
+                "family": "linear", "lambda_max": 1.0, "alpha": 0.0,
+                "scale": 0.9639913857383425, "support_ceiling": 0.9639913857383425}},
+        ],
+    }
+    infile, outfile = tmp_path / "instance.json", tmp_path / "verify.json"
+    infile.write_text(json.dumps(instance))
+    assert cli.main(["verify", "--in", str(infile), "--out", str(outfile)]) == cli.EXIT_OK
+    checks = {c["name"]: c["detail"] for c in json.loads(outfile.read_text())["checks"]}
+    assert checks["ladder_welfare_gap_at_start"].startswith("0.000000000 <= ")
+    assert not any(detail.startswith("-0.000000000") for detail in checks.values())

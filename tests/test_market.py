@@ -1,5 +1,7 @@
 """Market model: best response, allocation, bookkeeping, and cost lemmas."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from bicrit import (
     min_bundle_price,
     min_cost_allocation,
 )
-from bicrit.market import KKT_TOL, SPLIT_DUST, argmin_bundles, split_kkt_violation
+from bicrit.market import KKT_TOL, SPLIT_DUST, _linked_goods, argmin_bundles, split_kkt_violation
 from bicrit.oracle import oracle_min_split_cost
 
 from conftest import random_multi_minded_instance, random_prices, random_unit_demand_instance
@@ -153,6 +155,44 @@ def _violation_by_type(inst, allocation, split, admissible):
             if split.get((t.type_id, b), 0.0) > SPLIT_DUST:
                 worst = max(worst, float(s) - best)
     return worst
+
+
+def _canonical(labels):
+    """Each entry's label replaced by the first index carrying it: equal iff the partitions are."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return first[inverse.ravel()]
+
+
+class TestLinkedGoods:
+    """split_min_cost's union-find over the goods the free types touch."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_scipy_connected_components(self, seed):
+        # SciPy only serves as the reference here; bicrit does not import it.
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import connected_components
+
+        rng = np.random.default_rng(seed)
+        n_types, n_goods = int(rng.integers(1, 60)), int(rng.integers(1, 80))
+        incidence = rng.random((n_types, n_goods)) < rng.uniform(0.005, 0.08)
+        incidence[np.arange(n_types), rng.integers(0, n_goods, n_types)] = True
+        owner, goods = np.nonzero(incidence)
+        n = n_types + n_goods
+        links = csr_array((np.ones(len(owner)), (owner, n_types + goods)), shape=(n, n))
+        _, want = connected_components(links, directed=False)
+        got = _linked_goods(n_goods, owner, goods)
+        np.testing.assert_array_equal(_canonical(got), _canonical(want[n_types:]))
+
+    def test_chain_of_ten_thousand_goods_is_one_component_within_a_second(self):
+        # Type k wants good k or good k + 1: a path through every good, deep
+        # enough to overflow a recursive find.
+        n_goods = 10_000
+        owner = np.repeat(np.arange(n_goods - 1), 2)
+        goods = owner + np.tile([0, 1], n_goods - 1)
+        start = time.perf_counter()
+        labels = _linked_goods(n_goods, owner, goods)
+        assert time.perf_counter() - start < 1.0
+        assert np.all(labels == labels[0])
 
 
 class TestEvaluate:

@@ -16,7 +16,7 @@ from bicrit import (
 )
 from bicrit.multi_minded import _ReserveFloored
 from bicrit.oracle import oracle_min_split_cost
-from bicrit.solver import _FlowProgram, projected_gradient_norm
+from bicrit.solver import _FlowProgram, _run_newton, projected_gradient_norm
 
 from conftest import random_unit_demand_instance, random_multi_minded_instance
 
@@ -85,6 +85,23 @@ class TestOptimalityCertificates:
                 for t in inst.buyer_types
             ]
             assert projected_gradient_norm(inst, splits) <= 1e-10 * (1.0 + abs(opt.sw))
+
+    def test_round_with_bundles_tied_at_zero_cost_slope_reaches_full_precision(self):
+        # Draw 24: b0 wants {g0}, {g0, g3} or {g2}, b1 {g0, g1} or {g2}.  At
+        # the optimum b0 uses {g0} and {g2}, and both zero-mass bundles tie
+        # with them (c(0) = c'(0) = 0 on g1 and g3).  While b1's {g0, g1}
+        # drained, b0's {g0, g3} was fixed at zero, released and given half of
+        # b0's shifting mass, and the round stalled at 1.2e-8.
+        rng = np.random.default_rng(12345)
+        for _ in range(600):
+            random_unit_demand_instance(rng, 0.5)
+        draws = [(0.0, 2), (0.3, 2), (0.6, 2), (0.0, 3), (0.3, 3), (0.6, 3)]
+        for k in range(25):
+            inst = random_multi_minded_instance(rng, *draws[k % 6])
+        assert (len(inst.goods), len(inst.buyer_types)) == (4, 2)
+        program = _FlowProgram(inst, inst.cost_batch)
+        z = _run_newton(program, np.zeros(program.caps.size), SolverConfig().max_iters)
+        assert program.projected_gradient(z) <= 1e-12
 
     def test_multi_minded_instances_certify(self):
         rng = np.random.default_rng(71)
