@@ -10,9 +10,10 @@ curves and costs compiled into a DemandBatch and a CostBatch.  Bundle
 prices, envy-free demand and welfare are computed over these in one pass
 per price vector, not type by type.
 
-The min-cost split solves each connected component of the goods that the
-types free to split touch by active-set Newton, and stops only when
-split_kkt_violation's used-bundle spread is at most 0.1 * KKT_TOL.
+The min-cost split is the welfare program's fixed-mass limit: one
+flow.FlowProgram over all goods, run by the same Newton loop as the welfare
+solve.  It stops only once split_kkt_violation's used-bundle spread is at
+most 0.1 * KKT_TOL, or after flow.ROUNDS rounds.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from .costs import CostBatch, CostFunction
 from .demand import DemandBatch, InverseDemand
+from .flow import ROUNDS, FlowProgram, _run_newton
 
 __all__ = [
     "BuyerType",
@@ -49,6 +51,8 @@ SPLIT_DUST = 1e-12
 KKT_TOL = 1e-6
 
 _PEAK_TOL = 1e-9
+# Newton steps per round of the min-cost split: a safety cap.
+_SPLIT_STEPS = 500
 
 
 class MarketValidationError(ValueError):
@@ -296,15 +300,6 @@ def _argmin_bundle_sets(inst, tied):
     return [np.flatnonzero(tied[offsets[i] : offsets[i + 1]]) for i in range(len(offsets) - 1)]
 
 
-def argmin_bundles(inst: MarketInstance, prices: dict[str, float]):
-    """Per type id, the bundles tied at the cheapest price."""
-    _, _, tied = _bundle_prices(inst, inst.price_vector(prices))
-    return {
-        t.type_id: [t.bundles[j] for j in sets]
-        for t, sets in zip(inst.buyer_types, _argmin_bundle_sets(inst, tied))
-    }
-
-
 @lru_cache(maxsize=16)
 def _cost_batch(cost_fns: tuple[CostFunction, ...]) -> CostBatch:
     """CostBatch of cost_fns, compiled once per set of costs."""
@@ -316,9 +311,8 @@ def split_min_cost(cost_fns, masks, totals):
 
     masks is one (m_i, n_goods) incidence matrix per type and totals the mass
     each type must route.  Types with a single admissible bundle are folded
-    into the fixed base allocation.  The others, the free types, are grouped
-    by connected component of the goods their bundles touch; costs are
-    separable over goods, so _newton_split solves each component apart.
+    into the fixed base allocation.  The others, the free types, form one
+    fixed-mass FlowProgram over all goods, started from even splits.
 
     Returns (list of per-type split vectors, allocation vector y).
     """
@@ -338,128 +332,18 @@ def split_min_cost(cost_fns, masks, totals):
         return splits, base
 
     sizes = np.array([masks[i].shape[0] for i in free])
+    masses = np.array([totals[i] for i in free], dtype=float)
     stacked = np.vstack([masks[i] for i in free])
-    owner = np.repeat(np.arange(len(free)), sizes)
-    rows, cols = np.nonzero(stacked)
-    good_label = _linked_goods(n_goods, owner[rows], cols)
-    # np.nonzero lists the entries row by row, so each type's entries form
-    # one run; all its goods share a label, the label of its first.
-    type_label = good_label[cols[np.searchsorted(owner[rows], np.arange(len(free)))]]
-    y = base.copy()
-    for comp in np.unique(type_label):
-        members = np.flatnonzero(type_label == comp)
-        goods = np.flatnonzero(good_label == comp)
-        mask = stacked[np.ix_(type_label[owner] == comp, goods)]
-        costs = CostBatch([cost_fns[g] for g in goods])
-        masses = np.array([totals[free[k]] for k in members])
-        z = _newton_split(costs, mask, base[goods], sizes[members], masses)
-        y[goods] += mask.T @ z
-        for k, part in zip(members, np.split(z, np.cumsum(sizes[members])[:-1])):
-            splits[free[k]] = part
-    return splits, y
-
-
-def _linked_goods(n_goods, owner, goods):
-    """Component label of each good, linking the goods that one owner touches.
-
-    owner[e] and goods[e] are the incidence's nonzeros.  The label is the
-    component's root good, found by union-find with union by size and path
-    halving: no recursion, and near-linear time in the nonzeros.
-    """
-    parent = list(range(n_goods))
-    size = [1] * n_goods
-
-    def find(g):
-        while parent[g] != g:
-            parent[g] = parent[parent[g]]
-            g = parent[g]
-        return g
-
-    first = {}
-    for o, g in zip(owner.tolist(), goods.tolist()):
-        a, b = find(first.setdefault(o, g)), find(g)
-        if a != b:
-            if size[a] < size[b]:
-                a, b = b, a
-            parent[b] = a
-            size[a] += size[b]
-    return np.array([find(g) for g in range(n_goods)], dtype=np.intp)
-
-
-def _newton_split(costs, mask, base, sizes, totals):
-    """Active-set Newton for min sum C(base + mask^T z), z >= 0, block sums = totals.
-
-    z holds each type's bundle masses, sizes[i] of them per type.  Each step
-    solves the equality-constrained Newton system over the working set W, the
-    used bundles plus those at their type's cheapest marginal-cost sum: the
-    Hessian is mask_W diag(c'(y)) mask_W^T and each type's mass stays fixed.
-    Armijo backtracking then searches along the projection arc: the step is
-    clipped at z >= 0 and each block rescaled to its exact total, so one step
-    can empty many bundles, where a ratio test would stop at the first, and a
-    zero-mass bundle that the step would drive negative just stays at zero.
-    The loop ends only on the used-bundle spread, never on a small change in
-    cost.
-    """
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    z = np.repeat(totals / sizes, sizes)
-    for _ in range(500):  # a safety cap: no component has needed over 14 steps
-        y = base + mask.T @ z
-        sums = mask @ costs.marginal(y)
-        if _used_spread(sums, z > SPLIT_DUST, starts) <= 0.1 * KKT_TOL:
+    program = FlowProgram(stacked, sizes, _cost_batch(tuple(cost_fns)), masses=masses, base=base)
+    z = np.repeat(masses / sizes, sizes)
+    for _ in range(ROUNDS):
+        z = _run_newton(program, z, _SPLIT_STEPS)
+        # The used-bundle spread, as split_kkt_violation measures it.
+        if np.max(-program.gradient(z), where=z > SPLIT_DUST, initial=0.0) <= 0.1 * KKT_TOL:
             break
-        # Each bundle's excess over its type's cheapest: the gradient, less
-        # a per-type constant that the fixed masses make irrelevant.
-        gaps = sums - np.repeat(np.minimum.reduceat(sums, starts), sizes)
-        work = (z > 0.0) | (gaps == 0.0)
-        d = _newton_direction(mask, costs.slope(y), gaps, work, z, starts, owner)
-        if not gaps @ d < 0.0:
-            break
-        step = 1.0
-        cost = float(costs.total(y).sum())
-        while True:
-            z_new = np.maximum(z + step * d, 0.0)
-            z_new *= np.repeat(totals / np.add.reduceat(z_new, starts), sizes)
-            cost_new = float(costs.total(base + mask.T @ z_new).sum())
-            # The slack is rounding in the cost sums: near the optimum a
-            # Newton step's decrease falls below it.
-            if cost_new <= cost + 1e-4 * float(gaps @ (z_new - z)) + 1e-15 * cost:
-                break
-            step *= 0.5
-        z = z_new
-    return z
-
-
-def _newton_direction(mask, curvature, gaps, work, z, starts, owner):
-    """Newton step on the working set: zero outside it, zero net mass per type.
-
-    Mass moves between each type's largest bundle and its other working
-    bundles, so every block keeps its total.  Exchanges between types that
-    leave y unchanged make the system singular; least squares takes the
-    smallest such step.
-    """
-    ref = np.lexsort((-z, owner))[starts]
-    w = np.flatnonzero(work)
-    w = w[w != ref[owner[w]]]
-    r = ref[owner[w]]
-    rows = mask[w] - mask[r]
-    u = np.linalg.lstsq((rows * curvature) @ rows.T, gaps[r] - gaps[w], rcond=None)[0]
-    d = np.zeros(len(z))
-    d[w] = u
-    d[ref] = -np.bincount(owner[w], weights=u, minlength=len(starts))
-    return d
-
-
-def _used_spread(sums, used, starts, allowed=None):
-    """Largest gap between a used bundle's marginal-cost sum and its type's cheapest.
-
-    sums holds every bundle's marginal-cost sum, each type's bundles in one
-    run from starts; allowed, if given, masks the bundles the cheapest is
-    taken over.  Zero certifies that the split is cost minimal.
-    """
-    best = np.minimum.reduceat(sums if allowed is None else np.where(allowed, sums, np.inf), starts)
-    gaps = sums - np.repeat(best, np.diff(starts, append=len(sums)))
-    return float(np.max(gaps, where=used, initial=0.0))
+    for i, part in zip(free, np.split(z, program.offsets[1:-1])):
+        splits[i] = part
+    return splits, program.allocation(z)
 
 
 def min_cost_allocation(inst: MarketInstance, prices: dict[str, float], demand):
@@ -544,8 +428,11 @@ def split_kkt_violation(inst: MarketInstance, allocation, split, admissible=None
     sums = inst.stacked_masks @ inst.marginal_vector(yvec)
     used = np.zeros(len(sums), dtype=bool)
     used[[inst.bundle_rows[key] for key, v in split.items() if v > SPLIT_DUST]] = True
-    allowed = None
+    allowed = sums
     if admissible is not None:
-        allowed = np.zeros(len(sums), dtype=bool)
-        allowed[[inst.bundle_rows[(tid, b)] for tid, bs in admissible.items() for b in bs]] = True
-    return _used_spread(sums, used, inst.bundle_offsets[:-1], allowed)
+        allowed = np.full(len(sums), np.inf)
+        rows = [inst.bundle_rows[(tid, b)] for tid, bs in admissible.items() for b in bs]
+        allowed[rows] = sums[rows]
+    best = np.minimum.reduceat(allowed, inst.bundle_offsets[:-1])
+    gaps = sums - np.repeat(best, inst.bundle_sizes)
+    return float(np.max(gaps, where=used, initial=0.0))

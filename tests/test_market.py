@@ -16,10 +16,16 @@ from bicrit import (
     min_bundle_price,
     min_cost_allocation,
 )
-from bicrit.market import KKT_TOL, SPLIT_DUST, _linked_goods, argmin_bundles, split_kkt_violation
+from bicrit.market import KKT_TOL, SPLIT_DUST, _argmin_bundle_sets, _bundle_prices, split_kkt_violation
 from bicrit.oracle import oracle_min_split_cost
 
-from conftest import random_multi_minded_instance, random_prices, random_unit_demand_instance
+from conftest import (
+    random_cost,
+    random_demand,
+    random_multi_minded_instance,
+    random_prices,
+    random_unit_demand_instance,
+)
 
 
 @pytest.fixture
@@ -123,6 +129,49 @@ class TestSplitKKT:
             routed = sum(v for (t, _), v in split.items() if t == tid)
             assert routed == pytest.approx(mass, rel=1e-12)
 
+    def test_chain_of_four_hundred_goods_splits_exactly_within_two_seconds(self):
+        # Four types per adjacent pair of goods, each wanting g_k or g_k+1:
+        # at equal prices every bundle ties and all 1,596 types form one
+        # chain through the goods, which the split solves as one program.
+        rng = np.random.default_rng(29)
+        n_goods = 400
+        goods = [(f"g{k:03d}", random_cost(rng)) for k in range(n_goods)]
+        types = [
+            (f"b{k:03d}{j}", [[f"g{k:03d}"], [f"g{k + 1:03d}"]], random_demand(rng, 0.0))
+            for k in range(n_goods - 1)
+            for j in range(4)
+        ]
+        inst = MarketInstance.create(goods, types)
+        start = time.perf_counter()
+        sol = evaluate(inst, dict.fromkeys(inst.good_ids, 0.5))
+        assert time.perf_counter() - start < 2.0
+        assert split_kkt_violation(inst, sol.allocation, sol.split) <= 0.1 * KKT_TOL
+        routed = dict.fromkeys(sol.demand, 0.0)
+        for (tid, _), v in sol.split.items():
+            routed[tid] += v
+        for tid, mass in sol.demand.items():
+            assert routed[tid] == pytest.approx(mass, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_type_of_tiny_mass_follows_its_cheapest_bundle(self, linear_demand):
+        # From even splits b0's g0 is the dearer bundle, and b0's mass lies
+        # below the step's active-set threshold, so g0 is fixed at zero.  b1
+        # then drains g0 onto g2 and b2 fills g1: b0's whole mass sits on
+        # its dearer bundle.  Unless the block's largest entry stays free,
+        # that step empties the block (a division by zero) and b0 stays put.
+        inst = MarketInstance.create(
+            [(f"g{k}", CostFunction.power(a, 1.0)) for k, a in enumerate((3.0, 1.0, 0.1, 5.0))],
+            [
+                ("b0", [["g0"], ["g1"]], linear_demand),
+                ("b1", [["g0"], ["g2"]], linear_demand),
+                ("b2", [["g1"], ["g3"]], linear_demand),
+            ],
+        )
+        demand = {"b0": 1e-8, "b1": 1.0, "b2": 1.0}
+        split, y = min_cost_allocation(inst, dict.fromkeys(inst.good_ids, 0.0), demand)
+        assert split_kkt_violation(inst, y, split) <= 0.1 * KKT_TOL
+        assert split[("b0", ("g0",))] == pytest.approx(1e-8, rel=1e-12)
+
     def test_violation_matches_per_type_loop(self):
         # Random splits over random bundles, some outside the admissible sets.
         for seed in range(20):
@@ -155,44 +204,6 @@ def _violation_by_type(inst, allocation, split, admissible):
             if split.get((t.type_id, b), 0.0) > SPLIT_DUST:
                 worst = max(worst, float(s) - best)
     return worst
-
-
-def _canonical(labels):
-    """Each entry's label replaced by the first index carrying it: equal iff the partitions are."""
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    return first[inverse.ravel()]
-
-
-class TestLinkedGoods:
-    """split_min_cost's union-find over the goods the free types touch."""
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_matches_scipy_connected_components(self, seed):
-        # SciPy only serves as the reference here; bicrit does not import it.
-        from scipy.sparse import csr_array
-        from scipy.sparse.csgraph import connected_components
-
-        rng = np.random.default_rng(seed)
-        n_types, n_goods = int(rng.integers(1, 60)), int(rng.integers(1, 80))
-        incidence = rng.random((n_types, n_goods)) < rng.uniform(0.005, 0.08)
-        incidence[np.arange(n_types), rng.integers(0, n_goods, n_types)] = True
-        owner, goods = np.nonzero(incidence)
-        n = n_types + n_goods
-        links = csr_array((np.ones(len(owner)), (owner, n_types + goods)), shape=(n, n))
-        _, want = connected_components(links, directed=False)
-        got = _linked_goods(n_goods, owner, goods)
-        np.testing.assert_array_equal(_canonical(got), _canonical(want[n_types:]))
-
-    def test_chain_of_ten_thousand_goods_is_one_component_within_a_second(self):
-        # Type k wants good k or good k + 1: a path through every good, deep
-        # enough to overflow a recursive find.
-        n_goods = 10_000
-        owner = np.repeat(np.arange(n_goods - 1), 2)
-        goods = owner + np.tile([0, 1], n_goods - 1)
-        start = time.perf_counter()
-        labels = _linked_goods(n_goods, owner, goods)
-        assert time.perf_counter() - start < 1.0
-        assert np.all(labels == labels[0])
 
 
 class TestEvaluate:
@@ -289,7 +300,11 @@ class TestSolutionIdentities:
                 assert per_good[g] == pytest.approx(sol.allocation[g], abs=1e-9)
             # Cost minimality holds within the argmin-priced bundles the
             # envy-free response is allowed to use.
-            admissible = argmin_bundles(inst, sol.prices)
+            _, _, tied = _bundle_prices(inst, inst.price_vector(sol.prices))
+            admissible = {
+                t.type_id: [t.bundles[j] for j in sets]
+                for t, sets in zip(inst.buyer_types, _argmin_bundle_sets(inst, tied))
+            }
             assert split_kkt_violation(inst, sol.allocation, sol.split, admissible) <= 1e-6
 
 

@@ -14,9 +14,10 @@ from bicrit import (
     min_cost_allocation,
     solve_welfare,
 )
+from bicrit.flow import FlowProgram
 from bicrit.multi_minded import _ReserveFloored
 from bicrit.oracle import oracle_min_split_cost
-from bicrit.solver import _FlowProgram, _run_newton, projected_gradient_norm
+from bicrit.solver import _FlowProgram, _run_newton
 
 from conftest import random_unit_demand_instance, random_multi_minded_instance
 
@@ -69,7 +70,7 @@ class TestOptimalityCertificates:
                 splits.append(
                     np.array([opt.split.get((t.type_id, b), 0.0) for b in t.bundles])
                 )
-            norm = projected_gradient_norm(inst, splits)
+            norm = _FlowProgram(inst, inst.cost_batch).projected_gradient(np.concatenate(splits))
             assert norm <= 1e-6 * (1.0 + abs(opt.sw))
 
     def test_solutions_meet_kkt_to_solver_precision(self):
@@ -84,7 +85,8 @@ class TestOptimalityCertificates:
                 np.array([opt.split.get((t.type_id, b), 0.0) for b in t.bundles])
                 for t in inst.buyer_types
             ]
-            assert projected_gradient_norm(inst, splits) <= 1e-10 * (1.0 + abs(opt.sw))
+            norm = _FlowProgram(inst, inst.cost_batch).projected_gradient(np.concatenate(splits))
+            assert norm <= 1e-10 * (1.0 + abs(opt.sw))
 
     def test_round_with_bundles_tied_at_zero_cost_slope_reaches_full_precision(self):
         # Draw 24: b0 wants {g0}, {g0, g3} or {g2}, b1 {g0, g1} or {g2}.  At
@@ -254,31 +256,47 @@ class TestNewtonStep:
 
     @pytest.mark.parametrize("reserve", [None, 0.3])
     def test_matches_dense_damped_newton_system(self, reserve):
-        rng = np.random.default_rng(47)
-        for ratio in (1, 2, 4):
-            inst = random_multi_minded_instance(rng, alpha=0.4, size_ratio=ratio)
-            costs = inst.cost_batch if reserve is None else _ReserveFloored(inst, reserve)
-            program = _FlowProgram(inst, costs)
-            n = program.caps.size
-            # Some coordinates at zero, so that a reserve binds on some goods.
-            z = rng.uniform(0.0, 0.6, size=n) * (rng.random(n) < 0.7)
-            x, y = program.totals(z), program.allocation(z)
-            owner = np.repeat(np.arange(len(x)), program.sizes)
-            types = (owner[:, None] == owner[None, :]).astype(float)
-            w = -inst.demand_batch.derivative(x)
-            hessian = w[owner][:, None] * types + (inst.stacked_masks * costs.slope(y)) @ inst.stacked_masks.T
-            grad = program.gradient(z)
-            # Within a type, B^-1 is 1 / damping across the 1 direction, so
-            # rounding in the goods-space correction grows like 1 / damping.
-            for damping in (1.0, 1e-3, 1e-6):
-                free = rng.random(n) < 0.8
-                want = np.zeros(n)
-                system = hessian[np.ix_(free, free)] + damping * np.eye(free.sum())
-                want[free] = np.linalg.solve(system, grad[free])
-                got = program.newton_step(z, grad, free, damping)
-                scale = np.abs(want).max()
-                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * (1.0 + 1.0 / damping) * scale)
-                assert np.all(got[~free] == 0.0)
+        # The welfare program, then the min-cost split of the same masses
+        # (w = inf), at the same points of the same instances.
+        for fixed_mass in (False, True):
+            rng = np.random.default_rng(47)
+            for ratio in (1, 2, 4):
+                inst = random_multi_minded_instance(rng, alpha=0.4, size_ratio=ratio)
+                costs = inst.cost_batch if reserve is None else _ReserveFloored(inst, reserve)
+                program = _FlowProgram(inst, costs)
+                n = program.caps.size
+                # Some coordinates at zero, so that a reserve binds on some goods.
+                z = rng.uniform(0.0, 0.6, size=n) * (rng.random(n) < 0.7)
+                x = program.totals(z)
+                owner = np.repeat(np.arange(len(x)), program.sizes)
+                types = (owner[:, None] == owner[None, :]).astype(float)
+                if fixed_mass:
+                    # The split routes on top of a base: the single-bundle types' goods.
+                    base = rng.uniform(0.0, 0.5, size=len(inst.goods))
+                    program = FlowProgram(inst.stacked_masks, inst.bundle_sizes, costs, masses=x, base=base)
+                    curvature = 0.0
+                else:
+                    curvature = -inst.demand_batch.derivative(x)[owner][:, None] * types
+                y = program.allocation(z)
+                hessian = curvature + (inst.stacked_masks * costs.slope(y)) @ inst.stacked_masks.T
+                grad = program.gradient(z)
+                # Within a type, B^-1 is 1 / damping across the 1 direction, so
+                # rounding in the goods-space correction grows like 1 / damping.
+                for damping in (1.0, 1e-3, 1e-6):
+                    free = rng.random(n) < 0.8
+                    want = np.zeros(n)
+                    system = hessian[np.ix_(free, free)] + damping * np.eye(free.sum())
+                    if fixed_mass:
+                        # w = inf holds each type's mass: [[H_c + mu I, E^T], [E, 0]] on the free coordinates.
+                        e = (np.unique(owner[free])[:, None] == owner[free]).astype(float)
+                        system = np.block([[system, e.T], [e, np.zeros((len(e), len(e)))]])
+                        want[free] = np.linalg.solve(system, np.concatenate([grad[free], np.zeros(len(e))]))[: free.sum()]
+                    else:
+                        want[free] = np.linalg.solve(system, grad[free])
+                    got = program.newton_step(z, grad, free, damping)
+                    scale = np.abs(want).max()
+                    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * (1.0 + 1.0 / damping) * scale)
+                    assert np.all(got[~free] == 0.0)
 
 
 class TestProjectedGradient:
@@ -291,8 +309,7 @@ class TestProjectedGradient:
         want = np.max(np.abs(z - np.clip(z + g, 0.0, program.caps)))
         assert program.projected_gradient(z) == want
         assert program.projected_gradient(z, g) == want
-        splits = np.split(z, program.offsets[1:-1])
-        assert projected_gradient_norm(inst, splits) == want
+        assert _FlowProgram(inst, inst.cost_batch).projected_gradient(z) == want
 
     def test_vanishes_at_the_analytic_optimum(self, twin_goods_instance):
         # lambda(x) = 1 - x and c(y) = y on both goods: the optimum splits 2/3 evenly.

@@ -118,6 +118,20 @@ class TestClusters:
                 tp, sol = price_unit_demand(inst, opt=opt)
                 assert low_cluster_hazard_condition(inst, tp, sol) == []
 
+    def test_high_cluster_allocation_is_the_welfare_optimum(self):
+        # H goods keep their welfare prices, so the evaluated split must
+        # rebuild the optimum's allocation on them to the split's precision,
+        # far inside the 1e-7 price tie band.
+        rng = np.random.default_rng(2024)
+        for k in range(120):
+            inst = random_unit_demand_instance(rng, (0.0, 0.3, 0.6)[k % 3], max_goods=6, max_types=40)
+            opt = solve_welfare(inst)
+            tp, sol = price_unit_demand(inst, opt=opt)
+            for g in inst.good_ids:
+                if tp.good_cluster[g] == "H":
+                    y = opt.allocation[g]
+                    assert abs(sol.allocation[g] - y) <= 1e-10 * (1.0 + abs(y)), (k, g)
+
 
 class TestTheoremBounds:
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5])
