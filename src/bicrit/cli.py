@@ -84,17 +84,24 @@ def _cmd_solve_welfare(args) -> int:
 def _cmd_evaluate(args) -> int:
     inst = _load(args)
     spec = args.prices.strip()
+    # Integers parse as floats, so one too large for a float reads as inf.
     if spec.startswith("{"):
-        prices = json.loads(spec)
+        prices = json.loads(spec, parse_int=float)
     else:
         with open(spec, "r", encoding="utf-8") as fh:
-            prices = json.load(fh)
+            prices = json.load(fh, parse_int=float)
+    if not isinstance(prices, dict):
+        raise instances.InstanceFormatError(["prices: expected an object mapping good id to price"])
     missing = [g for g in inst.good_ids if g not in prices]
-    if missing:
-        raise instances.InstanceFormatError(
-            [f"prices: missing goods {missing}"]
-        )
-    sol = evaluate(inst, {g: float(prices[g]) for g in inst.good_ids})
+    problems = [f"prices: missing goods {missing}"] if missing else []
+    problems += [
+        f"prices: good {g!r} has price {json.dumps(prices[g])}, not a finite real number"
+        for g in inst.good_ids
+        if g in prices and not (isinstance(prices[g], float) and math.isfinite(prices[g]))
+    ]
+    if problems:
+        raise instances.InstanceFormatError(problems)
+    sol = evaluate(inst, prices)
     _emit({"command": "evaluate", "solution": _solution_record(sol)}, args.out)
     return EXIT_OK
 

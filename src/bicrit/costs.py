@@ -8,6 +8,7 @@ the pricing guarantees lean on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,6 +63,10 @@ class CostFunction:
     breakpoints: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
+        fields = {"a": [self.a], "beta": [self.beta], "breakpoints": [v for bp in self.breakpoints for v in bp]}
+        for name, values in fields.items():
+            if not all(map(math.isfinite, values)):
+                raise CostDomainError(f"cost {name} must be finite")
         if self.family not in ("power", "piecewise-power"):
             raise CostDomainError(f"unknown cost family {self.family!r}")
         if not self.a > 0:

@@ -151,6 +151,11 @@ class InverseDemand:
     points: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
+        fields = {name: [getattr(self, name)] for name in ("lambda_max", "alpha", "scale", "support_ceiling")}
+        fields["points"] = [v for p in self.points or () for v in p]
+        for name, values in fields.items():
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite")
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown demand family {self.family!r}")
         if not self.lambda_max > 0:

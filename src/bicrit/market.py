@@ -4,11 +4,15 @@ A market couples goods (each with a production cost) and buyer types (each
 with a set of acceptable bundles and an inverse demand curve).  Populations
 are continuous: demand quantities are real masses of infinitesimal buyers.
 
-An instance caches its struct-of-arrays forms: every type's bundles stacked
-into one incidence matrix (rows of type i from bundle_offsets[i]), and its
-curves and costs compiled into a DemandBatch and a CostBatch.  Bundle
+An instance caches its struct-of-arrays forms: one dense 0/1 incidence,
+stacked_masks, with a row per (type, bundle) of bundle_keys (type i's rows
+from bundle_offsets[i]; any one type's incidence is a row slice of it), and
+its curves and costs compiled into a DemandBatch and a CostBatch.  Bundle
 prices, envy-free demand and welfare are computed over these in one pass
-per price vector, not type by type.
+per price vector, not type by type.  A split is a vector over the same rows,
+and _solution is the one place that turns prices, demand, split and
+allocation into a PricingSolution: for evaluate and for the solver's
+welfare and ladder solves alike.
 
 The min-cost split is the welfare program's fixed-mass limit: one
 flow.FlowProgram over all goods, run by the same Newton loop as the welfare
@@ -141,17 +145,13 @@ class MarketInstance:
         return tuple(c for _, c in self.goods)
 
     @cached_property
-    def bundle_masks(self) -> tuple[np.ndarray, ...]:
-        """Per type, a (bundle count, good count) 0/1 incidence matrix."""
-        n = len(self.goods)
-        masks = []
-        for t in self.buyer_types:
-            m = np.zeros((len(t.bundles), n))
-            for j, b in enumerate(t.bundles):
-                for g in b:
-                    m[j, self.good_index[g]] = 1.0
-            masks.append(m)
-        return tuple(masks)
+    def type_ids(self) -> tuple[str, ...]:
+        return tuple(t.type_id for t in self.buyer_types)
+
+    @cached_property
+    def bundle_keys(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """(type id, bundle) of each row of stacked_masks."""
+        return tuple((t.type_id, b) for t in self.buyer_types for b in t.bundles)
 
     @cached_property
     def bundle_sizes(self) -> np.ndarray:
@@ -164,14 +164,16 @@ class MarketInstance:
 
     @cached_property
     def stacked_masks(self) -> np.ndarray:
-        """Every type's bundle_masks, stacked in type order."""
-        return np.vstack(self.bundle_masks)
+        """The 0/1 bundle x good incidence: one row per bundle_keys entry."""
+        entries = [(row, self.good_index[g]) for row, (_, b) in enumerate(self.bundle_keys) for g in b]
+        masks = np.zeros((len(self.bundle_keys), len(self.goods)))
+        masks[tuple(np.array(entries).T)] = 1.0
+        return masks
 
     @cached_property
     def bundle_rows(self) -> dict[tuple[str, tuple[str, ...]], int]:
         """(type id, bundle) -> its row of stacked_masks."""
-        keys = ((t.type_id, b) for t in self.buyer_types for b in t.bundles)
-        return {key: row for row, key in enumerate(keys)}
+        return {key: row for row, key in enumerate(self.bundle_keys)}
 
     @cached_property
     def demand_batch(self) -> DemandBatch:
@@ -234,9 +236,6 @@ class PricingSolution:
     profit: float
     paid: dict[str, float]
 
-    def demand_vector(self, inst: MarketInstance) -> np.ndarray:
-        return np.array([self.demand[t.type_id] for t in inst.buyer_types])
-
     def allocation_vector(self, inst: MarketInstance) -> np.ndarray:
         return np.array([self.allocation[g] for g in inst.good_ids])
 
@@ -250,7 +249,7 @@ def min_bundle_price(inst: MarketInstance, prices: dict[str, float], type_id: st
     pvec = inst.price_vector(prices)
     for idx, t in enumerate(inst.buyer_types):
         if t.type_id == type_id:
-            sums = inst.bundle_masks[idx] @ pvec
+            sums = inst.stacked_masks[inst.bundle_offsets[idx] : inst.bundle_offsets[idx + 1]] @ pvec
             first = int(np.flatnonzero(tied_bundles(sums, inst.lambda_max))[0])
             return float(np.min(sums)), t.bundles[first]
     raise KeyError(f"unknown buyer type {type_id!r}")
@@ -292,12 +291,6 @@ def _bundle_prices(inst: MarketInstance, pvec):
     cheapest = np.minimum.reduceat(sums, inst.bundle_offsets[:-1])
     tied = _within_tie_band(sums, np.repeat(cheapest, inst.bundle_sizes), inst.lambda_max)
     return sums, cheapest, tied
-
-
-def _argmin_bundle_sets(inst, tied):
-    """Per type: indices of its bundles in the stacked tie mask tied."""
-    offsets = inst.bundle_offsets
-    return [np.flatnonzero(tied[offsets[i] : offsets[i + 1]]) for i in range(len(offsets) - 1)]
 
 
 @lru_cache(maxsize=16)
@@ -352,21 +345,49 @@ def min_cost_allocation(inst: MarketInstance, prices: dict[str, float], demand):
     demand maps type id -> mass and is expected to be a best response to the
     prices.  Returns (split dict, allocation dict).
     """
-    _, _, tied = _bundle_prices(inst, inst.price_vector(prices))
-    return _min_cost_split(inst, tied, [float(demand[t.type_id]) for t in inst.buyer_types])
+    pvec = inst.price_vector(prices)
+    _, cheapest, tied = _bundle_prices(inst, pvec)
+    xvec = np.array([float(demand[tid]) for tid in inst.type_ids])
+    sol = _solution(inst, pvec, cheapest, xvec, *_min_cost_split(inst, tied, xvec))
+    return sol.split, sol.allocation
 
 
 def _min_cost_split(inst: MarketInstance, tied, totals):
-    """min_cost_allocation over the stacked tie mask tied, one mass per type."""
-    sets = _argmin_bundle_sets(inst, tied)
-    masks = [full_mask[rows] for full_mask, rows in zip(inst.bundle_masks, sets)]
+    """min_cost_allocation over the stacked tie mask tied, one mass per type.
+
+    Returns (z, y): the split in stacked_masks row order, zero off the tied
+    rows, and the allocation vector.
+    """
+    rows = inst.stacked_masks[tied]
+    # A type's tied rows end at the running count of tied rows on its last row.
+    ends = np.cumsum(tied)[inst.bundle_offsets[1:] - 1].tolist()
+    masks = [rows[start:end] for start, end in zip([0, *ends], ends)]
     splits, y = split_min_cost(inst.cost_functions, masks, totals)
-    split_dict = {}
-    for t, rows, sp in zip(inst.buyer_types, sets, splits):
-        for j, v in zip(rows, sp):
-            if v > SPLIT_DUST:
-                split_dict[(t.type_id, t.bundles[j])] = float(v)
-    return split_dict, inst.prices_dict(y)
+    z = np.zeros(len(tied))
+    z[tied] = np.concatenate(splits)
+    return z, y
+
+
+def _solution(inst: MarketInstance, pvec, cheapest, xvec, z, yvec) -> PricingSolution:
+    """The PricingSolution of posting pvec, the one place that builds one.
+
+    cheapest is each type's cheapest bundle price at pvec, xvec the types'
+    demand, z the split in stacked_masks row order (entries up to SPLIT_DUST
+    are dropped) and yvec the allocation.  Welfare and profit are measured
+    with the instance's own costs.
+    """
+    cost = inst.total_cost(yvec)
+    utility = float(np.sum(inst.demand_batch.utility_integral(xvec)))
+    used = np.flatnonzero(z > SPLIT_DUST)
+    return PricingSolution(
+        prices=inst.prices_dict(pvec),
+        demand=dict(zip(inst.type_ids, xvec.tolist())),
+        split=dict(zip([inst.bundle_keys[r] for r in used], z[used].tolist())),
+        allocation=inst.prices_dict(yvec),
+        sw=float(utility - cost),
+        profit=float(pvec @ yvec) - cost,
+        paid=dict(zip(inst.type_ids, cheapest.tolist())),
+    )
 
 
 def evaluate(inst: MarketInstance, prices: dict[str, float]) -> PricingSolution:
@@ -374,22 +395,7 @@ def evaluate(inst: MarketInstance, prices: dict[str, float]) -> PricingSolution:
     pvec = inst.price_vector(prices)
     _, cheapest, tied = _bundle_prices(inst, pvec)
     xvec = inst.demand_batch.demand_at_price(cheapest)
-    type_ids = [t.type_id for t in inst.buyer_types]
-    demand = dict(zip(type_ids, xvec.tolist()))
-    split, allocation = _min_cost_split(inst, tied, xvec.tolist())
-    yvec = np.array([allocation[g] for g in inst.good_ids])
-    utility = float(np.sum(inst.demand_batch.utility_integral(xvec)))
-    cost = inst.total_cost(yvec)
-    income = float(pvec @ yvec)
-    return PricingSolution(
-        prices={g: float(prices[g]) for g in inst.good_ids},
-        demand=demand,
-        split=split,
-        allocation=allocation,
-        sw=float(utility - cost),
-        profit=income - cost,
-        paid=dict(zip(type_ids, cheapest.tolist())),
-    )
+    return _solution(inst, pvec, cheapest, xvec, *_min_cost_split(inst, tied, xvec.tolist()))
 
 
 def buyer_marginal_costs(
@@ -403,18 +409,15 @@ def buyer_marginal_costs(
     to the cheapest bundle by marginal cost.
     """
     yvec = np.array([allocation[g] for g in inst.good_ids])
-    marg = inst.marginal_vector(yvec)
-    out = {}
-    for t, mask in zip(inst.buyer_types, inst.bundle_masks):
-        sums = mask @ marg
-        used = None
-        if split is not None:
-            used = [j for j, b in enumerate(t.bundles) if split.get((t.type_id, b), 0.0) > SPLIT_DUST]
-        if used:
-            out[t.type_id] = float(min(sums[j] for j in used))
-        else:
-            out[t.type_id] = float(np.min(sums))
-    return out
+    sums = inst.stacked_masks @ inst.marginal_vector(yvec)
+    starts = inst.bundle_offsets[:-1]
+    best = np.minimum.reduceat(sums, starts)
+    if split is not None:
+        used = np.zeros(len(sums), dtype=bool)
+        used[[inst.bundle_rows[key] for key, v in split.items() if v > SPLIT_DUST]] = True
+        best_used = np.minimum.reduceat(np.where(used, sums, np.inf), starts)
+        best = np.where(np.logical_or.reduceat(used, starts), best_used, best)
+    return dict(zip(inst.type_ids, best.tolist()))
 
 
 def split_kkt_violation(inst: MarketInstance, allocation, split, admissible=None) -> float:

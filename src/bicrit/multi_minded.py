@@ -24,7 +24,7 @@ import numpy as np
 
 from .analysis import BOUND_TOL, peak_ratio, selection_base_factor
 from .market import MarketInstance, PricingSolution
-from .solver import SolverConfig, SolverError, _solution_from_splits, _solve_flow
+from .solver import SolverConfig, SolverError, _marginal_solution, _solve_flow
 from .unit_demand import resolve_alpha, threshold_price
 
 __all__ = [
@@ -119,8 +119,8 @@ def augmented_we(
         raise ValueError("dummy price must be positive")
     cfg = cfg or SolverConfig()
     floored = _ReserveFloored(inst, dummy_price)
-    result = _solve_flow(inst, floored, cfg, start)
-    solution = _solution_from_splits(inst, result.splits, result.y, floored)
+    z, y = _solve_flow(inst, floored, cfg, start)
+    solution = _marginal_solution(inst, z, y, floored)
     margin = _SAT_TOL * (1.0 + dummy_price)
     return LadderSolution(
         index=0,
@@ -129,7 +129,7 @@ def augmented_we(
         saturated=frozenset(
             g for g, p in solution.prices.items() if p > dummy_price + margin
         ),
-        dummy_allocation=inst.prices_dict(np.maximum(floored.y0 - result.y, 0.0)),
+        dummy_allocation=inst.prices_dict(np.maximum(floored.y0 - y, 0.0)),
     )
 
 

@@ -88,7 +88,9 @@ def _sweep(inst: MarketInstance, grid: GridSpec):
     Y = np.zeros_like(P)
     utility = np.zeros(n_combos)
     income = np.zeros(n_combos)
-    for t, mask in zip(inst.buyer_types, inst.bundle_masks):
+    offsets = inst.bundle_offsets
+    for t, lo, hi in zip(inst.buyer_types, offsets[:-1], offsets[1:]):
+        mask = inst.stacked_masks[lo:hi]
         sums = P @ mask.T
         q = sums.min(axis=1)
         d = t.demand
@@ -168,7 +170,9 @@ def oracle_min_split_cost(
     pvec = inst.price_vector(prices)
     per_type = []
     n = len(inst.good_ids)
-    for t, mask in zip(inst.buyer_types, inst.bundle_masks):
+    offsets = inst.bundle_offsets
+    for t, lo, hi in zip(inst.buyer_types, offsets[:-1], offsets[1:]):
+        mask = inst.stacked_masks[lo:hi]
         x = float(demand[t.type_id])
         tied = np.flatnonzero(tied_bundles(mask @ pvec, inst.lambda_max))
         if x <= 0.0:

@@ -23,7 +23,9 @@ p only certifies.
 The program works on the instance's struct-of-arrays forms: the stacked
 bundle incidence, the DemandBatch of its curves and a batched cost (the
 instance's CostBatch, or reserve-floored costs on a ladder rung).  Each dual
-evaluation is one kernel call per family.
+evaluation is one kernel call per family.  A solve returns its split, in
+stacked_masks row order, and its allocation; market._solution turns them
+into the PricingSolution, posted at the marginals of the solved costs.
 """
 
 from __future__ import annotations
@@ -33,12 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import ROUNDS, FlowProgram, _run_newton
-from .market import (
-    MarketInstance,
-    PricingSolution,
-    SPLIT_DUST,
-    _bundle_prices,
-)
+from .market import MarketInstance, PricingSolution, SPLIT_DUST, _bundle_prices, _solution
 
 __all__ = [
     "SolverConfig",
@@ -72,12 +69,6 @@ class SolverError(RuntimeError):
         super().__init__(message)
         self.best_splits = best_splits
         self.residual = residual
-
-
-@dataclass
-class FlowResult:
-    splits: list[np.ndarray]
-    y: np.ndarray
 
 
 class _FlowProgram(FlowProgram):
@@ -145,11 +136,12 @@ def minimize(fun, x0, **kwargs):
     return scipy_minimize(fun, x0, **kwargs)
 
 
-def _solve_flow(inst: MarketInstance, costs, cfg: SolverConfig, start=None) -> FlowResult:
-    """Certified optimum of the program against costs.
+def _solve_flow(inst: MarketInstance, costs, cfg: SolverConfig, start=None):
+    """Certified optimum (z, y) of the program against costs.
 
-    The first round starts from start, a split in stacked_masks row order
-    (zero if None), clipped into [0, cap].
+    z is the split in stacked_masks row order, entries below SPLIT_DUST
+    zeroed, and y the allocation.  The first round starts from start, a
+    split in the same order (zero if None), clipped into [0, cap].
     """
     program = _FlowProgram(inst, costs)
     z = np.zeros(int(program.offsets[-1])) if start is None else start
@@ -165,47 +157,17 @@ def _solve_flow(inst: MarketInstance, costs, cfg: SolverConfig, start=None) -> F
             residual=gap,
         )
     z[z < SPLIT_DUST] = 0.0
-    splits = [
-        z[program.offsets[k] : program.offsets[k + 1]]
-        for k in range(len(program.sizes))
-    ]
-    return FlowResult(splits=splits, y=program.allocation(z))
+    return z, program.allocation(z)
 
 
-def _solution_from_splits(inst: MarketInstance, splits, y, costs) -> PricingSolution:
-    """Assemble a solved program's solution, pricing at the marginals of costs.
-
-    costs is the batched cost the program was solved against; welfare and
-    profit are always measured with the instance's own costs.
-    """
-    yvec = np.asarray(y, dtype=float)
-    prices = costs.marginal(yvec)
+def _marginal_solution(inst: MarketInstance, z, y, costs) -> PricingSolution:
+    """The solution of a solved program (z, y), posted at the marginals of its costs."""
+    prices = costs.marginal(y)
     _, cheapest, _ = _bundle_prices(inst, prices)
-    xvec = np.array([float(np.sum(sp)) for sp in splits])
-    demand = {}
-    split_dict = {}
-    for t, sp, x in zip(inst.buyer_types, splits, xvec.tolist()):
-        demand[t.type_id] = x
-        for b, v in zip(t.bundles, sp):
-            if v > SPLIT_DUST:
-                split_dict[(t.type_id, b)] = float(v)
-    utility = float(np.sum(inst.demand_batch.utility_integral(xvec)))
-    cost = inst.total_cost(yvec)
-    income = float(prices @ yvec)
-    return PricingSolution(
-        prices=inst.prices_dict(prices),
-        demand=demand,
-        split=split_dict,
-        allocation=inst.prices_dict(yvec),
-        sw=float(utility - cost),
-        profit=income - cost,
-        paid={t.type_id: float(q) for t, q in zip(inst.buyer_types, cheapest)},
-    )
+    return _solution(inst, prices, cheapest, np.add.reduceat(z, inst.bundle_offsets[:-1]), z, y)
 
 
 def solve_welfare(inst: MarketInstance, cfg: SolverConfig | None = None) -> PricingSolution:
     """Welfare-maximizing solution with each good priced at its marginal cost."""
-    cfg = cfg or SolverConfig()
-    result = _solve_flow(inst, inst.cost_batch, cfg)
-    return _solution_from_splits(inst, result.splits, result.y, inst.cost_batch)
-
+    z, y = _solve_flow(inst, inst.cost_batch, cfg or SolverConfig())
+    return _marginal_solution(inst, z, y, inst.cost_batch)

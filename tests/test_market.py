@@ -16,7 +16,7 @@ from bicrit import (
     min_bundle_price,
     min_cost_allocation,
 )
-from bicrit.market import KKT_TOL, SPLIT_DUST, _argmin_bundle_sets, _bundle_prices, split_kkt_violation
+from bicrit.market import KKT_TOL, SPLIT_DUST, _bundle_prices, split_kkt_violation
 from bicrit.oracle import oracle_min_split_cost
 
 from conftest import (
@@ -192,12 +192,33 @@ class TestSplitKKT:
                     _violation_by_type(inst, allocation, split, allowed), rel=1e-12, abs=1e-15
                 )
 
+    def test_buyer_marginal_costs_match_per_type_loop(self):
+        # The least marginal-cost sum over each type's used bundles, or over
+        # all of them where the type uses none (or no split is given).
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            inst = random_multi_minded_instance(rng, 0.3, 1 + seed % 3)
+            allocation = {g: float(rng.uniform(0.0, 2.0)) for g in inst.good_ids}
+            split = {
+                (t.type_id, b): float(rng.choice([0.0, 1e-13, rng.uniform(0.1, 1.0)]))
+                for t in inst.buyer_types
+                for b in t.bundles
+            }
+            marg = inst.marginal_vector(np.array([allocation[g] for g in inst.good_ids]))
+            for given in (None, split):
+                expected = {}
+                for t in inst.buyer_types:
+                    sums = {b: sum(float(marg[inst.good_index[g]]) for g in b) for b in t.bundles}
+                    used = [b for b in t.bundles if given is not None and given[(t.type_id, b)] > SPLIT_DUST]
+                    expected[t.type_id] = min(sums[b] for b in used or t.bundles)
+                assert buyer_marginal_costs(inst, allocation, given) == pytest.approx(expected, rel=1e-12)
+
 
 def _violation_by_type(inst, allocation, split, admissible):
     marg = inst.marginal_vector(np.array([allocation[g] for g in inst.good_ids]))
     worst = 0.0
-    for t, mask in zip(inst.buyer_types, inst.bundle_masks):
-        sums = mask @ marg
+    for t in inst.buyer_types:
+        sums = [sum(float(marg[inst.good_index[g]]) for g in b) for b in t.bundles]
         allowed = t.bundles if admissible is None else admissible[t.type_id]
         best = min(float(s) for s, b in zip(sums, t.bundles) if b in allowed)
         for s, b in zip(sums, t.bundles):
@@ -302,8 +323,8 @@ class TestSolutionIdentities:
             # envy-free response is allowed to use.
             _, _, tied = _bundle_prices(inst, inst.price_vector(sol.prices))
             admissible = {
-                t.type_id: [t.bundles[j] for j in sets]
-                for t, sets in zip(inst.buyer_types, _argmin_bundle_sets(inst, tied))
+                t.type_id: [b for b in t.bundles if tied[inst.bundle_rows[(t.type_id, b)]]]
+                for t in inst.buyer_types
             }
             assert split_kkt_violation(inst, sol.allocation, sol.split, admissible) <= 1e-6
 
