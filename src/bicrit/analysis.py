@@ -15,6 +15,7 @@ from .market import PricingSolution
 
 __all__ = [
     "GuaranteeCertificate",
+    "certificate",
     "mm_profit_factor",
     "mm_welfare_factor",
     "peak_decay",
@@ -55,17 +56,12 @@ def peak_ratio(alpha: float) -> float:
 
 
 def zeta(alpha: float) -> float:
-    """Profit factor 2 * peak_ratio + alpha/(1-alpha); 2e at alpha = 0.
+    """Profit factor c1 + c2 = 2 * peak_ratio + alpha/(1-alpha); 2e at alpha = 0.
 
     Unbounded (inf) at alpha = 1, where thresholded pricing keeps a
     vanishing revenue share.
     """
-    _check_alpha(alpha)
-    if alpha < ALPHA_LIMIT:
-        return 2.0 * math.e
-    if alpha >= 1.0:
-        return math.inf
-    return 2.0 * peak_ratio(alpha) + alpha / (1.0 - alpha)
+    return sum(threshold_coefficients(alpha))
 
 
 def welfare_factor(alpha: float) -> float:
@@ -100,7 +96,7 @@ def threshold_coefficients(alpha: float) -> tuple[float, float]:
     """(c1, c2) with SW <= c1 * profit and SW* - SW <= c2 * profit.
 
     These are the two sides of the thresholded-pricing analysis:
-    c1 = 2 * peak_ratio - 1 and c2 = 1/(1 - alpha); c1 + c2 = zeta and
+    c1 = 2 * peak_ratio - 1 and c2 = 1/(1 - alpha); zeta is c1 + c2 and
     c2 + 1 = welfare_factor.
     """
     _check_alpha(alpha)
@@ -172,46 +168,31 @@ def _ratios(sw_star: float, sol: PricingSolution) -> tuple[float, float]:
     return profit_ratio, welfare_ratio
 
 
-def certificate_unit_demand(
-    alpha: float, sw_star: float, sol: PricingSolution
+def certificate(
+    alpha: float, sw_star: float, sol: PricingSolution, bundle_size_ratio: float | None = None
 ) -> GuaranteeCertificate:
-    """Certificate for a thresholded unit-demand solution."""
+    """Certificate of a solution against its pricer's profit and welfare factors.
+
+    bundle_size_ratio None means thresholded unit-demand pricing, judged by
+    zeta and welfare_factor; otherwise the ladder selection at that ratio,
+    judged by mm_profit_factor and mm_welfare_factor.
+    """
     tol = BOUND_TOL * (1.0 + abs(sw_star))
     pr, wr = _ratios(sw_star, sol)
     z, w = zeta(alpha), welfare_factor(alpha)
+    pf = wf = None
+    if bundle_size_ratio is not None:
+        pf, wf = mm_profit_factor(alpha, bundle_size_ratio), mm_welfare_factor(alpha)
     return GuaranteeCertificate(
         alpha=alpha,
         zeta=z,
         welfare_factor=w,
-        mm_profit_factor=None,
-        mm_welfare_factor=None,
-        achieved_profit_ratio=pr,
-        achieved_welfare_ratio=wr,
-        verdicts={
-            "profit_vs_optimal_welfare": _verdict(pr, z, tol),
-            "welfare_vs_optimal_welfare": _verdict(wr, w, tol),
-        },
-    )
-
-
-def certificate_multi_minded(
-    alpha: float, bundle_size_ratio: float, sw_star: float, sol: PricingSolution
-) -> GuaranteeCertificate:
-    """Certificate for the ladder-selected multi-bundle solution."""
-    tol = BOUND_TOL * (1.0 + abs(sw_star))
-    pr, wr = _ratios(sw_star, sol)
-    pf = mm_profit_factor(alpha, bundle_size_ratio)
-    wf = mm_welfare_factor(alpha)
-    return GuaranteeCertificate(
-        alpha=alpha,
-        zeta=zeta(alpha),
-        welfare_factor=welfare_factor(alpha),
         mm_profit_factor=pf,
         mm_welfare_factor=wf,
         achieved_profit_ratio=pr,
         achieved_welfare_ratio=wr,
         verdicts={
-            "profit_vs_optimal_welfare": _verdict(pr, pf, tol),
-            "welfare_vs_optimal_welfare": _verdict(wr, wf, tol),
+            "profit_vs_optimal_welfare": _verdict(pr, z if pf is None else pf, tol),
+            "welfare_vs_optimal_welfare": _verdict(wr, w if wf is None else wf, tol),
         },
     )

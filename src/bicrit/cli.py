@@ -112,7 +112,7 @@ def _cmd_price_ud(args) -> int:
     opt = solve_welfare(inst, cfg)
     tp, sol = unit_demand.price_unit_demand(inst, cfg, alpha=args.alpha, opt=opt)
     alpha = unit_demand.resolve_alpha(inst, args.alpha)
-    cert = analysis.certificate_unit_demand(alpha, opt.sw, sol)
+    cert = analysis.certificate(alpha, opt.sw, sol)
     record = {
         "command": "price-ud",
         "alpha": alpha,
@@ -124,8 +124,7 @@ def _cmd_price_ud(args) -> int:
         "certificate": cert.to_dict(),
     }
     if args.diagnostics:
-        report = unit_demand.cluster_diagnostics(inst, tp, sol, opt)
-        record["cluster_violations"] = report.violations
+        record["cluster_violations"] = unit_demand.cluster_diagnostics(inst, tp, sol, opt)
         record["hazard_violations"] = unit_demand.low_cluster_hazard_condition(
             inst, tp, sol
         )
@@ -154,9 +153,7 @@ def _cmd_price_mm(args) -> int:
     opt = solve_welfare(inst, cfg)
     rungs = multi_minded.ladder(inst, opt, cfg, alpha=alpha)
     selected = multi_minded.select_index(inst, rungs, opt, alpha=alpha)
-    cert = analysis.certificate_multi_minded(
-        alpha, inst.bundle_size_ratio, opt.sw, selected.solution
-    )
+    cert = analysis.certificate(alpha, opt.sw, selected.solution, inst.bundle_size_ratio)
     checks = multi_minded.certify_ladder(inst, opt, rungs, alpha=alpha)
     checks += multi_minded.certify_selection(inst, opt, selected, alpha=alpha)
     record = {
@@ -220,7 +217,7 @@ def _verify_checks(inst, args) -> list[dict]:
 
     opt = solve_welfare(inst, cfg)
     sw_star = opt.sw
-    tol = 1e-6 * (1.0 + abs(sw_star))
+    tol = analysis.BOUND_TOL * (1.0 + abs(sw_star))
 
     marg = inst.marginal_vector(opt.allocation_vector(inst))
     identity = max(
@@ -255,11 +252,11 @@ def _verify_checks(inst, args) -> list[dict]:
 
     if inst.is_unit_demand():
         tp, sol = unit_demand.price_unit_demand(inst, cfg, opt=opt)
-        cert = analysis.certificate_unit_demand(inst.alpha, sw_star, sol)
+        cert = analysis.certificate(inst.alpha, sw_star, sol)
         for name, verdict in cert.verdicts.items():
             add(f"thresholded_{name}", verdict != "FAIL", verdict)
-        report = unit_demand.cluster_diagnostics(inst, tp, sol, opt)
-        add("cluster_structure", report.ok(), "; ".join(report.violations))
+        violations = unit_demand.cluster_diagnostics(inst, tp, sol, opt)
+        add("cluster_structure", not violations, "; ".join(violations))
         hazards = unit_demand.low_cluster_hazard_condition(inst, tp, sol)
         add("low_cluster_hazard", not hazards, "; ".join(hazards))
     else:

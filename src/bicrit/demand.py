@@ -360,18 +360,6 @@ class InverseDemand:
             d["points"] = [list(p) for p in self.points]
         return d
 
-    @staticmethod
-    def from_dict(d: dict) -> "InverseDemand":
-        points = d.get("points")
-        return InverseDemand(
-            family=d["family"],
-            lambda_max=float(d["lambda_max"]),
-            alpha=float(d.get("alpha", 0.0)),
-            scale=float(d.get("scale", 1.0)),
-            support_ceiling=float(d["support_ceiling"]),
-            points=tuple((float(x), float(l)) for x, l in points) if points else None,
-        )
-
 
 class DemandBatch:
     """A market's demand curves compiled into one parameter array per kind.

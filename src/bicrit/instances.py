@@ -68,7 +68,26 @@ def _check_unknown(problems, mapping, allowed, where):
             problems.append(f"{where}: unknown key {k!r}")
 
 
+def _is_object(value, where: str, problems: list) -> bool:
+    if not isinstance(value, dict):
+        problems.append(f"{where}: expected an object")
+    return isinstance(value, dict)
+
+
+def _objects(doc: dict, key: str, problems: list):
+    """(where, entry) for each object in the list doc[key]; problems name the rest."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        problems.append(f"{key}: expected a list")
+        return
+    for k, entry in enumerate(entries):
+        if _is_object(entry, f"{key}[{k}]", problems):
+            yield f"{key}[{k}]", entry
+
+
 def _demand_from_spec(spec: dict, where: str, problems: list, strict: bool):
+    if not _is_object(spec, where, problems):
+        return None
     if strict:
         _check_unknown(problems, spec, _DEMAND_KEYS, where)
     family = spec.get("family")
@@ -95,6 +114,8 @@ def _demand_from_spec(spec: dict, where: str, problems: list, strict: bool):
 
 
 def _cost_from_spec(spec: dict, where: str, problems: list, strict: bool):
+    if not _is_object(spec, where, problems):
+        return None
     if strict:
         _check_unknown(problems, spec, _COST_KEYS, where)
     try:
@@ -126,8 +147,7 @@ def loads(text: str, strict: bool = False) -> MarketInstance:
         )
 
     goods = []
-    for k, entry in enumerate(doc.get("goods", [])):
-        where = f"goods[{k}]"
+    for where, entry in _objects(doc, "goods", problems):
         if strict:
             _check_unknown(problems, entry, _GOOD_KEYS, where)
         if "id" not in entry:
@@ -138,8 +158,7 @@ def loads(text: str, strict: bool = False) -> MarketInstance:
             goods.append((str(entry["id"]), cost))
 
     buyer_types = []
-    for k, entry in enumerate(doc.get("buyer_types", [])):
-        where = f"buyer_types[{k}]"
+    for where, entry in _objects(doc, "buyer_types", problems):
         if strict:
             _check_unknown(problems, entry, _TYPE_KEYS, where)
         if "id" not in entry:
@@ -149,7 +168,9 @@ def loads(text: str, strict: bool = False) -> MarketInstance:
             entry.get("demand", {}), f"{where}.demand", problems, strict
         )
         bundles = entry.get("bundles", [])
-        if demand is not None:
+        if not (isinstance(bundles, list) and all(isinstance(b, list) for b in bundles)):
+            problems.append(f"{where}.bundles: expected a list of lists of good ids")
+        elif demand is not None:
             buyer_types.append((str(entry["id"]), bundles, demand))
 
     if problems:

@@ -41,7 +41,6 @@ __all__ = [
     "evaluate",
     "min_bundle_price",
     "min_cost_allocation",
-    "tied_bundles",
 ]
 
 # Bundles whose price is within this (times 1 + lambda_max) of the cheapest
@@ -243,16 +242,15 @@ class PricingSolution:
 def min_bundle_price(inst: MarketInstance, prices: dict[str, float], type_id: str):
     """Cheapest bundle price for the type and one argmin bundle.
 
-    Ties, decided by tied_bundles, resolve to the lexicographically smallest
+    Ties, decided by _bundle_prices, resolve to the lexicographically smallest
     bundle (bundles are stored as sorted good-id tuples, themselves sorted).
     """
-    pvec = inst.price_vector(prices)
-    for idx, t in enumerate(inst.buyer_types):
-        if t.type_id == type_id:
-            sums = inst.stacked_masks[inst.bundle_offsets[idx] : inst.bundle_offsets[idx + 1]] @ pvec
-            first = int(np.flatnonzero(tied_bundles(sums, inst.lambda_max))[0])
-            return float(np.min(sums)), t.bundles[first]
-    raise KeyError(f"unknown buyer type {type_id!r}")
+    if type_id not in inst.type_ids:
+        raise KeyError(f"unknown buyer type {type_id!r}")
+    idx = inst.type_ids.index(type_id)
+    _, cheapest, tied = _bundle_prices(inst, inst.price_vector(prices))
+    first = int(np.argmax(tied[inst.bundle_offsets[idx] : inst.bundle_offsets[idx + 1]]))
+    return float(cheapest[idx]), inst.buyer_types[idx].bundles[first]
 
 
 def best_response(inst: MarketInstance, prices: dict[str, float]) -> dict[str, float]:
@@ -262,35 +260,21 @@ def best_response(inst: MarketInstance, prices: dict[str, float]) -> dict[str, f
     return {t.type_id: float(x) for t, x in zip(inst.buyer_types, demand)}
 
 
-def _within_tie_band(sums, cheapest, lambda_max: float):
-    return sums <= cheapest + PRICE_TIE_REL * (1.0 + lambda_max)
-
-
-def tied_bundles(sums, lambda_max: float) -> np.ndarray:
-    """Mask of the bundle prices tied with the cheapest, over the last axis.
-
-    A bundle ties when its price lies within PRICE_TIE_REL * (1 + lambda_max)
-    of the row minimum.  sums is one type's bundle prices (1-D) or a stack of
-    them (2-D, one row per price vector).
-    This is the one tie rule: oracle._sweep and oracle.oracle_min_split_cost
-    decide ties with it, and _bundle_prices applies the same band to all
-    types at once for min_cost_allocation and evaluate, so the oracles audit
-    exactly the bundle sets the optimizing code splits over.
-    """
-    return _within_tie_band(sums, sums.min(axis=-1, keepdims=True), lambda_max)
-
-
 def _bundle_prices(inst: MarketInstance, pvec):
-    """One pass over the stacked incidence at price vector pvec.
+    """One pass over the stacked incidence at price vector pvec: the one tie rule.
 
-    Returns every bundle's price (in stacked_masks row order), each type's
-    cheapest bundle price, and the mask of bundles tied with their type's
-    cheapest.
+    pvec is one price vector or a stack of them (one per row).  Returns, over
+    the last axis, every bundle's price (in stacked_masks row order), each
+    type's cheapest bundle price, and the mask of bundles tied with their
+    type's cheapest: within PRICE_TIE_REL * (1 + lambda_max) of it.
+    min_bundle_price picks from this mask, min_cost_allocation and evaluate
+    split over it, and oracle._sweep and oracle.oracle_min_split_cost read it
+    too, so the oracles audit exactly the bundle sets the code splits over.
     """
-    sums = inst.stacked_masks @ pvec
-    cheapest = np.minimum.reduceat(sums, inst.bundle_offsets[:-1])
-    tied = _within_tie_band(sums, np.repeat(cheapest, inst.bundle_sizes), inst.lambda_max)
-    return sums, cheapest, tied
+    sums = pvec @ inst.stacked_masks.T
+    cheapest = np.minimum.reduceat(sums, inst.bundle_offsets[:-1], axis=-1)
+    band = np.repeat(cheapest, inst.bundle_sizes, axis=-1) + PRICE_TIE_REL * (1.0 + inst.lambda_max)
+    return sums, cheapest, sums <= band
 
 
 @lru_cache(maxsize=16)

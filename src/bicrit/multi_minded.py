@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import BOUND_TOL, peak_ratio, selection_base_factor
+from .analysis import (
+    BOUND_TOL,
+    mm_profit_factor,
+    mm_welfare_factor,
+    selection_base_factor,
+    threshold_coefficients,
+)
 from .market import MarketInstance, PricingSolution
 from .solver import SolverConfig, SolverError, _marginal_solution, _solve_flow
 from .unit_demand import resolve_alpha, threshold_price
@@ -40,19 +46,6 @@ __all__ = [
 
 # Goods priced above the dummy price by more than this margin count saturated.
 _SAT_TOL = 1e-9
-
-
-def _benchmark_demand(inst, opt, price_floor):
-    caps = {}
-    for t in inst.buyer_types:
-        if price_floor <= 0.0:
-            caps[t.type_id] = t.demand.support_ceiling
-        else:
-            caps[t.type_id] = t.demand.inverse(price_floor)
-    return {
-        t.type_id: min(opt.demand[t.type_id], caps[t.type_id])
-        for t in inst.buyer_types
-    }
 
 
 @dataclass
@@ -173,12 +166,7 @@ def ladder(
 
 def selection_threshold(inst: MarketInstance, alpha: float | None = None) -> float:
     """Largest acceptable SW*/profit ratio when scanning the ladder."""
-    alpha = resolve_alpha(inst, alpha)
-    return (
-        2.0
-        * (math.log2(inst.bundle_size_ratio) + 2.0)
-        * selection_base_factor(alpha)
-    )
+    return mm_profit_factor(resolve_alpha(inst, alpha), inst.bundle_size_ratio)
 
 
 def _optimum_rung(opt: PricingSolution) -> LadderSolution:
@@ -245,7 +233,7 @@ def certify_ladder(
     alpha = resolve_alpha(inst, alpha)
     sw_star = opt.sw
     tol = BOUND_TOL * (1.0 + abs(sw_star))
-    inv = 1.0 / (1.0 - alpha) if alpha < 1.0 else math.inf
+    c1, c2 = threshold_coefficients(alpha)
     checks = []
     by_index = {r.index: r for r in rungs}
     last = max(by_index)
@@ -260,7 +248,7 @@ def certify_ladder(
         BoundCheck(
             "welfare_gap_at_start",
             sw_star - start.sw,
-            (5.0 + 6.0 * inv) * (start.profit + opt.profit),
+            (5.0 + 6.0 * c2) * (start.profit + opt.profit),
             tol,
         )
     )
@@ -279,7 +267,7 @@ def certify_ladder(
         BoundCheck(
             "welfare_at_last_rung",
             top.sw,
-            (2.0 * peak_ratio(alpha) - 1.0) * top.profit,
+            c1 * top.profit,
             tol,
         )
     )
@@ -305,9 +293,6 @@ def certify_selection(
     alpha = resolve_alpha(inst, alpha)
     sw_star = opt.sw
     tol = BOUND_TOL * (1.0 + abs(sw_star))
-    wf = (
-        12.0 * (2.0 - alpha) / (1.0 - alpha) if alpha < 1.0 else math.inf
-    )
     return [
         BoundCheck(
             "selected_profit",
@@ -315,7 +300,9 @@ def certify_selection(
             selection_threshold(inst, alpha) * selected.solution.profit,
             tol,
         ),
-        BoundCheck("selected_welfare", sw_star, wf * selected.solution.sw, tol),
+        BoundCheck(
+            "selected_welfare", sw_star, mm_welfare_factor(alpha) * selected.solution.sw, tol
+        ),
     ]
 
 
@@ -337,12 +324,16 @@ def deviation_violations(
     floor = rung.dummy_price * 2.0 * inst.max_bundle_size
     if floor > inst.lambda_max * (1.0 - 1e-12):
         return []
-    x_a = _benchmark_demand(inst, opt, floor)
+    # The benchmark: the optimum's demand, capped at what each type buys at the floor.
+    x_a = np.minimum(
+        [opt.demand[tid] for tid in inst.type_ids],
+        inst.demand_batch.demand_at_price(np.full(len(inst.buyer_types), floor)),
+    )
     problems = []
     margin = BOUND_TOL * (1.0 + inst.lambda_max)
-    for t in inst.buyer_types:
+    for t, x_bench in zip(inst.buyer_types, x_a):
         lam_now = t.demand.eval(rung.solution.demand[t.type_id])
-        lam_bench = t.demand.eval(x_a[t.type_id])
+        lam_bench = t.demand.eval(x_bench)
         if lam_now <= lam_bench + margin:
             continue
         for b in t.bundles:

@@ -3,8 +3,9 @@
 Two independent checks back the optimizing code: an exhaustive sweep over a
 price grid (demand responses stay exact; only prices are discretized) and an
 exhaustive enumeration of bundle splits on a fraction grid (to audit the
-minimum-cost allocation).  Both are deterministic: sweeps enumerate price
-vectors lexicographically and ties resolve to the first maximizer.
+minimum-cost allocation).  Both decide bundle ties with market._bundle_prices,
+the rule evaluate splits over.  Both are deterministic: sweeps enumerate
+price vectors lexicographically and ties resolve to the first maximizer.
 """
 
 from __future__ import annotations
@@ -15,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import (
-    MarketInstance,
-    evaluate,
-    tied_bundles,
-)
+from .market import MarketInstance, _bundle_prices, evaluate
 
 __all__ = [
     "GridSpec",
@@ -34,6 +31,9 @@ __all__ = [
 _REFINE_TOP = 16
 
 _MAX_SPLIT_COMBOS = 3_000_000
+# The sweeps refuse instances with more goods or more types than this.
+MAX_GOODS = 3
+MAX_TYPES = 3
 
 
 class OracleCapError(ValueError):
@@ -42,12 +42,9 @@ class OracleCapError(ValueError):
 
 @dataclass
 class GridSpec:
-    """Resolution and size caps for the brute-force sweeps."""
+    """Price resolution of the brute-force sweeps."""
 
     price_step: float | None = None
-    split_step: float | None = None
-    max_goods: int = 3
-    max_types: int = 3
 
     def resolve_price_step(self, lambda_max: float) -> float:
         step = self.price_step if self.price_step is not None else lambda_max / 100.0
@@ -56,13 +53,13 @@ class GridSpec:
         return step
 
     def check_caps(self, inst: MarketInstance):
-        if len(inst.goods) > self.max_goods:
+        if len(inst.goods) > MAX_GOODS:
             raise OracleCapError(
-                f"{len(inst.goods)} goods exceed the oracle cap {self.max_goods}"
+                f"{len(inst.goods)} goods exceed the oracle cap {MAX_GOODS}"
             )
-        if len(inst.buyer_types) > self.max_types:
+        if len(inst.buyer_types) > MAX_TYPES:
             raise OracleCapError(
-                f"{len(inst.buyer_types)} types exceed the oracle cap {self.max_types}"
+                f"{len(inst.buyer_types)} types exceed the oracle cap {MAX_TYPES}"
             )
 
 
@@ -80,19 +77,20 @@ def _sweep(inst: MarketInstance, grid: GridSpec):
 
     Demand is the exact envy-free response.  On tied cheapest bundles the
     allocation averages over the tied bundles, which can only overstate cost;
-    the caller re-evaluates its top candidates exactly.
+    the caller re-evaluates its top candidates exactly.  One tie pass covers
+    the whole grid; demand, utility and cost stay a loop over types, which
+    measured faster than one batched call over a combos x types array.
     """
     grid.check_caps(inst)
     P = _price_grid(inst, grid)
     n_combos = P.shape[0]
+    _, cheapest, tied = _bundle_prices(inst, P)
     Y = np.zeros_like(P)
     utility = np.zeros(n_combos)
     income = np.zeros(n_combos)
     offsets = inst.bundle_offsets
-    for t, lo, hi in zip(inst.buyer_types, offsets[:-1], offsets[1:]):
-        mask = inst.stacked_masks[lo:hi]
-        sums = P @ mask.T
-        q = sums.min(axis=1)
+    for i, (t, lo, hi) in enumerate(zip(inst.buyer_types, offsets[:-1], offsets[1:])):
+        q = cheapest[:, i]
         d = t.demand
         with np.errstate(divide="ignore", over="ignore"):
             x = np.where(
@@ -104,9 +102,8 @@ def _sweep(inst: MarketInstance, grid: GridSpec):
                     d._inverse_clamped(np.clip(q, 1e-300, d.lambda_max)),
                 ),
             )
-        tied = tied_bundles(sums, inst.lambda_max)
-        weights = tied / tied.sum(axis=1, keepdims=True)
-        Y += x[:, None] * (weights @ mask)
+        weights = tied[:, lo:hi] / tied[:, lo:hi].sum(axis=1, keepdims=True)
+        Y += x[:, None] * (weights @ inst.stacked_masks[lo:hi])
         utility += d.utility_integral(x)
         income += q * x
     cost = np.zeros(n_combos)
@@ -167,22 +164,21 @@ def oracle_min_split_cost(
     all combinations across types are enumerated.
     An upper bound on the true minimum cost within O(levels^-2).
     """
-    pvec = inst.price_vector(prices)
+    _, _, tied = _bundle_prices(inst, inst.price_vector(prices))
     per_type = []
     n = len(inst.good_ids)
     offsets = inst.bundle_offsets
     for t, lo, hi in zip(inst.buyer_types, offsets[:-1], offsets[1:]):
-        mask = inst.stacked_masks[lo:hi]
+        rows = inst.stacked_masks[lo:hi][tied[lo:hi]]
         x = float(demand[t.type_id])
-        tied = np.flatnonzero(tied_bundles(mask @ pvec, inst.lambda_max))
         if x <= 0.0:
             per_type.append(np.zeros((1, n)))
             continue
-        if len(tied) == 1:
-            per_type.append((x * mask[tied[0]])[None, :])
+        if len(rows) == 1:
+            per_type.append(x * rows)
             continue
-        comps = np.array(list(_compositions(levels, len(tied))), dtype=float)
-        per_type.append((comps / levels * x) @ mask[tied])
+        comps = np.array(list(_compositions(levels, len(rows))), dtype=float)
+        per_type.append((comps / levels * x) @ rows)
     combos = math.prod(a.shape[0] for a in per_type)
     if combos > _MAX_SPLIT_COMBOS:
         raise OracleCapError(f"{combos} split combinations exceed the enumeration cap")

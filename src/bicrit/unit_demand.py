@@ -25,7 +25,6 @@ from .market import (
 from .solver import SolverConfig, solve_welfare
 
 __all__ = [
-    "ClusterReport",
     "ThresholdedPrices",
     "UnitDemandError",
     "cluster_diagnostics",
@@ -106,50 +105,42 @@ def price_unit_demand(
     return tp, sol
 
 
-@dataclass
-class ClusterReport:
-    violations: list[str] = field(default_factory=list)
-
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def cluster_diagnostics(
     inst: MarketInstance,
     tp: ThresholdedPrices,
     sol: PricingSolution,
     opt: PricingSolution,
     tol: float = _DIAG_TOL,
-) -> ClusterReport:
-    """Check the two-cluster structure of a thresholded solution.
+) -> list[str]:
+    """Violations of the two-cluster structure of a thresholded solution.
 
     High-cluster buyers and goods must replicate the welfare optimum exactly;
     low-cluster demand may only shrink and low-cluster marginal costs may only
     drop; nobody may buy across the clusters; and the allocation must stay
     cost minimal for the realized demand.
     """
-    report = ClusterReport()
+    violations = []
     scale = 1.0 + inst.lambda_max
     for t in inst.buyer_types:
         cl = tp.type_cluster[t.type_id]
         x_new, x_opt = sol.demand[t.type_id], opt.demand[t.type_id]
         if cl == "H" and abs(x_new - x_opt) > tol * scale:
-            report.violations.append(
+            violations.append(
                 f"H type {t.type_id}: demand {x_new} differs from optimal {x_opt}"
             )
         if cl == "L" and x_new > x_opt + tol * scale:
-            report.violations.append(
+            violations.append(
                 f"L type {t.type_id}: demand {x_new} above optimal {x_opt}"
             )
     for g, cost in inst.goods:
         cl = tp.good_cluster[g]
         y_new, y_opt = sol.allocation[g], opt.allocation[g]
         if cl == "H" and abs(y_new - y_opt) > tol * scale:
-            report.violations.append(
+            violations.append(
                 f"H good {g}: allocation {y_new} differs from optimal {y_opt}"
             )
         if cl == "L" and cost.marginal(y_new) > cost.marginal(y_opt) + tol * scale:
-            report.violations.append(
+            violations.append(
                 f"L good {g}: marginal cost rose above the optimum's"
             )
     for (tid, bundle), v in sol.split.items():
@@ -157,16 +148,16 @@ def cluster_diagnostics(
             continue
         for g in bundle:
             if tp.good_cluster[g] != tp.type_cluster[tid]:
-                report.violations.append(
+                violations.append(
                     f"type {tid} ({tp.type_cluster[tid]}) buys good {g} "
                     f"({tp.good_cluster[g]}) across clusters"
                 )
     kkt = split_kkt_violation(inst, sol.allocation, sol.split)
     if kkt > tol:
-        report.violations.append(
+        violations.append(
             f"allocation is not cost-minimal for the demand (gap {kkt:.2e})"
         )
-    return report
+    return violations
 
 
 def low_cluster_hazard_condition(

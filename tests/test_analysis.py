@@ -5,10 +5,8 @@ import pytest
 
 from bicrit.analysis import threshold_coefficients, tradeoff_bound, welfare_factor, zeta
 
-ALPHAS = [0.0, 1e-10, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99]
-# Below ALPHA_LIMIT zeta is its alpha -> 0 limit, which drops terms of order
-# alpha that threshold_coefficients keeps.
-REL = 1e-9
+ALPHAS = [0.0, 1e-10, 5e-10, 9.9e-10, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99]
+REL = 1e-15
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)

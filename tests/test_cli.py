@@ -171,6 +171,28 @@ def test_non_finite_instance_field_is_a_validation_error(command, keys, named, t
     assert named[1] in line and "finite" in line
 
 
+@pytest.mark.parametrize(
+    "keys, token, named",
+    [
+        (("goods",), '{"a": 1}', "goods: expected a list"),
+        (("goods", 0), "5", "goods[0]: expected an object"),
+        (("goods", 0, "cost"), "5", "goods[0].cost: expected an object"),
+        (("buyer_types",), '"t0"', "buyer_types: expected a list"),
+        (("buyer_types", 0), '"t"', "buyer_types[0]: expected an object"),
+        (("buyer_types", 0, "demand"), "5", "buyer_types[0].demand: expected an object"),
+        (("buyer_types", 0, "bundles"), '"g1"', "buyer_types[0].bundles: expected a list of lists"),
+        (("buyer_types", 0, "bundles"), '["g0", "g1"]', "buyer_types[0].bundles: expected a list of lists"),
+    ],
+    ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
+)
+def test_malformed_instance_shape_is_a_validation_error(keys, token, named, tmp_path, capsys):
+    infile = _write_instance(tmp_path / "instance.json", _set(*keys), token)
+    assert cli.main(["solve-welfare", "--in", infile, "--out", str(tmp_path / "out.json")]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: {named}" in err
+
+
 def test_infinite_support_ceiling_fails_evaluate_before_any_output(tmp_path, capsys):
     infile = _write_instance(tmp_path / "instance.json", _set("buyer_types", 0, "demand", "support_ceiling"), "Infinity")
     outfile = tmp_path / "out.json"

@@ -1,0 +1,109 @@
+"""Instance files: the dumps/loads round trip, problem reporting and strict keys."""
+
+import json
+
+import pytest
+
+from bicrit import CostFunction, InverseDemand, MarketInstance, cli, instances
+from bicrit.instances import InstanceFormatError
+
+
+@pytest.fixture
+def mixed_instance():
+    # Parameters with at most 12 significant digits, so dumps rounds none; the
+    # generalized-Pareto curve's support is cut at 50 for the same reason.
+    return MarketInstance.create(
+        [
+            ("g1", CostFunction.power(0.5, 1.25)),
+            ("g2", CostFunction.piecewise_power(0.75, 1.5, [(0.5, 2.0)])),
+        ],
+        [
+            ("b1", [["g1"], ["g2"]], InverseDemand.linear(1.0, 0.8)),
+            ("b2", [["g1", "g2"]], InverseDemand("generalized-pareto", 1.0, 0.3, 1.2, 50.0)),
+            ("b3", [["g2"]], InverseDemand.tabulated([(0.0, 1.0), (0.5, 0.4), (1.0, 0.0)], 0.0)),
+        ],
+    )
+
+
+def _doc(inst):
+    return json.loads(instances.dumps(inst))
+
+
+def test_dumps_then_loads_gives_the_same_instance(mixed_instance):
+    text = instances.dumps(mixed_instance, metadata={"family": "mixed"})
+    loaded = instances.loads(text, strict=True)
+    assert loaded == mixed_instance
+    assert instances.dumps(loaded, metadata={"family": "mixed"}) == text
+
+
+def test_save_then_load_gives_the_same_instance(mixed_instance, tmp_path):
+    path = tmp_path / "instance.json"
+    instances.save(mixed_instance, path)
+    assert instances.load(path) == mixed_instance
+
+
+def test_every_problem_is_reported_at_once(mixed_instance):
+    doc = _doc(mixed_instance)
+    doc["schema_version"] = "0"
+    del doc["goods"][0]["id"]
+    doc["goods"][1]["cost"]["family"] = "cubic"
+    doc["buyer_types"][0]["demand"] = 5
+    doc["buyer_types"][1]["bundles"] = "g1"
+    del doc["buyer_types"][2]["demand"]["lambda_max"]
+    with pytest.raises(InstanceFormatError) as exc:
+        instances.loads(json.dumps(doc))
+    problems = exc.value.problems
+    assert len(problems) == 6, problems
+    for where in ["schema_version", "goods[0]", "goods[1].cost", "buyer_types[0].demand",
+                  "buyer_types[1].bundles", "buyer_types[2].demand"]:
+        assert any(p.startswith(where + ":") for p in problems), (where, problems)
+
+
+def test_market_invariants_are_reported_together(mixed_instance):
+    doc = _doc(mixed_instance)
+    doc["goods"][1]["id"] = "g1"
+    doc["buyer_types"][2]["bundles"] = [["g9"]]
+    with pytest.raises(InstanceFormatError) as exc:
+        instances.loads(json.dumps(doc))
+    assert "duplicate good ids" in exc.value.problems
+    assert any("unknown goods ['g9']" in p for p in exc.value.problems)
+
+
+def test_not_json_names_the_position():
+    with pytest.raises(InstanceFormatError, match="line 1, column"):
+        instances.loads("{goods: []}")
+
+
+@pytest.mark.parametrize(
+    "path, where",
+    [
+        ((), "top level"),
+        (("goods", 0), "goods[0]"),
+        (("goods", 1, "cost"), "goods[1].cost"),
+        (("buyer_types", 0), "buyer_types[0]"),
+        (("buyer_types", 1, "demand"), "buyer_types[1].demand"),
+    ],
+    ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
+)
+def test_strict_names_each_unknown_key(mixed_instance, path, where):
+    doc = _doc(mixed_instance)
+    node = doc
+    for key in path:
+        node = node[key]
+    node["colour"] = "red"
+    text = json.dumps(doc)
+    assert instances.loads(text) == mixed_instance
+    with pytest.raises(InstanceFormatError) as exc:
+        instances.loads(text, strict=True)
+    assert exc.value.problems == [f"{where}: unknown key 'colour'"]
+
+
+def test_strict_flag_rejects_unknown_keys_on_the_command_line(mixed_instance, tmp_path, capsys):
+    doc = _doc(mixed_instance)
+    doc["goods"][0]["colour"] = "red"
+    infile = tmp_path / "instance.json"
+    infile.write_text(json.dumps(doc))
+    out = str(tmp_path / "out.json")
+    assert cli.main(["solve-welfare", "--in", str(infile), "--out", out]) == cli.EXIT_OK
+    assert cli.main(["solve-welfare", "--in", str(infile), "--out", out, "--strict"]) == cli.EXIT_VALIDATION
+    assert "error: goods[0]: unknown key 'colour'" in capsys.readouterr().err

@@ -55,10 +55,34 @@ class TestMinBundlePrice:
         "g1_price", [0.4, 0.4 + 5e-8], ids=["exact-tie", "near-tie"]
     )
     def test_tie_breaks_lexicographically(self, substitutes, g1_price):
-        # 5e-8 lies inside the tie band of tied_bundles, so both bundles tie.
+        # 5e-8 lies inside the tie band of _bundle_prices, so both bundles tie.
         q, bundle = min_bundle_price(substitutes, {"g1": g1_price, "g2": 0.4}, "b1")
         assert q == pytest.approx(0.4)
         assert bundle == ("g1",)
+
+    def test_unknown_type_raises_key_error(self, substitutes):
+        with pytest.raises(KeyError, match="b9"):
+            min_bundle_price(substitutes, {"g1": 0.3, "g2": 0.5}, "b9")
+
+
+class TestBundlePrices:
+    def test_a_stack_of_price_vectors_matches_row_by_row_calls(self, linear_demand, quadratic_cost):
+        inst = MarketInstance.create(
+            [("g1", quadratic_cost), ("g2", quadratic_cost), ("g3", quadratic_cost)],
+            [
+                ("b1", [["g1"], ["g2"]], linear_demand),
+                ("b2", [["g1", "g2"], ["g3"]], linear_demand),
+                ("b3", [["g2", "g3"]], linear_demand),
+            ],
+        )
+        prices = np.random.default_rng(41).uniform(0.0, 0.5, size=(5, 3))
+        # Row 0 holds a near tie for b1: g1 costs 5e-8 more than g2.
+        prices[0] = [0.4 + 5e-8, 0.4, 0.3]
+        stacked = _bundle_prices(inst, prices)
+        for k, pvec in enumerate(prices):
+            for whole, row in zip(stacked, _bundle_prices(inst, pvec)):
+                np.testing.assert_array_equal(whole[k], row)
+        np.testing.assert_array_equal(stacked[2][0], [True, True, False, True, True])
 
 
 class TestBestResponse:

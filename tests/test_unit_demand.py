@@ -90,14 +90,14 @@ class TestClusters:
         assert tp.good_cluster == {"g1": "H"}
         assert tp.type_cluster == {"b1": "H"}
         opt = solve_welfare(single_good_instance)
-        assert cluster_diagnostics(single_good_instance, tp, sol, opt).ok()
+        assert cluster_diagnostics(single_good_instance, tp, sol, opt) == []
 
     def test_all_low(self, light_cost_instance):
         tp, sol = price_unit_demand(light_cost_instance)
         assert tp.good_cluster == {"g1": "L"}
         opt = solve_welfare(light_cost_instance)
         assert sol.demand["b1"] <= opt.demand["b1"] + 1e-9
-        assert cluster_diagnostics(light_cost_instance, tp, sol, opt).ok()
+        assert cluster_diagnostics(light_cost_instance, tp, sol, opt) == []
 
     def test_mixed_clusters_have_no_cross_purchases(self, mixed_cluster_instance):
         inst = mixed_cluster_instance
@@ -106,8 +106,8 @@ class TestClusters:
         assert tp.good_cluster["g1"] == "L"
         assert tp.good_cluster["g2"] == "H"
         assert tp.type_cluster == {"b1": "L", "b2": "H"}
-        report = cluster_diagnostics(inst, tp, sol, opt)
-        assert report.ok(), report.violations
+        violations = cluster_diagnostics(inst, tp, sol, opt)
+        assert not violations, violations
 
     def test_low_cluster_hazard_condition(self):
         rng = np.random.default_rng(101)
@@ -147,5 +147,5 @@ class TestTheoremBounds:
             assert opt.sw - sol.sw <= c2 * sol.profit + tol
             assert opt.sw <= zeta(alpha) * sol.profit + tol
             assert opt.sw <= welfare_factor(alpha) * sol.sw + tol
-            report = cluster_diagnostics(inst, tp, sol, opt)
-            assert report.ok(), report.violations
+            violations = cluster_diagnostics(inst, tp, sol, opt)
+            assert not violations, violations
