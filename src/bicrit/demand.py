@@ -223,6 +223,8 @@ class InverseDemand:
     @staticmethod
     def tabulated(points, alpha: float) -> "InverseDemand":
         pts = tuple((float(x), float(l)) for x, l in points)
+        if len(pts) < 2:
+            raise ValueError("tabulated demand needs at least two points")
         return InverseDemand(
             "tabulated", pts[0][1], alpha, 0.0, pts[-1][0], points=pts
         )

@@ -35,6 +35,8 @@ _GOOD_KEYS = {"id", "cost"}
 _COST_KEYS = {"family", "a", "beta", "breakpoints"}
 _TYPE_KEYS = {"id", "bundles", "demand"}
 _DEMAND_KEYS = {"family", "lambda_max", "alpha", "scale", "support_ceiling", "points"}
+# The types JSON numbers decode to; true and false decode to bool, not a number here.
+_NUMBER_TYPES = (int, float)
 
 
 class InstanceFormatError(ValueError):
@@ -85,11 +87,41 @@ def _objects(doc: dict, key: str, problems: list):
             yield f"{key}[{k}]", entry
 
 
+def _fields_are_numbers(spec: dict, keys, pairs_key: str, where: str, problems: list) -> bool:
+    """Whether spec's keys that are present hold numbers, and spec[pairs_key]
+    (if present) a list of number pairs; problems name each field that fails."""
+    bad = [key for key in keys if key in spec and type(spec[key]) not in _NUMBER_TYPES]
+    for key in bad:
+        problems.append(f"{where}.{key}: expected a number, found {spec[key]!r}")
+    pairs = spec.get(pairs_key, [])
+    if not (isinstance(pairs, list) and all(
+        type(p) is list and len(p) == 2 and all(type(v) in _NUMBER_TYPES for v in p) for p in pairs
+    )):
+        problems.append(f"{where}.{pairs_key}: expected a list of [number, number] pairs")
+        return False
+    return not bad
+
+
+def _entry_id(entry: dict, where: str, problems: list):
+    """The entry's id, or None after naming the problem: it must be a string."""
+    if "id" not in entry:
+        problems.append(f"{where}: missing id")
+        return None
+    if not isinstance(entry["id"], str):
+        problems.append(f"{where}.id: expected a string, found {entry['id']!r}")
+        return None
+    return entry["id"]
+
+
 def _demand_from_spec(spec: dict, where: str, problems: list, strict: bool):
     if not _is_object(spec, where, problems):
         return None
     if strict:
         _check_unknown(problems, spec, _DEMAND_KEYS, where)
+    if not _fields_are_numbers(
+        spec, ("lambda_max", "alpha", "scale", "support_ceiling"), "points", where, problems
+    ):
+        return None
     family = spec.get("family")
     try:
         lambda_max = float(spec["lambda_max"])
@@ -118,6 +150,8 @@ def _cost_from_spec(spec: dict, where: str, problems: list, strict: bool):
         return None
     if strict:
         _check_unknown(problems, spec, _COST_KEYS, where)
+    if not _fields_are_numbers(spec, ("a", "beta"), "breakpoints", where, problems):
+        return None
     try:
         return CostFunction.from_dict(spec)
     except KeyError as e:
@@ -150,28 +184,26 @@ def loads(text: str, strict: bool = False) -> MarketInstance:
     for where, entry in _objects(doc, "goods", problems):
         if strict:
             _check_unknown(problems, entry, _GOOD_KEYS, where)
-        if "id" not in entry:
-            problems.append(f"{where}: missing id")
-            continue
+        good_id = _entry_id(entry, where, problems)
         cost = _cost_from_spec(entry.get("cost", {}), f"{where}.cost", problems, strict)
-        if cost is not None:
-            goods.append((str(entry["id"]), cost))
+        if good_id is not None and cost is not None:
+            goods.append((good_id, cost))
 
     buyer_types = []
     for where, entry in _objects(doc, "buyer_types", problems):
         if strict:
             _check_unknown(problems, entry, _TYPE_KEYS, where)
-        if "id" not in entry:
-            problems.append(f"{where}: missing id")
-            continue
+        type_id = _entry_id(entry, where, problems)
         demand = _demand_from_spec(
             entry.get("demand", {}), f"{where}.demand", problems, strict
         )
         bundles = entry.get("bundles", [])
-        if not (isinstance(bundles, list) and all(isinstance(b, list) for b in bundles)):
+        if not (isinstance(bundles, list) and all(
+            isinstance(b, list) and all(isinstance(g, str) for g in b) for b in bundles
+        )):
             problems.append(f"{where}.bundles: expected a list of lists of good ids")
-        elif demand is not None:
-            buyer_types.append((str(entry["id"]), bundles, demand))
+        elif type_id is not None and demand is not None:
+            buyer_types.append((type_id, bundles, demand))
 
     if problems:
         raise InstanceFormatError(problems)

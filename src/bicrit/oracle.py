@@ -6,6 +6,12 @@ exhaustive enumeration of bundle splits on a fraction grid (to audit the
 minimum-cost allocation).  Both decide bundle ties with market._bundle_prices,
 the rule evaluate splits over.  Both are deterministic: sweeps enumerate
 price vectors lexicographically and ties resolve to the first maximizer.
+
+The price sweep values every grid point in one vectorized pass.  Where every
+type has a single cheapest bundle, the allocation is forced and the pass
+computes it exactly; only grid points where some type ties two or more
+bundles, whose allocation the pass averages over the tie, are re-evaluated
+with evaluate's min-cost split, and only among the top candidates.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ __all__ = [
     "oracle_min_split_cost",
 ]
 
-# Exact re-evaluation is run on this many top grid candidates, which repairs
-# the slight cost overestimate the fast pass makes on tied-price points.
+# The best grid point is chosen among this many top candidates of the sweep:
+# exact re-evaluation repairs the cost the sweep overstates on tied points.
 _REFINE_TOP = 16
 
 _MAX_SPLIT_COMBOS = 3_000_000
@@ -75,19 +81,28 @@ def _price_grid(inst: MarketInstance, grid: GridSpec) -> np.ndarray:
 def _sweep(inst: MarketInstance, grid: GridSpec):
     """Vectorized (social welfare, profit) for every grid price vector.
 
-    Demand is the exact envy-free response.  On tied cheapest bundles the
-    allocation averages over the tied bundles, which can only overstate cost;
-    the caller re-evaluates its top candidates exactly.  One tie pass covers
+    Demand is the exact envy-free response.  Returns the grid, both values
+    and the mask of split rows: grid points where some type ties two or more
+    bundles.  There the allocation averages over the tied bundles, which can
+    only overstate cost, so _refine re-evaluates them exactly.  On every other
+    row each type buys its one cheapest bundle, so the allocation is the one
+    evaluate finds.  Its welfare there is evaluate's: the allocation and the
+    utility sum accumulate type by type, in evaluate's order.  Its profit
+    (sum of q x, not p . y) agrees to rounding.  One tie pass covers
     the whole grid; demand, utility and cost stay a loop over types, which
     measured faster than one batched call over a combos x types array.
     """
     grid.check_caps(inst)
     P = _price_grid(inst, grid)
     n_combos = P.shape[0]
-    _, cheapest, tied = _bundle_prices(inst, P)
+    # Keep only the cheapest prices and the tie mask: holding the combos x
+    # bundles price sums through the loop raised the peak resident memory.
+    cheapest, tied = _bundle_prices(inst, P)[1:]
     Y = np.zeros_like(P)
     utility = np.zeros(n_combos)
     income = np.zeros(n_combos)
+    split = np.zeros(n_combos, dtype=bool)
+    masks = inst.stacked_masks
     offsets = inst.bundle_offsets
     for i, (t, lo, hi) in enumerate(zip(inst.buyer_types, offsets[:-1], offsets[1:])):
         q = cheapest[:, i]
@@ -102,41 +117,65 @@ def _sweep(inst: MarketInstance, grid: GridSpec):
                     d._inverse_clamped(np.clip(q, 1e-300, d.lambda_max)),
                 ),
             )
-        weights = tied[:, lo:hi] / tied[:, lo:hi].sum(axis=1, keepdims=True)
-        Y += x[:, None] * (weights @ inst.stacked_masks[lo:hi])
+        if hi - lo == 1:
+            # Weight 1 on the one bundle: its goods' columns take x as is,
+            # which is also far cheaper than broadcasting x over every good.
+            for k in np.flatnonzero(masks[lo]):
+                Y[:, k] += x
+        else:
+            counts = tied[:, lo:hi].sum(axis=1)
+            split |= counts > 1
+            Y += x[:, None] * ((tied[:, lo:hi] / counts[:, None]) @ masks[lo:hi])
         utility += d.utility_integral(x)
         income += q * x
     cost = np.zeros(n_combos)
     for k, c in enumerate(inst.cost_functions):
         cost += c.total(Y[:, k])
-    return P, utility - cost, income - cost
+    return P, utility - cost, income - cost, split
 
 
-def _refine(inst: MarketInstance, P, values, objective: str):
-    """Exactly re-evaluate the top grid candidates and return the best."""
-    top = np.argsort(-values, kind="stable")[:_REFINE_TOP]
-    best_value, best_prices = -np.inf, None
-    for idx in top:
-        prices = inst.prices_dict(P[idx])
-        sol = evaluate(inst, prices)
-        value = sol.sw if objective == "sw" else sol.profit
+def _top_indices(values, k: int):
+    """argsort(-values, kind="stable")[:k] without sorting the whole array.
+
+    Every value at or above the k-th largest, found by np.partition, then a
+    stable sort of those only, which keeps equal values in index order.
+    """
+    if len(values) <= k:
+        return np.argsort(-values, kind="stable")
+    kth = np.partition(values, len(values) - k)[len(values) - k]
+    candidates = np.flatnonzero(values >= kth)
+    return candidates[np.argsort(-values[candidates], kind="stable")][:k]
+
+
+def _refine(inst: MarketInstance, P, values, split, objective: str):
+    """The best of the top grid candidates: (value, prices).
+
+    Only candidates on split rows are re-evaluated with evaluate; on the rest
+    the sweep's value is already exact.  The first of equal values wins.
+    """
+    best_value, best_row = -np.inf, None
+    for idx in _top_indices(values, _REFINE_TOP):
+        value = values[idx]
+        if split[idx]:
+            sol = evaluate(inst, inst.prices_dict(P[idx]))
+            value = sol.sw if objective == "sw" else sol.profit
         if value > best_value + 1e-15:
-            best_value, best_prices = value, prices
-    return best_value, best_prices
+            best_value, best_row = value, idx
+    return float(best_value), None if best_row is None else inst.prices_dict(P[best_row])
 
 
 def oracle_max_welfare(inst: MarketInstance, grid: GridSpec | None = None):
     """Best social welfare over the price grid: (welfare, prices)."""
     grid = grid or GridSpec()
-    P, sw, _ = _sweep(inst, grid)
-    return _refine(inst, P, sw, "sw")
+    P, sw, _, split = _sweep(inst, grid)
+    return _refine(inst, P, sw, split, "sw")
 
 
 def oracle_max_profit(inst: MarketInstance, grid: GridSpec | None = None):
     """Best profit over the price grid: (profit, prices)."""
     grid = grid or GridSpec()
-    P, _, profit = _sweep(inst, grid)
-    return _refine(inst, P, profit, "profit")
+    P, _, profit, split = _sweep(inst, grid)
+    return _refine(inst, P, profit, split, "profit")
 
 
 def _compositions(total_levels: int, parts: int):

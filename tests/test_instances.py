@@ -107,3 +107,45 @@ def test_strict_flag_rejects_unknown_keys_on_the_command_line(mixed_instance, tm
     assert cli.main(["solve-welfare", "--in", str(infile), "--out", out]) == cli.EXIT_OK
     assert cli.main(["solve-welfare", "--in", str(infile), "--out", out, "--strict"]) == cli.EXIT_VALIDATION
     assert "error: goods[0]: unknown key 'colour'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, value, problem",
+    [
+        (("buyer_types", 0, "id"), None, "buyer_types[0].id: expected a string, found None"),
+        (("goods", 1, "id"), 2, "goods[1].id: expected a string, found 2"),
+        (("buyer_types", 1, "demand", "lambda_max"), "1.0",
+         "buyer_types[1].demand.lambda_max: expected a number, found '1.0'"),
+        (("goods", 0, "cost", "a"), True, "goods[0].cost.a: expected a number, found True"),
+        (("goods", 1, "cost", "breakpoints"), 5,
+         "goods[1].cost.breakpoints: expected a list of [number, number] pairs"),
+        (("buyer_types", 2, "demand", "points"), 5,
+         "buyer_types[2].demand.points: expected a list of [number, number] pairs"),
+        (("buyer_types", 2, "demand", "points"), [],
+         "buyer_types[2].demand: tabulated demand needs at least two points"),
+        (("buyer_types", 0, "bundles"), [["g1"], [2]],
+         "buyer_types[0].bundles: expected a list of lists of good ids"),
+    ],
+    ids=["null-id", "number-id", "string-number", "boolean-number", "breakpoints-not-a-list",
+         "points-not-a-list", "no-points", "number-good-id-in-bundle"],
+)
+def test_malformed_field_is_rejected_by_name(mixed_instance, path, value, problem):
+    doc = _doc(mixed_instance)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(InstanceFormatError) as exc:
+        instances.loads(json.dumps(doc))
+    assert exc.value.problems == [problem]
+
+
+def test_json_integers_load_as_numbers(mixed_instance):
+    doc = _doc(mixed_instance)
+    doc["goods"][1]["cost"]["breakpoints"] = [[1, 2]]
+    doc["buyer_types"][0]["demand"]["lambda_max"] = 1
+    doc["buyer_types"][2]["demand"]["points"] = [[0, 1], [1, 0]]
+    loaded = instances.loads(json.dumps(doc), strict=True)
+    assert loaded.goods[1][1].breakpoints == ((1.0, 2.0),)
+    assert loaded.buyer_types[0].demand == mixed_instance.buyer_types[0].demand
+    assert loaded.buyer_types[2].demand.points == ((0.0, 1.0), (1.0, 0.0))

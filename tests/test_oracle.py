@@ -1,9 +1,21 @@
 """Grid-search oracles: analytic targets and cross-checks against the solver."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bicrit import CostFunction, InverseDemand, MarketInstance, evaluate, solve_welfare
+from bicrit import (
+    CostFunction,
+    InverseDemand,
+    MarketInstance,
+    evaluate,
+    instances,
+    oracle,
+    solve_welfare,
+)
 from bicrit.analysis import zeta
 from bicrit.oracle import (
     GridSpec,
@@ -14,6 +26,8 @@ from bicrit.oracle import (
 from bicrit.unit_demand import price_unit_demand
 
 from conftest import random_unit_demand_instance
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 class TestWelfareOracle:
@@ -116,3 +130,112 @@ class TestCaps:
         opt = solve_welfare(inst)
         assert sw <= opt.sw + 1e-9
         assert sw >= opt.sw - 5e-3
+
+
+def _refine_all(inst, grid, objective):
+    """The earlier rule, kept as the reference: evaluate every top candidate."""
+    P, sw, profit, _ = oracle._sweep(inst, grid)
+    values = sw if objective == "sw" else profit
+    best_value, best_prices = -np.inf, None
+    for idx in np.argsort(-values, kind="stable")[: oracle._REFINE_TOP]:
+        prices = inst.prices_dict(P[idx])
+        sol = evaluate(inst, prices)
+        value = sol.sw if objective == "sw" else sol.profit
+        if value > best_value + 1e-15:
+            best_value, best_prices = value, prices
+    return best_value, best_prices
+
+
+def _verify_grid(inst):
+    # The grid verify uses: step lambda_max / 20 from three goods on.
+    return GridSpec(inst.lambda_max / 20.0 if len(inst.goods) >= 3 else None)
+
+
+def _seeded_draws():
+    rng = np.random.default_rng(113)
+    return [random_unit_demand_instance(rng, alpha=a, max_goods=2, max_types=3)
+            for a in (0.0, 0.3, 0.6) * 4]
+
+
+def _count_evaluate(monkeypatch):
+    calls = []
+
+    def counted(inst, prices):
+        calls.append(prices)
+        return evaluate(inst, prices)
+
+    monkeypatch.setattr(oracle, "evaluate", counted)
+    return calls
+
+
+class TestRefineOnlySplitRows:
+    """The oracles re-evaluate only the top candidates where a type ties bundles."""
+
+    @pytest.mark.parametrize("name", ["tiny-09", "tiny-05"])
+    @pytest.mark.parametrize("objective", ["sw", "profit"])
+    def test_golden_tied_instances_match_full_reevaluation(self, name, objective):
+        # Every top candidate is split here, and exact re-evaluation lifts the
+        # sweep's best welfare by 0.069 (tiny-09) and 0.053 (tiny-05).
+        inst = instances.load(os.path.join(GOLDEN, name + ".json"))
+        grid = _verify_grid(inst)
+        _, sw, _, split = oracle._sweep(inst, grid)
+        assert split[np.argsort(-sw, kind="stable")[: oracle._REFINE_TOP]].all()
+        ref, _ = _refine_all(inst, grid, "sw")
+        assert ref > sw.max() + 0.05
+        find = oracle_max_welfare if objective == "sw" else oracle_max_profit
+        value, _ = find(inst, grid)
+        expected, _ = _refine_all(inst, grid, objective)
+        assert value == pytest.approx(expected, rel=0, abs=1e-12 * (1.0 + abs(expected)))
+
+    @pytest.mark.parametrize("objective", ["sw", "profit"])
+    def test_seeded_draws_match_full_reevaluation(self, objective):
+        find = oracle_max_welfare if objective == "sw" else oracle_max_profit
+        for inst in _seeded_draws():
+            value, _ = find(inst, GridSpec())
+            expected, _ = _refine_all(inst, GridSpec(), objective)
+            # Profit on untied rows: the sweep's sum of q x - C and evaluate's
+            # p . y - C differ in the last bits.
+            assert value == pytest.approx(expected, rel=0, abs=1e-12 * (1.0 + abs(expected)))
+
+    def test_two_point_grid_matches_full_reevaluation(self, twin_goods_instance):
+        # A step at or above lambda_max leaves the grid {0, lambda_max} per good.
+        grid = GridSpec(price_step=2.0)
+        assert oracle._sweep(twin_goods_instance, grid)[0].shape == (4, 2)
+        for objective, find in (("sw", oracle_max_welfare), ("profit", oracle_max_profit)):
+            expected = _refine_all(twin_goods_instance, grid, objective)
+            assert find(twin_goods_instance, grid) == expected
+
+    def test_evaluate_runs_only_on_split_top_rows(self, monkeypatch):
+        expected = 0
+        for inst in _seeded_draws():
+            _, sw, _, split = oracle._sweep(inst, GridSpec())
+            expected += int(split[np.argsort(-sw, kind="stable")[: oracle._REFINE_TOP]].sum())
+        assert expected > 0
+        calls = _count_evaluate(monkeypatch)
+        for inst in _seeded_draws():
+            oracle_max_welfare(inst, GridSpec())
+        assert len(calls) == expected
+
+    def test_one_bundle_types_never_reach_evaluate(self, monkeypatch):
+        draws = [inst for inst in _seeded_draws()
+                 if all(len(t.bundles) == 1 for t in inst.buyer_types)]
+        assert draws
+        expected = [(_refine_all(inst, GridSpec(), "sw"), _refine_all(inst, GridSpec(), "profit"))
+                    for inst in draws]
+        calls = _count_evaluate(monkeypatch)
+        for inst, refs in zip(draws, expected):
+            # No row is split: the sweep's own values pick the same grid point.
+            for find, (ref_value, ref_prices) in zip((oracle_max_welfare, oracle_max_profit), refs):
+                value, prices = find(inst, GridSpec())
+                assert value == pytest.approx(ref_value, rel=0, abs=1e-12 * (1.0 + abs(ref_value)))
+                assert prices == ref_prices
+        assert calls == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.5]), min_size=1, max_size=60)
+       | st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=60))
+def test_top_indices_match_a_stable_argsort(values):
+    values = np.array(values)
+    got = oracle._top_indices(values, oracle._REFINE_TOP)
+    np.testing.assert_array_equal(got, np.argsort(-values, kind="stable")[: oracle._REFINE_TOP])
