@@ -172,14 +172,23 @@ def _cmd_price_mm(args) -> int:
     return EXIT_OK
 
 
+# sweep refuses an alpha range of more points than this.
+MAX_SWEEP_POINTS = 100_000
+
+
 def _parse_alpha_range(spec: str):
     parts = spec.split(":")
     if len(parts) != 3:
         raise _UsageError("--alpha for sweep takes start:stop:step")
     start, stop, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise _UsageError("sweep start, stop and step must be finite")
     if step <= 0:
         raise _UsageError("sweep step must be positive")
-    n = int(round((stop - start) / step))
+    # Capped before rounding: the ratio of finite parts may still be inf.
+    n = round(min((stop - start) / step, MAX_SWEEP_POINTS))
+    if n + 1 > MAX_SWEEP_POINTS:
+        raise _UsageError(f"sweep range has more than {MAX_SWEEP_POINTS} points")
     return [start + k * step for k in range(n + 1)]
 
 
@@ -219,7 +228,7 @@ def _verify_checks(inst, args) -> list[dict]:
     sw_star = opt.sw
     tol = analysis.BOUND_TOL * (1.0 + abs(sw_star))
 
-    marg = inst.marginal_vector(opt.allocation_vector(inst))
+    marg = inst.cost_batch.marginal(opt.allocation_vector(inst))
     identity = max(
         abs(opt.prices[g] - m) for g, m in zip(inst.good_ids, marg)
     )
@@ -244,8 +253,8 @@ def _verify_checks(inst, args) -> list[dict]:
     except oracle.OracleCapError:
         log.info("instance beyond oracle caps; skipping grid cross-check")
 
-    income = sum(t.demand.eval(opt.demand[t.type_id]) * opt.demand[t.type_id]
-                 for t in inst.buyer_types)
+    x = [opt.demand[tid] for tid in inst.type_ids]
+    income = sum((inst.demand_batch.eval(x) * x).tolist())
     cost = inst.total_cost(opt.allocation_vector(inst))
     add("income_covers_twice_cost", income >= 2.0 * cost - tol, f"{income:.6f} vs {2 * cost:.6f}")
     add("profit_covers_cost", opt.profit >= cost - tol, "")

@@ -4,6 +4,10 @@ A cost function here has marginal c(y) = a * y^beta on each piece, so both
 the total cost and its derivative are convex, non-decreasing, and vanish at
 zero.  That double convexity yields the inequality C(y) <= c(y) * y / 2 that
 the pricing guarantees lean on.
+
+CostBatch is the one evaluation kernel: it compiles the costs into piece
+tables and holds the one piece lookup.  CostFunction validates and stores
+one good's cost, and its methods evaluate through a one-good CostBatch.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from ._kernels import one
 
 __all__ = ["CostBatch", "CostDomainError", "CostFunction"]
 
@@ -28,23 +34,32 @@ def _nonnegative(y):
     return arr
 
 
-# The piece formulas, written once: they broadcast over the piece parameters
-# and the quantity, so CostFunction applies them to one good's piece and
-# CostBatch to one piece per good.  A power cost is a single piece starting
-# at 0 with nothing accrued before it.
+# The load-time spot check's quantities, as fractions of the probe ceiling.
+_PROBE = np.linspace(0.0, 1.0, 64)[1:, None]
 
 
-def _piece_marginal(coeff, exp, y):
+# The piece formulas, written once: each takes a piece's (coeff, exponent,
+# total_at_start, start power) and broadcasts over them and its argument, so
+# CostBatch applies it to one piece per good.  A power cost is a single piece
+# starting at 0 with nothing accrued before it.
+
+
+def _piece_marginal(coeff, exp, total_at_start, start_pow, y):
     return coeff * y**exp
 
 
-def _piece_slope(coeff, exp, y):
+def _piece_slope(coeff, exp, total_at_start, start_pow, y):
     # 0.0 ** 0.0 is 1, so at y = 0 this is coeff for exp = 1 and 0 for exp > 1.
     return coeff * exp * y ** (exp - 1.0)
 
 
-def _piece_total(total_at_start, coeff, exp, start_pow, y):
+def _piece_total(coeff, exp, total_at_start, start_pow, y):
     return total_at_start + coeff * (y ** (exp + 1.0) - start_pow) / (exp + 1.0)
+
+
+def _piece_inverse(coeff, exp, total_at_start, start_pow, p):
+    """The quantity at which the piece's marginal is p."""
+    return (p / coeff) ** (1.0 / exp)
 
 
 @dataclass(frozen=True)
@@ -99,8 +114,12 @@ class CostFunction:
         )
 
     @cached_property
-    def _pieces(self):
-        """Arrays (start_y, coeff, exponent, total_at_start, start_y^(exponent+1))."""
+    def _pieces(self) -> np.ndarray:
+        """The piece table, a column per piece.
+
+        Rows: start_y, the marginal at start_y, coeff, exponent,
+        total_at_start and start_y^(exponent+1).
+        """
         starts = [0.0]
         coeffs = [self.a]
         exps = [self.beta]
@@ -113,48 +132,32 @@ class CostFunction:
             coeffs.append(marginal_at_break / y_break**new_exp)
             exps.append(new_exp)
             totals.append(total_at_break)
-        starts, exps = np.array(starts), np.array(exps)
-        return starts, np.array(coeffs), exps, np.array(totals), starts ** (exps + 1.0)
+        starts, coeffs, exps = np.array(starts), np.array(coeffs), np.array(exps)
+        return np.array([starts, coeffs * starts**exps, coeffs, exps, totals, starts ** (exps + 1.0)])
 
-    def _piece_index(self, y):
-        starts = self._pieces[0]
-        if len(starts) == 1:
-            return 0
-        return np.clip(np.searchsorted(starts, y, side="right") - 1, 0, len(starts) - 1)
+    @cached_property
+    def _batch(self) -> "CostBatch":
+        """This cost as a one-good CostBatch: the kernel its methods evaluate on."""
+        return CostBatch((self,))
 
     def marginal(self, y):
         """Marginal cost c(y)."""
-        arr = _nonnegative(y)
-        _, coeffs, exps, _, _ = self._pieces
-        k = self._piece_index(arr)
-        out = _piece_marginal(coeffs[k], exps[k], arr)
-        return float(out) if arr.ndim == 0 else out
+        return one(self._batch.marginal, y)
 
     def total(self, y):
         """Total cost C(y), the integral of the marginal."""
-        arr = _nonnegative(y)
-        _, coeffs, exps, totals, start_pows = self._pieces
-        k = self._piece_index(arr)
-        out = _piece_total(totals[k], coeffs[k], exps[k], start_pows[k], arr)
-        return float(out) if arr.ndim == 0 else out
+        return one(self._batch.total, y)
 
     def marginal_inverse(self, p):
         """Quantity y with c(y) = p."""
-        arr = np.asarray(p, dtype=float)
-        if np.any(arr < 0):
-            raise CostDomainError("marginal inverse needs a non-negative price")
-        starts, coeffs, exps, _, _ = self._pieces
-        marg_at_start = coeffs * starts**exps
-        k = np.clip(np.searchsorted(marg_at_start, arr, side="right") - 1, 0, len(starts) - 1)
-        out = (arr / coeffs[k]) ** (1.0 / exps[k])
-        return float(out) if arr.ndim == 0 else out
+        return one(self._batch.marginal_inverse, p)
 
     def _validate_half_income_bound(self):
         # Double convexity gives C(y) <= c(y) * y / 2; spot-check it on a grid
         # at load time so downstream guarantee arithmetic can rely on it.
-        ys = np.linspace(0.0, self._probe_ceiling(), 64)[1:]
-        total = np.asarray(self.total(ys))
-        marginal = np.asarray(self.marginal(ys))
+        ys = self._probe_ceiling() * _PROBE
+        total = self._batch.total(ys)
+        marginal = self._batch.marginal(ys)
         if np.any(total > 0.5 * marginal * ys * (1.0 + 1e-9)):
             raise CostDomainError("cost violates C(y) <= c(y) * y / 2")
 
@@ -180,59 +183,60 @@ class CostFunction:
 class CostBatch:
     """A market's cost functions compiled into piece tables, one row per good.
 
-    marginal, slope and total take one quantity per good (in the order the
-    costs were given), check the domain once and evaluate every good in one
-    broadcast call of the piece formulas.
+    The one evaluation kernel of the costs: CostFunction's methods are this
+    batch on a one-good table.  Every method takes values with the goods on
+    the last axis (in the order the costs were given) and any leading axes,
+    checks the domain once and evaluates every good in one broadcast call of
+    the piece formulas.  NumPy runs such a call as one inner loop per row of
+    the last axis unless the goods come first in memory: callers with many
+    rows pass Fortran-ordered arrays.
     """
 
     def __init__(self, cost_fns):
-        pieces = [c._pieces for c in cost_fns]
-        width = max(len(p[0]) for p in pieces)
-        # Rows shorter than the widest repeat their last piece behind a start
-        # of +inf, which no quantity reaches.
-        def padded(j, a):
-            return np.concatenate([a, np.full(width - len(a), np.inf if j == 0 else a[-1])])
+        tables = [c._pieces for c in cost_fns]
+        width = max(t.shape[1] for t in tables)
+        # A good with fewer pieces repeats its last one: the copy starts
+        # where that piece does, so evaluating it changes nothing.
+        table = np.array([t.take(range(width), axis=1, mode="clip") for t in tables]).transpose(1, 0, 2)
+        # Where the pieces start, in quantity and in price (the marginal
+        # there), each goods x pieces; then per piece its (coeff, exponent,
+        # total_at_start, start power), one value per good.
+        self._starts, self._start_marginals = table[:2]
+        self._params = [tuple(table[2:, :, j]) for j in range(width)]
 
-        table = [[padded(j, a) for j, a in enumerate(p)] for p in pieces]
-        self._starts, *params = (np.array(col) for col in zip(*table))
-        # (coeff, exponent, total_at_start, start power), each goods x pieces.
-        self._params = np.array(params)
-        self._rows = np.arange(len(pieces))
+    def _on_pieces(self, formula, starts, v):
+        """formula on the piece each good's v lies on: the one piece lookup.
 
-    def _piece_params(self, y):
-        """(coeff, exponent, total_at_start, start power) of each good's piece at y."""
-        if self._starts.shape[1] == 1:
-            return self._params[:, :, 0]
-        k = (self._starts[:, 1:] <= y[:, None]).sum(axis=1)
-        return self._params[:, self._rows, k]
+        starts is where each good's pieces start, in v's units: _starts for
+        quantities, _start_marginals for prices.  Each piece after the first
+        overwrites the result from its start on.
+        """
+        out = formula(*self._params[0], v)
+        for j in range(1, starts.shape[1]):
+            np.copyto(out, formula(*self._params[j], v), where=v >= starts[:, j])
+        return out
 
     def marginal(self, y):
-        y = _nonnegative(y)
-        coeff, exp, _, _ = self._piece_params(y)
-        return _piece_marginal(coeff, exp, y)
+        return self._on_pieces(_piece_marginal, self._starts, _nonnegative(y))
 
     def slope(self, y):
         """Derivative c'(y) of the marginal, the cost's curvature."""
-        y = _nonnegative(y)
-        coeff, exp, _, _ = self._piece_params(y)
-        return _piece_slope(coeff, exp, y)
+        return self._on_pieces(_piece_slope, self._starts, _nonnegative(y))
 
     def total(self, y):
-        y = _nonnegative(y)
-        coeff, exp, total_at_start, start_pow = self._piece_params(y)
-        return _piece_total(total_at_start, coeff, exp, start_pow, y)
+        return self._on_pieces(_piece_total, self._starts, _nonnegative(y))
+
+    def marginal_inverse(self, p):
+        """Quantities y0 = c^-1(p) with c(y0) = p, for non-negative prices p."""
+        p = np.asarray(p, dtype=float)
+        if (p < 0).any():
+            raise CostDomainError("marginal inverse needs a non-negative price")
+        return self._on_pieces(_piece_inverse, self._start_marginals, p)
 
     def conjugate(self, p):
         """(C*(p), y0): the convex conjugate max_y [p y - C(y)] and its maximizer.
 
-        y0 = c^-1(p) solves c(y0) = p, so C*(p) = p y0 - C(y0); p is one
-        non-negative price per good.
+        y0 = c^-1(p) solves c(y0) = p, so C*(p) = p y0 - C(y0).
         """
-        p = np.asarray(p, dtype=float)
-        if (p < 0).any():
-            raise CostDomainError("cost conjugate needs non-negative prices")
-        coeff, exp = self._params[0], self._params[1]
-        # Marginal at each piece's start; the +inf starts of padding are never reached.
-        k = (coeff[:, 1:] * self._starts[:, 1:] ** exp[:, 1:] <= p[:, None]).sum(axis=1)
-        y0 = (p / coeff[self._rows, k]) ** (1.0 / exp[self._rows, k])
+        y0 = self.marginal_inverse(p)
         return p * y0 - self.total(y0), y0

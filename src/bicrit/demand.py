@@ -5,6 +5,10 @@ buyers is willing to purchase.  All families here are non-increasing,
 non-negative, and truncated to a finite support.  The regularity parameter
 ``alpha`` bounds how fast the ratio lambda/|lambda'| may grow: alpha = 0 is
 the monotone-hazard-rate class, alpha = 1 admits equal-revenue-like curves.
+
+DemandBatch is the one evaluation kernel: it holds the one ceiling mask and
+the one clamped inverse.  InverseDemand validates and stores one type's
+curve, and its methods evaluate through a one-curve DemandBatch.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+from ._kernels import one
 
 __all__ = [
     "ALPHA_LIMIT",
@@ -39,11 +45,6 @@ class DemandDomainError(ValueError):
     """Raised when an evaluation point or price is outside the curve's domain."""
 
 
-def _as_float_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
 def _nonnegative(x, message):
     """x as a float array; DemandDomainError(message) if an entry is negative."""
     arr = np.asarray(x, dtype=float)
@@ -52,17 +53,15 @@ def _nonnegative(x, message):
     return arr
 
 
-def _scalar_or_array(arr, scalar):
-    return float(arr) if scalar else arr
-
-
 # -- family formulas ---------------------------------------------------------
 # One (eval, utility integral, inverse, derivative) tuple per kind of analytic
-# curve.  Every formula broadcasts over its parameters and argument: InverseDemand
-# applies it with one curve's scalars, DemandBatch with one array per kind, so
-# each expression is written once.  The kinds are the families, except that
-# a generalized Pareto below ALPHA_LIMIT is "exponential" (its alpha -> 0
-# limit) and one at alpha = 1 is "gp-log" (its utility integral is a log).
+# curve.  Every formula broadcasts over its parameters and argument, and
+# DemandBatch applies it with one parameter array per kind, so each
+# expression is written once and never sees a scalar exponent (NumPy rounds
+# x ** 2.0, say, differently from an elementwise power).  The kinds are the
+# families, except that a generalized Pareto below ALPHA_LIMIT is
+# "exponential" (its alpha -> 0 limit) and one at alpha = 1 is "gp-log" (its
+# utility integral is a log).
 
 
 def _linear_eval(lam, alpha, scale, x):
@@ -257,59 +256,44 @@ class InverseDemand:
             return "exponential"
         return "gp-log" if self.alpha > 1.0 - 1e-12 else "generalized-pareto"
 
+    # -- evaluations, through a one-curve DemandBatch ------------------------
+
     @cached_property
-    def _floor_price(self) -> float:
-        """Analytic lambda value just inside the support ceiling."""
-        if self.family == "linear":
-            return self.lambda_max * max(0.0, 1.0 - self.support_ceiling / self.scale)
-        if self.family == "tabulated":
-            return float(self._ls[-1])
-        return self._formula(_EVAL, np.asarray(self.support_ceiling))
-
-    # -- core evaluations --------------------------------------------------
-
-    def _formula(self, which, x):
-        """The curve's formula which (_EVAL, _UTILITY, _INVERSE or _DERIVATIVE) at x."""
-        x = np.asarray(x)
-        if self.family == "tabulated":
-            return (
-                self._tabulated_eval,
-                self._tabulated_utility,
-                self._inverse_tabulated,
-                self._tabulated_derivative,
-            )[which](x)
-        # On a 0-d x the formula's intermediates would be NumPy scalars, whose
-        # ** rounds differently from the array power DemandBatch uses.
-        formula = _FORMULAS[self._kind][which]
-        return formula(self.lambda_max, self.alpha, self.scale, np.atleast_1d(x)).reshape(x.shape)
+    def _batch(self) -> "DemandBatch":
+        """This curve as a one-curve DemandBatch: the kernel its methods evaluate on."""
+        return DemandBatch((self,))
 
     def eval(self, x):
         """Price lambda(x); zero at or beyond the support ceiling."""
-        arr = _nonnegative(x, "demand evaluated at negative quantity")
-        out = np.where(arr >= self.support_ceiling, 0.0, self._formula(_EVAL, arr))
-        return _scalar_or_array(out, arr.ndim == 0)
+        return one(self._batch.eval, x)
 
     def derivative(self, x):
         """Slope lambda'(x); zero beyond the support ceiling."""
-        arr = _nonnegative(x, "demand derivative at negative quantity")
-        out = np.where(arr >= self.support_ceiling, 0.0, self._formula(_DERIVATIVE, arr))
-        return _scalar_or_array(out, arr.ndim == 0)
+        return one(self._batch.derivative, x)
 
     def inverse(self, p):
         """Largest x with lambda(x) >= p, for prices in (0, lambda_max]."""
-        arr, scalar = _as_float_array(p)
+        arr = np.asarray(p, dtype=float)
         if np.any(arr <= 0):
             raise DemandDomainError("inverse demand needs a positive price")
         if np.any(arr > self.lambda_max * (1.0 + 1e-12)):
             raise DemandDomainError("price above the demand peak")
-        arr = np.minimum(arr, self.lambda_max)
-        out = self._inverse_clamped(arr)
-        return _scalar_or_array(out, scalar)
+        return one(self._batch._inverse_clamped, arr)
 
-    def _inverse_clamped(self, arr):
-        """Inverse with prices below the truncation floor mapping to the ceiling."""
-        p = np.maximum(arr, max(self._floor_price, 1e-300))
-        return np.minimum(self._formula(_INVERSE, p), self.support_ceiling)
+    def _inverse_clamped(self, p):
+        """Inverse with prices clipped into [truncation floor, lambda_max]."""
+        return one(self._batch._inverse_clamped, p)
+
+    def utility_integral(self, x):
+        """Buyer surplus integral of lambda from 0 to x (flat past the ceiling)."""
+        return one(self._batch.utility_integral, x)
+
+    def hazard_ratio(self, x):
+        """lambda(x) / |lambda'(x)|; +inf where the slope vanishes."""
+        out = _hazard(np.asarray(self.eval(x)), np.abs(self.derivative(x)))
+        return float(out) if out.ndim == 0 else out
+
+    # -- the tabulated family's formulas, on its node arrays -----------------
 
     def _tabulated_eval(self, x):
         return np.interp(x, self._xs, self._ls, right=0.0)
@@ -335,21 +319,6 @@ class InverseDemand:
         dx = z - self._xs[seg]
         return self._cum_utility[seg] + self._ls[seg] * dx + 0.5 * self._slopes[seg] * dx * dx
 
-    def utility_integral(self, x):
-        """Buyer surplus integral of lambda from 0 to x (flat past the ceiling)."""
-        arr = _nonnegative(x, "utility integral over negative quantity")
-        u = self._formula(_UTILITY, np.minimum(arr, self.support_ceiling))
-        return _scalar_or_array(u, arr.ndim == 0)
-
-    def hazard_ratio(self, x):
-        """lambda(x) / |lambda'(x)|; +inf where the slope vanishes."""
-        arr, scalar = _as_float_array(x)
-        lam = np.asarray(self.eval(arr))
-        der = np.abs(np.asarray(self.derivative(arr)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(der < 1e-300, np.inf, lam / np.maximum(der, 1e-300))
-        return _scalar_or_array(out, scalar)
-
     def to_dict(self) -> dict:
         d = {
             "family": self.family,
@@ -366,16 +335,18 @@ class InverseDemand:
 class DemandBatch:
     """A market's demand curves compiled into one parameter array per kind.
 
-    Every method takes one value per curve, in the order the curves were
-    given: it checks the domain once and applies each kind's formula in one
-    broadcast call, looping only over tabulated curves.
+    The one evaluation kernel of the curves: InverseDemand's methods are this
+    batch on one curve.  Every method takes values with the curves on the
+    last axis (in the order the curves were given) and any leading axes,
+    checks the domain once and applies each kind's formula in one broadcast
+    call, looping only over tabulated curves.  As with CostBatch, callers
+    with many rows pass Fortran-ordered arrays.
     """
 
     def __init__(self, curves):
         curves = tuple(curves)
         self.lambda_max = np.array([d.lambda_max for d in curves])
         self.support_ceiling = np.array([d.support_ceiling for d in curves])
-        self._floor = np.array([max(d._floor_price, 1e-300) for d in curves])
         params = (
             self.lambda_max,
             np.array([d.alpha for d in curves]),
@@ -383,34 +354,58 @@ class DemandBatch:
         )
         kinds = [d._kind for d in curves]
         self._kinds = []  # (index, formulas, parameters at index) per analytic kind
-        self._tabulated = [(i, d) for i, d in enumerate(curves) if d._kind == "tabulated"]
         for kind in dict.fromkeys(k for k in kinds if k != "tabulated"):
             at = [i for i, k in enumerate(kinds) if k == kind]
             index = slice(None) if len(at) == len(curves) else np.array(at)
             self._kinds.append((index, _FORMULAS[kind], tuple(a[index] for a in params)))
+        # (index, formulas in _FORMULAS order) per tabulated curve
+        self._tabulated = [
+            (i, (d._tabulated_eval, d._tabulated_utility, d._inverse_tabulated, d._tabulated_derivative))
+            for i, d in enumerate(curves) if d._kind == "tabulated"
+        ]
+        # The truncation floor: each curve's price at its support ceiling.
+        self._floor = np.maximum(self._apply(_EVAL, self.support_ceiling), 1e-300)
 
     def _apply(self, which, x):
+        if len(self._kinds) == 1 and not self._tabulated:
+            # One kind covers every curve: its formula's result is the answer.
+            _, formulas, params = self._kinds[0]
+            return formulas[which](*params, x)
         out = np.empty_like(x)
         for index, formulas, params in self._kinds:
-            out[index] = formulas[which](*params, x[index])
-        for i, d in self._tabulated:
-            out[i] = d._formula(which, x[i])
+            out[..., index] = formulas[which](*params, x[..., index])
+        for i, formulas in self._tabulated:
+            out[..., i] = formulas[which](x[..., i])
+        return out
+
+    def _below_ceiling(self, which, x, message):
+        """The formula which at x, zero at or beyond each support ceiling."""
+        x = _nonnegative(x, message)
+        out = self._apply(which, x)
+        np.copyto(out, 0.0, where=x >= self.support_ceiling)
         return out
 
     def eval(self, x):
         """Prices lambda_i(x_i); zero at or beyond each support ceiling."""
-        x = _nonnegative(x, "demand evaluated at negative quantity")
-        return np.where(x >= self.support_ceiling, 0.0, self._apply(_EVAL, x))
+        return self._below_ceiling(_EVAL, x, "demand evaluated at negative quantity")
 
     def derivative(self, x):
         """Slopes lambda_i'(x_i); zero at or beyond each support ceiling."""
-        x = _nonnegative(x, "demand derivative at negative quantity")
-        return np.where(x >= self.support_ceiling, 0.0, self._apply(_DERIVATIVE, x))
+        return self._below_ceiling(_DERIVATIVE, x, "demand derivative at negative quantity")
 
     def utility_integral(self, x):
         """Surplus integrals of lambda_i from 0 to x_i (flat past the ceiling)."""
         x = _nonnegative(x, "utility integral over negative quantity")
         return self._apply(_UTILITY, np.minimum(x, self.support_ceiling))
+
+    def _inverse_clamped(self, p):
+        """Largest x_i with lambda_i(x_i) >= p_i, capped at the support ceiling.
+
+        Prices are clipped into [truncation floor, lambda_max] first, so a
+        price below the floor maps to the whole support.
+        """
+        x = self._apply(_INVERSE, np.clip(p, self._floor, self.lambda_max))
+        return np.minimum(x, self.support_ceiling, out=x)
 
     def demand_at_price(self, q):
         """Mass each curve buys at price q_i: the clamped inverse.
@@ -419,11 +414,16 @@ class DemandBatch:
         truncation floor.
         """
         q = np.asarray(q, dtype=float)
-        x = self._apply(_INVERSE, np.clip(q, self._floor, self.lambda_max))
-        inner = np.minimum(x, self.support_ceiling)
-        return np.where(
-            q >= self.lambda_max, 0.0, np.where(q <= 0.0, self.support_ceiling, inner)
-        )
+        x = self._inverse_clamped(q)
+        np.copyto(x, self.support_ceiling, where=q <= 0.0)
+        np.copyto(x, 0.0, where=q >= self.lambda_max)
+        return x
+
+
+def _hazard(lam, der):
+    """Hazard ratios lambda / |lambda'| from values and absolute slopes; +inf at zero slope."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(der < 1e-300, np.inf, lam / np.maximum(der, 1e-300))
 
 
 def _regularity_grid(d: InverseDemand, grid_n: int) -> np.ndarray:
@@ -458,8 +458,7 @@ def verify_regularity(
     xs, lam, der = xs[keep], np.maximum(lam[keep], 0.0), der[keep]
     if xs.size < 2:
         return True
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(der < 1e-300, np.inf, lam / np.maximum(der, 1e-300))
+    h = _hazard(lam, der)
     dh = h[None, :] - h[:, None]
     dx = xs[None, :] - xs[:, None]
     upper = np.triu_indices(xs.size, k=1)

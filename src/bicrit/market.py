@@ -214,9 +214,6 @@ class MarketInstance:
     def total_cost(self, yvec) -> float:
         return float(np.sum(self.cost_batch.total(yvec)))
 
-    def marginal_vector(self, yvec) -> np.ndarray:
-        return self.cost_batch.marginal(yvec)
-
 
 @dataclass
 class PricingSolution:
@@ -393,7 +390,7 @@ def buyer_marginal_costs(
     to the cheapest bundle by marginal cost.
     """
     yvec = np.array([allocation[g] for g in inst.good_ids])
-    sums = inst.stacked_masks @ inst.marginal_vector(yvec)
+    sums = inst.stacked_masks @ inst.cost_batch.marginal(yvec)
     starts = inst.bundle_offsets[:-1]
     best = np.minimum.reduceat(sums, starts)
     if split is not None:
@@ -412,7 +409,7 @@ def split_kkt_violation(inst: MarketInstance, allocation, split, admissible=None
     argmin-priced ones); by default every bundle of the type competes.
     """
     yvec = np.array([allocation[g] for g in inst.good_ids])
-    sums = inst.stacked_masks @ inst.marginal_vector(yvec)
+    sums = inst.stacked_masks @ inst.cost_batch.marginal(yvec)
     used = np.zeros(len(sums), dtype=bool)
     used[[inst.bundle_rows[key] for key, v in split.items() if v > SPLIT_DUST]] = True
     allowed = sums

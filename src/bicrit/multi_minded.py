@@ -75,7 +75,7 @@ class _ReserveFloored:
     def __init__(self, inst: MarketInstance, reserve: float):
         self.costs = inst.cost_batch
         self.reserve = reserve
-        self.y0 = np.array([c.marginal_inverse(reserve) for c in inst.cost_functions])
+        self.y0 = self.costs.marginal_inverse(reserve)
         self._total_at_y0 = self.costs.total(self.y0)
 
     def marginal(self, y):
@@ -310,7 +310,6 @@ def deviation_violations(
     inst: MarketInstance,
     opt: PricingSolution,
     rung: LadderSolution,
-    alpha: float | None = None,
 ) -> list[str]:
     """Saturation charging check for one rung.
 
@@ -320,7 +319,6 @@ def deviation_violations(
     bundle must cover at least half the buyer's price.  Rungs whose scaled
     threshold exceeds the demand peak have no applicable benchmark.
     """
-    alpha = resolve_alpha(inst, alpha)
     floor = rung.dummy_price * 2.0 * inst.max_bundle_size
     if floor > inst.lambda_max * (1.0 - 1e-12):
         return []
@@ -329,11 +327,14 @@ def deviation_violations(
         [opt.demand[tid] for tid in inst.type_ids],
         inst.demand_batch.demand_at_price(np.full(len(inst.buyer_types), floor)),
     )
+    x_now = np.array([rung.solution.demand[tid] for tid in inst.type_ids])
     problems = []
     margin = BOUND_TOL * (1.0 + inst.lambda_max)
-    for t, x_bench in zip(inst.buyer_types, x_a):
-        lam_now = t.demand.eval(rung.solution.demand[t.type_id])
-        lam_bench = t.demand.eval(x_bench)
+    for t, lam_now, lam_bench in zip(
+        inst.buyer_types,
+        inst.demand_batch.eval(x_now).tolist(),
+        inst.demand_batch.eval(x_a).tolist(),
+    ):
         if lam_now <= lam_bench + margin:
             continue
         for b in t.bundles:

@@ -7,11 +7,13 @@ minimum-cost allocation).  Both decide bundle ties with market._bundle_prices,
 the rule evaluate splits over.  Both are deterministic: sweeps enumerate
 price vectors lexicographically and ties resolve to the first maximizer.
 
-The price sweep values every grid point in one vectorized pass.  Where every
-type has a single cheapest bundle, the allocation is forced and the pass
-computes it exactly; only grid points where some type ties two or more
-bundles, whose allocation the pass averages over the tie, are re-evaluated
-with evaluate's min-cost split, and only among the top candidates.
+The price sweep values every grid point in one vectorized pass, through the
+instance's DemandBatch and CostBatch, the one evaluation kernel of each
+family, as evaluate does.  Where every type has a single cheapest bundle,
+the allocation is forced and the pass computes it exactly; only grid points
+where some type ties two or more bundles, whose allocation the pass averages
+over the tie, are re-evaluated with evaluate's min-cost split, and only among
+the top candidates.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ _MAX_SPLIT_COMBOS = 3_000_000
 # The sweeps refuse instances with more goods or more types than this.
 MAX_GOODS = 3
 MAX_TYPES = 3
+# ... and price grids of more entries (grid points times goods) than this:
+# verify's largest grids hold 27,783 (3 goods at lambda_max / 20) and 20,402
+# (2 goods at lambda_max / 100), and the sweep keeps a few arrays that size.
+MAX_GRID_ENTRIES = 1_000_000
 
 
 class OracleCapError(ValueError):
@@ -58,22 +64,29 @@ class GridSpec:
             raise ValueError("price step must be positive")
         return step
 
+    def levels(self, lambda_max: float) -> int:
+        """Price steps per good, at most MAX_GRID_ENTRIES: levels + 1 prices from 0 to lambda_max."""
+        return max(1, round(min(lambda_max / self.resolve_price_step(lambda_max), MAX_GRID_ENTRIES)))
+
     def check_caps(self, inst: MarketInstance):
-        if len(inst.goods) > MAX_GOODS:
-            raise OracleCapError(
-                f"{len(inst.goods)} goods exceed the oracle cap {MAX_GOODS}"
-            )
+        goods = len(inst.goods)
+        if goods > MAX_GOODS:
+            raise OracleCapError(f"{goods} goods exceed the oracle cap {MAX_GOODS}")
         if len(inst.buyer_types) > MAX_TYPES:
             raise OracleCapError(
                 f"{len(inst.buyer_types)} types exceed the oracle cap {MAX_TYPES}"
+            )
+        n = self.levels(inst.lambda_max)  # counted before any grid is built
+        if (n + 1) ** goods * goods > MAX_GRID_ENTRIES:
+            raise OracleCapError(
+                f"a grid of {n + 1} prices on each of {goods} goods exceeds the oracle "
+                f"cap of {MAX_GRID_ENTRIES} entries"
             )
 
 
 def _price_grid(inst: MarketInstance, grid: GridSpec) -> np.ndarray:
     lam = inst.lambda_max
-    step = grid.resolve_price_step(lam)
-    n = max(1, int(round(lam / step)))
-    values = np.linspace(0.0, lam, n + 1)
+    values = np.linspace(0.0, lam, grid.levels(lam) + 1)
     mesh = np.meshgrid(*([values] * len(inst.goods)), indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, len(inst.goods))
 
@@ -86,37 +99,30 @@ def _sweep(inst: MarketInstance, grid: GridSpec):
     bundles.  There the allocation averages over the tied bundles, which can
     only overstate cost, so _refine re-evaluates them exactly.  On every other
     row each type buys its one cheapest bundle, so the allocation is the one
-    evaluate finds.  Its welfare there is evaluate's: the allocation and the
-    utility sum accumulate type by type, in evaluate's order.  Its profit
-    (sum of q x, not p . y) agrees to rounding.  One tie pass covers
-    the whole grid; demand, utility and cost stay a loop over types, which
-    measured faster than one batched call over a combos x types array.
+    evaluate finds, accumulated type by type as evaluate's is.  Demand,
+    utility and cost come from the instance's DemandBatch and CostBatch with
+    one row per grid point, and sum over the last axis as evaluate's do, so
+    the welfare there is evaluate's bit for bit.  Its profit (sum of q x, not
+    p . y) agrees to rounding.
     """
     grid.check_caps(inst)
     P = _price_grid(inst, grid)
-    n_combos = P.shape[0]
     # Keep only the cheapest prices and the tie mask: holding the combos x
     # bundles price sums through the loop raised the peak resident memory.
     cheapest, tied = _bundle_prices(inst, P)[1:]
-    Y = np.zeros_like(P)
-    utility = np.zeros(n_combos)
-    income = np.zeros(n_combos)
-    split = np.zeros(n_combos, dtype=bool)
+    # Types and goods first in memory, so that the kernels' broadcasts run
+    # long inner loops (see CostBatch).
+    cheapest = np.asfortranarray(cheapest)
+    X = inst.demand_batch.demand_at_price(cheapest)
+    utility = inst.demand_batch.utility_integral(X).sum(axis=-1)
+    Y = np.zeros_like(P, order="F")
+    income = np.zeros(P.shape[0])
+    split = np.zeros(P.shape[0], dtype=bool)
     masks = inst.stacked_masks
     offsets = inst.bundle_offsets
-    for i, (t, lo, hi) in enumerate(zip(inst.buyer_types, offsets[:-1], offsets[1:])):
-        q = cheapest[:, i]
-        d = t.demand
-        with np.errstate(divide="ignore", over="ignore"):
-            x = np.where(
-                q >= d.lambda_max,
-                0.0,
-                np.where(
-                    q <= 0.0,
-                    d.support_ceiling,
-                    d._inverse_clamped(np.clip(q, 1e-300, d.lambda_max)),
-                ),
-            )
+    for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        x = X[:, i]
+        income += cheapest[:, i] * x
         if hi - lo == 1:
             # Weight 1 on the one bundle: its goods' columns take x as is,
             # which is also far cheaper than broadcasting x over every good.
@@ -126,11 +132,8 @@ def _sweep(inst: MarketInstance, grid: GridSpec):
             counts = tied[:, lo:hi].sum(axis=1)
             split |= counts > 1
             Y += x[:, None] * ((tied[:, lo:hi] / counts[:, None]) @ masks[lo:hi])
-        utility += d.utility_integral(x)
-        income += q * x
-    cost = np.zeros(n_combos)
-    for k, c in enumerate(inst.cost_functions):
-        cost += c.total(Y[:, k])
+    del cheapest, tied, X, x  # freed before the cost's temporaries, for the same reason
+    cost = inst.cost_batch.total(Y).sum(axis=-1)
     return P, utility - cost, income - cost, split
 
 
@@ -224,7 +227,4 @@ def oracle_min_split_cost(
     Y = per_type[0]
     for block in per_type[1:]:
         Y = (Y[:, None, :] + block[None, :, :]).reshape(-1, n)
-    cost = np.zeros(Y.shape[0])
-    for k, c in enumerate(inst.cost_functions):
-        cost += c.total(Y[:, k])
-    return float(cost.min())
+    return float(inst.cost_batch.total(Y).sum(axis=-1).min())

@@ -110,7 +110,6 @@ def cluster_diagnostics(
     tp: ThresholdedPrices,
     sol: PricingSolution,
     opt: PricingSolution,
-    tol: float = _DIAG_TOL,
 ) -> list[str]:
     """Violations of the two-cluster structure of a thresholded solution.
 
@@ -124,22 +123,24 @@ def cluster_diagnostics(
     for t in inst.buyer_types:
         cl = tp.type_cluster[t.type_id]
         x_new, x_opt = sol.demand[t.type_id], opt.demand[t.type_id]
-        if cl == "H" and abs(x_new - x_opt) > tol * scale:
+        if cl == "H" and abs(x_new - x_opt) > _DIAG_TOL * scale:
             violations.append(
                 f"H type {t.type_id}: demand {x_new} differs from optimal {x_opt}"
             )
-        if cl == "L" and x_new > x_opt + tol * scale:
+        if cl == "L" and x_new > x_opt + _DIAG_TOL * scale:
             violations.append(
                 f"L type {t.type_id}: demand {x_new} above optimal {x_opt}"
             )
-    for g, cost in inst.goods:
+    marg_new = inst.cost_batch.marginal(sol.allocation_vector(inst)).tolist()
+    marg_opt = inst.cost_batch.marginal(opt.allocation_vector(inst)).tolist()
+    for g, c_new, c_opt in zip(inst.good_ids, marg_new, marg_opt):
         cl = tp.good_cluster[g]
         y_new, y_opt = sol.allocation[g], opt.allocation[g]
-        if cl == "H" and abs(y_new - y_opt) > tol * scale:
+        if cl == "H" and abs(y_new - y_opt) > _DIAG_TOL * scale:
             violations.append(
                 f"H good {g}: allocation {y_new} differs from optimal {y_opt}"
             )
-        if cl == "L" and cost.marginal(y_new) > cost.marginal(y_opt) + tol * scale:
+        if cl == "L" and c_new > c_opt + _DIAG_TOL * scale:
             violations.append(
                 f"L good {g}: marginal cost rose above the optimum's"
             )
@@ -153,7 +154,7 @@ def cluster_diagnostics(
                     f"({tp.good_cluster[g]}) across clusters"
                 )
     kkt = split_kkt_violation(inst, sol.allocation, sol.split)
-    if kkt > tol:
+    if kkt > _DIAG_TOL:
         violations.append(
             f"allocation is not cost-minimal for the demand (gap {kkt:.2e})"
         )
@@ -164,7 +165,6 @@ def low_cluster_hazard_condition(
     inst: MarketInstance,
     tp: ThresholdedPrices,
     sol: PricingSolution,
-    tol: float = _DIAG_TOL,
 ) -> list[str]:
     """Check the hazard condition behind the welfare-loss bound.
 
@@ -173,18 +173,15 @@ def low_cluster_hazard_condition(
     (lambda_i(x) - r_i) / |lambda_i'(x)| <= x.
     """
     rates = buyer_marginal_costs(inst, sol.allocation, sol.split)
+    xvec = np.array([sol.demand[tid] for tid in inst.type_ids])
+    lam = inst.demand_batch.eval(xvec).tolist()
+    slopes = np.abs(inst.demand_batch.derivative(xvec)).tolist()
     problems = []
-    for t in inst.buyer_types:
-        if tp.type_cluster[t.type_id] != "L":
+    for t, x, lam_x, slope in zip(inst.buyer_types, xvec.tolist(), lam, slopes):
+        if tp.type_cluster[t.type_id] != "L" or x <= SPLIT_DUST or slope < 1e-300:
             continue
-        x = sol.demand[t.type_id]
-        if x <= SPLIT_DUST:
-            continue
-        shifted = t.demand.eval(x) - rates[t.type_id]
-        slope = abs(t.demand.derivative(x))
-        if slope < 1e-300:
-            continue
-        if shifted / slope > x + tol * (1.0 + x):
+        shifted = lam_x - rates[t.type_id]
+        if shifted / slope > x + _DIAG_TOL * (1.0 + x):
             problems.append(
                 f"type {t.type_id}: shifted hazard {shifted / slope:.6f} exceeds demand {x:.6f}"
             )

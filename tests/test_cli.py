@@ -1,11 +1,15 @@
 """Command-line smoke tests on the twin-goods and a two-good bundle instance."""
 
 import json
+import logging
+import os
 
 import pytest
 
 from bicrit import MarketInstance, cli, instances
 from bicrit.solver import SolverConfig
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 @pytest.fixture
@@ -246,8 +250,40 @@ def test_sweep_prints_header_and_one_row_per_alpha(capsys):
     assert all(float(line.split(",")[-1]) == 2.0 for line in lines[1:])
 
 
-@pytest.mark.parametrize("spec", ["0:0.9:0", "0:0.9"])
+def test_sweep_rows_are_start_plus_k_steps(capsys):
+    assert cli.main(["sweep", "--alpha", "0:0.99:0.01"]) == cli.EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [f"{k * 0.01:.12g}" for k in range(100)]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["0:0.9:0", "0:0.9", "0:inf:0.1", "nan:1:0.1", "0:1:-inf", "0:1:1e-12", "0:1e308:1e-300"],
+)
 def test_sweep_rejects_a_bad_alpha_range(spec, capsys):
+    # Non-finite parts, and ranges of more than MAX_SWEEP_POINTS points (one
+    # of them an overflow to inf), are usage errors like a bad step.
     assert cli.main(["sweep", "--alpha", spec]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_sweep_takes_a_range_of_max_points(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 11)
+    assert cli.main(["sweep", "--alpha", "0:1:0.1"]) == cli.EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 12
+    assert cli.main(["sweep", "--alpha", "0:1:0.09"]) == cli.EXIT_VALIDATION
+    assert "more than 11 points" in capsys.readouterr().err
+
+
+def test_verify_skips_a_grid_beyond_the_oracle_cap(tmp_path, caplog):
+    # 10,001 prices on each of tiny-00's three goods: the grid is refused
+    # before it is built, and every other check still runs.
+    outfile = tmp_path / "verify.json"
+    with caplog.at_level(logging.INFO, logger="bicrit"):
+        code = cli.main(["verify", "--in", os.path.join(GOLDEN, "tiny-00.json"),
+                         "--grid-step", "1e-4", "--out", str(outfile)])
+    assert code == cli.EXIT_OK
+    assert "beyond oracle caps" in caplog.text
+    names = [c["name"] for c in json.loads(outfile.read_text())["checks"]]
+    assert "grid_never_beats_optimum" not in names and "income_covers_twice_cost" in names

@@ -110,8 +110,18 @@ class TestStructure:
             assert right - left < 1e-6 * (1.0 + right)
 
 
+def batch_costs():
+    """sample_costs and three with exponents 1 and 2, where a scalar power and
+    an elementwise one round apart."""
+    return sample_costs() + [
+        CostFunction.power(1.3, 1.0),
+        CostFunction.power(0.7, 2.0),
+        CostFunction.piecewise_power(0.9, 1.0, [(0.6, 2.0), (1.5, 3.0)]),
+    ]
+
+
 class TestCostBatch:
-    """CostBatch applies the same piece formulas as CostFunction, all goods per call."""
+    """CostFunction evaluates through CostBatch: both give the same bits."""
 
     def _points(self, costs, rng, n=40):
         # Quantities from 0 to past the last breakpoint; for piecewise goods
@@ -124,24 +134,35 @@ class TestCostBatch:
 
     @pytest.mark.parametrize("method", ["marginal", "total"])
     def test_matches_scalar_methods(self, method):
-        costs = sample_costs()
+        costs = batch_costs()
         assert {c.family for c in costs} == {"power", "piecewise-power"}
         batch = CostBatch(costs)
         for row in self._points(costs, np.random.default_rng(8)):
             got = getattr(batch, method)(row)
             want = [getattr(c, method)(float(y)) for c, y in zip(costs, row)]
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("method", ["marginal", "total"])
     def test_power_only_batch_matches(self, method):
-        costs = [c for c in sample_costs() if c.family == "power"]
+        costs = [c for c in batch_costs() if c.family == "power"]
         batch = CostBatch(costs)
         for row in self._points(costs, np.random.default_rng(9)):
             want = [getattr(c, method)(float(y)) for c, y in zip(costs, row)]
-            np.testing.assert_allclose(getattr(batch, method)(row), want, rtol=1e-14, atol=0.0)
+            np.testing.assert_array_equal(getattr(batch, method)(row), want)
+
+    @pytest.mark.parametrize("method", ["marginal", "slope", "total", "marginal_inverse"])
+    def test_leading_axes_match_rows(self, method):
+        costs = batch_costs()
+        batch = CostBatch(costs)
+        grid = np.array(self._points(costs, np.random.default_rng(12)))
+        want = [getattr(batch, method)(row) for row in grid]
+        np.testing.assert_array_equal(getattr(batch, method)(grid), want)
+        np.testing.assert_array_equal(getattr(batch, method)(np.asfortranarray(grid)), want)
+        np.testing.assert_array_equal(getattr(batch, method)(grid[:40].reshape(20, 2, -1)),
+                                      np.reshape(want[:40], (20, 2, -1)))
 
     def test_conjugate_matches_scalar_inverse_and_total(self):
-        costs = sample_costs()
+        costs = batch_costs()
         batch = CostBatch(costs)
         # Prices at the sample quantities' marginals, so at each breakpoint's
         # marginal and just either side of it too.
@@ -149,9 +170,9 @@ class TestCostBatch:
             p = np.array([c.marginal(float(y)) for c, y in zip(costs, row)])
             value, y0 = batch.conjugate(p)
             want_y0 = [c.marginal_inverse(float(q)) for c, q in zip(costs, p)]
-            np.testing.assert_allclose(y0, want_y0, rtol=1e-14, atol=0.0)
+            np.testing.assert_array_equal(y0, want_y0)
             want = [q * y - c.total(y) for c, q, y in zip(costs, p, want_y0)]
-            np.testing.assert_allclose(value, want, rtol=1e-13, atol=1e-15)
+            np.testing.assert_array_equal(value, want)
         with pytest.raises(CostDomainError):
             batch.conjugate(np.full(len(costs), -1e-12))
 

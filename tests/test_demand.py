@@ -156,7 +156,7 @@ class TestInvariants:
         rng = np.random.default_rng(13)
         for _ in range(5):
             d, _ = sample_family(family, rng)
-            hi = min(d.support_ceiling, d.inverse(max(d._floor_price, 1e-5)))
+            hi = min(d.support_ceiling, d.inverse(max(d._batch._floor[0], 1e-5)))
             xs = np.linspace(1e-6, hi * 0.999, 50)
             for x in xs:
                 p = d.eval(float(x))
@@ -202,7 +202,7 @@ class TestInvariants:
 
 
 def _grid_inside(d, n=40):
-    hi = min(d.support_ceiling, d.inverse(max(d._floor_price, 1e-4 * d.lambda_max)))
+    hi = min(d.support_ceiling, d.inverse(max(d._batch._floor[0], 1e-4 * d.lambda_max)))
     if d.family == "tabulated":
         return 0.5 * (d._xs[:-1] + d._xs[1:])
     return np.linspace(0.0, hi * 0.999, n)
@@ -314,12 +314,15 @@ def batch_curves():
             InverseDemand.generalized_pareto(1.0, float(rng.uniform(0.05, 0.95)), scale),
             InverseDemand.generalized_pareto(1.0, 1.0, scale),
             make_tabulated_concave(rng),
+            # Exponents -2.0, -1.0 and 0.5, where a scalar power and an
+            # elementwise one round apart.
+            InverseDemand.generalized_pareto(1.0, 0.5, scale),
         ]
     return curves
 
 
 class TestDemandBatch:
-    """DemandBatch applies the same formulas as InverseDemand, many curves per call."""
+    """InverseDemand evaluates through DemandBatch: both give the same bits."""
 
     def _points(self, curves, rng, n=40):
         # Rows of one quantity per curve, from 0 to past the support ceiling.
@@ -338,7 +341,18 @@ class TestDemandBatch:
         for row in self._points(curves, np.random.default_rng(3)):
             got = getattr(batch, method)(row)
             want = [getattr(d, method)(float(x)) for d, x in zip(curves, row)]
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("method", ["eval", "derivative", "utility_integral", "demand_at_price"])
+    def test_leading_axes_match_rows(self, method):
+        curves = batch_curves()
+        batch = DemandBatch(curves)
+        grid = self._points(curves, np.random.default_rng(7))
+        want = [getattr(batch, method)(row) for row in grid]
+        np.testing.assert_array_equal(getattr(batch, method)(grid), want)
+        np.testing.assert_array_equal(getattr(batch, method)(np.asfortranarray(grid)), want)
+        np.testing.assert_array_equal(getattr(batch, method)(grid[:40].reshape(20, 2, -1)),
+                                      np.reshape(want[:40], (20, 2, -1)))
 
     def test_derivative_matches_scalar_bit_for_bit(self):
         curves = batch_curves()
@@ -375,7 +389,7 @@ class TestDemandBatch:
         for q in [1e-9, 1e-7, *rng.uniform(0.0, 1.0, size=40)]:
             got = batch.demand_at_price(np.full(len(curves), q))
             want = [float(d._inverse_clamped(np.asarray(q))) for d in curves]
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+            np.testing.assert_array_equal(got, want)
 
     def test_demand_at_price_edges(self):
         curves = batch_curves()

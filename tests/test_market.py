@@ -228,7 +228,7 @@ class TestSplitKKT:
                 for t in inst.buyer_types
                 for b in t.bundles
             }
-            marg = inst.marginal_vector(np.array([allocation[g] for g in inst.good_ids]))
+            marg = inst.cost_batch.marginal(np.array([allocation[g] for g in inst.good_ids]))
             for given in (None, split):
                 expected = {}
                 for t in inst.buyer_types:
@@ -239,7 +239,7 @@ class TestSplitKKT:
 
 
 def _violation_by_type(inst, allocation, split, admissible):
-    marg = inst.marginal_vector(np.array([allocation[g] for g in inst.good_ids]))
+    marg = inst.cost_batch.marginal(np.array([allocation[g] for g in inst.good_ids]))
     worst = 0.0
     for t in inst.buyer_types:
         sums = [sum(float(marg[inst.good_index[g]]) for g in b) for b in t.bundles]

@@ -232,6 +232,42 @@ class TestRefineOnlySplitRows:
         assert calls == []
 
 
+@pytest.mark.parametrize("beta, alpha", [(1.0, 0.5), (2.0, 1.0)])
+def test_sweep_welfare_equals_evaluate_on_rows_without_a_split(beta, alpha):
+    # Exponents 2.0, 0.5 and -1.0 are where a scalar power and an elementwise
+    # one round apart: the sweep and evaluate must share one kernel.
+    curves = [InverseDemand.generalized_pareto(1.0, alpha, scale) for scale in (0.6, 0.9, 1.3)]
+    goods = [("g1", CostFunction.power(0.8, beta)), ("g2", CostFunction.power(1.7, beta))]
+    types = [("b1", [["g1"]], curves[0]), ("b2", [["g1"], ["g2"]], curves[1]),
+             ("b3", [["g1", "g2"]], curves[2])]
+    inst = MarketInstance.create(goods, types)
+    P, sw, _, split = oracle._sweep(inst, GridSpec(price_step=1.0 / 60.0))
+    assert split.any() and not split.all()
+    want = [evaluate(inst, inst.prices_dict(p)).sw for p in P[~split]]
+    np.testing.assert_array_equal(sw[~split], want)
+
+
+class TestGridCap:
+    def test_verify_grids_fit(self, linear_demand):
+        for n_goods, step, points in ((3, 1.0 / 20.0, 9261), (2, 1.0 / 100.0, 10201)):
+            goods = [(f"g{k}", CostFunction.power(1.0, 1.0)) for k in range(n_goods)]
+            inst = MarketInstance.create(goods, [("b1", [["g0"]], linear_demand)])
+            GridSpec(price_step=step).check_caps(inst)
+            assert oracle._price_grid(inst, GridSpec(price_step=step)).shape == (points, n_goods)
+
+    @pytest.mark.parametrize("step", [1e-4, 1e-320])
+    def test_finer_grids_are_refused_before_they_are_built(self, step, linear_demand, monkeypatch):
+        goods = [(f"g{k}", CostFunction.power(1.0, 1.0)) for k in range(2)]
+        inst = MarketInstance.create(goods, [("b1", [["g0"]], linear_demand)])
+
+        def unbuilt(*args):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(oracle, "_price_grid", unbuilt)
+        with pytest.raises(OracleCapError):
+            oracle_max_welfare(inst, GridSpec(price_step=step))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.5]), min_size=1, max_size=60)
        | st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=60))
