@@ -142,9 +142,6 @@ class GuaranteeCertificate:
     achieved_welfare_ratio: float
     verdicts: dict[str, str] = field(default_factory=dict)
 
-    def passed(self) -> bool:
-        return all(v != "FAIL" for v in self.verdicts.values())
-
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,

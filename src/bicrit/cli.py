@@ -238,7 +238,6 @@ def _verify_checks(inst, args) -> list[dict]:
     if grid.price_step is None and len(inst.goods) >= 3:
         grid.price_step = inst.lambda_max / 20.0
     try:
-        grid.check_caps(inst)
         sw_oracle, _ = oracle.oracle_max_welfare(inst, grid)
         add(
             "grid_never_beats_optimum",

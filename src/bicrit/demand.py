@@ -183,7 +183,9 @@ class InverseDemand:
         if any(b > a + 1e-15 for a, b in zip(ls, ls[1:])):
             raise ValueError("tabulated lambda values must be non-increasing")
         if abs(ls[0] - self.lambda_max) > 1e-9 * self.lambda_max:
-            raise ValueError("tabulated curve must peak at lambda_max")
+            raise ValueError(
+                f"lambda_max {self.lambda_max!r} is not the tabulated curve's peak {ls[0]!r}"
+            )
 
     # -- constructors ------------------------------------------------------
 
@@ -193,20 +195,13 @@ class InverseDemand:
         return InverseDemand("linear", lambda_max, 0.0, intercept, intercept)
 
     @staticmethod
-    def exponential(
-        lambda_max: float, scale: float, price_floor: float = DEFAULT_PRICE_FLOOR
-    ) -> "InverseDemand":
+    def exponential(lambda_max: float, scale: float) -> "InverseDemand":
         """lambda(x) = lambda_max * exp(-x / scale), truncated at the price floor."""
-        ceiling = scale * math.log(1.0 / price_floor)
+        ceiling = scale * math.log(1.0 / DEFAULT_PRICE_FLOOR)
         return InverseDemand("exponential", lambda_max, 0.0, scale, ceiling)
 
     @staticmethod
-    def generalized_pareto(
-        lambda_max: float,
-        alpha: float,
-        scale: float,
-        price_floor: float = DEFAULT_PRICE_FLOOR,
-    ) -> "InverseDemand":
+    def generalized_pareto(lambda_max: float, alpha: float, scale: float) -> "InverseDemand":
         """lambda(x) = lambda_max * (1 + alpha x / scale)^(-1/alpha).
 
         The hazard ratio of this family is exactly scale + alpha * x, so the
@@ -214,9 +209,9 @@ class InverseDemand:
         back to the exponential limit.
         """
         if alpha < ALPHA_LIMIT:
-            ceiling = scale * math.log(1.0 / price_floor)
+            ceiling = scale * math.log(1.0 / DEFAULT_PRICE_FLOOR)
         else:
-            ceiling = scale / alpha * ((1.0 / price_floor) ** alpha - 1.0)
+            ceiling = scale / alpha * ((1.0 / DEFAULT_PRICE_FLOOR) ** alpha - 1.0)
         return InverseDemand("generalized-pareto", lambda_max, alpha, scale, ceiling)
 
     @staticmethod

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 from .costs import CostDomainError, CostFunction
 from .demand import InverseDemand
@@ -128,7 +129,7 @@ def _demand_from_spec(spec: dict, where: str, problems: list, strict: bool):
         alpha = float(spec.get("alpha", 0.0))
         scale = float(spec.get("scale", 1.0))
         if family == "tabulated":
-            return InverseDemand.tabulated(spec["points"], alpha)
+            return replace(InverseDemand.tabulated(spec["points"], alpha), lambda_max=lambda_max)
         if "support_ceiling" in spec:
             return InverseDemand(family, lambda_max, alpha, scale, float(spec["support_ceiling"]))
         if family == "linear":

@@ -1,9 +1,17 @@
 """Cost function families: examples, convexity structure, and inverses."""
 
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bicrit import cli, instances
 from bicrit.costs import CostBatch, CostDomainError, CostFunction
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def sample_costs():
@@ -85,6 +93,24 @@ class TestStructure:
         half = 0.5 * np.asarray(cf.marginal(ys)) * ys
         assert np.all(total <= half + 1e-12)
 
+    @given(
+        a=st.floats(1e-3, 1e3),
+        beta=st.floats(1.0, 6.0),
+        breaks=st.lists(st.tuples(st.floats(1e-3, 1e2), st.floats(0.0, 2.0)), max_size=3,
+                        unique_by=lambda b: b[0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_parameter_rules_imply_half_income_inequality(self, a, beta, breaks):
+        # Breakpoints at increasing quantities, each raising the exponent by
+        # its drawn step: the rules CostFunction checks, and nothing else.
+        starts = sorted(y for y, _ in breaks)
+        exps = list(itertools.accumulate([beta] + [step for _, step in breaks]))[1:]
+        cf = CostFunction.piecewise_power(a, beta, zip(starts, exps)) if breaks else CostFunction.power(a, beta)
+        top = 2.0 * starts[-1] + 10.0 if breaks else 10.0
+        ys = np.linspace(0.0, top, 257)[:, None]
+        batch = CostBatch([cf])
+        assert np.all(batch.total(ys) <= 0.5 * batch.marginal(ys) * ys * (1.0 + 1e-9))
+
     def test_half_income_equality_only_for_linear_marginal(self):
         ys = np.linspace(0.1, 3.0, 50)
         linear = CostFunction.power(1.3, 1.0)
@@ -108,6 +134,34 @@ class TestStructure:
             left = cf.marginal(y_break * (1.0 - 1e-9))
             right = cf.marginal(y_break * (1.0 + 1e-9))
             assert right - left < 1e-6 * (1.0 + right)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("cf", [
+        CostFunction.power(1.3, 2.0),
+        CostFunction.piecewise_power(0.9, 1.0, [(0.6, 2.0), (1.5, 3.0)]),
+        CostFunction.from_dict({"family": "piecewise-power", "a": 0.5, "beta": 1.5,
+                                "breakpoints": [[2.0, 2.5]]}),
+    ], ids=["power", "piecewise-power", "from-dict"])
+    def test_construction_evaluates_nothing(self, cf):
+        assert "_pieces" not in vars(cf) and "_batch" not in vars(cf)
+
+    def test_verify_builds_no_one_good_batch(self, tmp_path, monkeypatch):
+        # Every evaluation of a command goes through the instance's batches:
+        # no cost or demand curve builds a batch of its own.
+        loaded = []
+        original = instances.load
+
+        def load(*args, **kwargs):
+            loaded.append(original(*args, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr(instances, "load", load)
+        out = tmp_path / "verify.json"
+        assert cli.main(["verify", "--in", str(GOLDEN / "tiny-00.json"), "--out", str(out)]) == cli.EXIT_OK
+        (inst,) = loaded
+        assert all("_batch" not in vars(c) for c in inst.cost_functions)
+        assert all("_batch" not in vars(t.demand) for t in inst.buyer_types)
 
 
 def batch_costs():

@@ -149,3 +149,45 @@ def test_json_integers_load_as_numbers(mixed_instance):
     assert loaded.goods[1][1].breakpoints == ((1.0, 2.0),)
     assert loaded.buyer_types[0].demand == mixed_instance.buyer_types[0].demand
     assert loaded.buyer_types[2].demand.points == ((0.0, 1.0), (1.0, 0.0))
+
+
+def test_tabulated_lambda_max_must_be_the_curve_peak(mixed_instance):
+    doc = _doc(mixed_instance)
+    doc["buyer_types"][2]["demand"]["lambda_max"] = 2.0
+    with pytest.raises(InstanceFormatError) as exc:
+        instances.loads(json.dumps(doc))
+    assert exc.value.problems == [
+        "buyer_types[2].demand: lambda_max 2.0 is not the tabulated curve's peak 1.0"
+    ]
+    # Within the peak tolerance (1e-9 relative) the stated lambda_max is kept.
+    doc["buyer_types"][2]["demand"]["lambda_max"] = 1.0 + 1e-12
+    assert instances.loads(json.dumps(doc)).buyer_types[2].demand.lambda_max == 1.0 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec, want",
+    [
+        ({"family": "linear", "scale": 0.8}, InverseDemand.linear(1.0, 0.8)),
+        ({"family": "exponential", "scale": 1.5}, InverseDemand.exponential(1.0, 1.5)),
+        ({"family": "generalized-pareto", "alpha": 0.0, "scale": 1.2},
+         InverseDemand.generalized_pareto(1.0, 0.0, 1.2)),
+        ({"family": "generalized-pareto", "alpha": 0.5, "scale": 1.2},
+         InverseDemand.generalized_pareto(1.0, 0.5, 1.2)),
+        ({"family": "generalized-pareto", "alpha": 1.0, "scale": 1.2},
+         InverseDemand.generalized_pareto(1.0, 1.0, 1.2)),
+    ],
+    ids=["linear", "exponential", "gp-alpha-0", "gp-alpha-0.5", "gp-alpha-1"],
+)
+def test_demand_without_support_ceiling_loads_as_its_family_constructor(mixed_instance, spec, want):
+    doc = _doc(mixed_instance)
+    doc["buyer_types"][0]["demand"] = {"lambda_max": 1.0, **spec}
+    loaded = instances.loads(json.dumps(doc), strict=True).buyer_types[0].demand
+    assert loaded == want
+
+
+def test_unknown_demand_family_is_named(mixed_instance):
+    doc = _doc(mixed_instance)
+    doc["buyer_types"][0]["demand"] = {"family": "cubic", "lambda_max": 1.0, "scale": 0.8}
+    with pytest.raises(InstanceFormatError) as exc:
+        instances.loads(json.dumps(doc))
+    assert exc.value.problems == ["buyer_types[0].demand: unknown demand family 'cubic'"]
