@@ -33,6 +33,10 @@ class CostDomainError(ValueError):
     """Raised for negative quantities or invalid cost parameters."""
 
 
+# The natural log of the largest float.
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
 def _nonnegative(y):
     arr = np.asarray(y, dtype=float)
     if (arr < 0).any():
@@ -103,6 +107,19 @@ class CostFunction:
                 raise CostDomainError(
                     "piece exponents must be non-decreasing to keep the marginal convex"
                 )
+            # The piece table raises each breakpoint y_b to its pieces'
+            # exponents (at most e + 1, e the exponent from y_b on), takes
+            # c(y_b), derives the next coefficient c(y_b) / y_b^e and accrues
+            # a total below c(y_b) * y_b: in log space, each must stay in the
+            # float range.
+            log_a = math.log(self.a)
+            for (y_b, e), prev in zip(self.breakpoints, exps):
+                log_y = math.log(y_b)
+                log_c = log_a + prev * log_y
+                log_a = log_c - e * log_y
+                logs = (abs((e + 1.0) * log_y), abs(log_c), abs(log_a), log_c + log_y)
+                if not all(v < _LOG_MAX for v in logs):
+                    raise CostDomainError(f"breakpoint {y_b!r}: the piece powers leave the float range")
 
     @staticmethod
     def power(a: float, beta: float) -> "CostFunction":
@@ -221,9 +238,9 @@ class CostBatch:
         return self._on_pieces(_piece_inverse, self._start_marginals, p)
 
     def conjugate(self, p):
-        """(C*(p), y0): the convex conjugate max_y [p y - C(y)] and its maximizer.
+        """The convex conjugate C*(p) = max_y [p y - C(y)].
 
-        y0 = c^-1(p) solves c(y0) = p, so C*(p) = p y0 - C(y0).
+        Its maximizer y0 = c^-1(p) solves c(y0) = p, so C*(p) = p y0 - C(y0).
         """
         y0 = self.marginal_inverse(p)
-        return p * y0 - self.total(y0), y0
+        return p * y0 - self.total(y0)

@@ -136,7 +136,7 @@ class InverseDemand:
     lambda_max: the peak price lambda(0); shared across a market instance.
     alpha: regularity parameter in [0, 1] the curve is declared to satisfy.
     scale: the linear intercept, or the hazard scale of the exponential /
-        generalized-pareto families; ignored for tabulated curves.
+        generalized-pareto families; 0 for tabulated curves.
     support_ceiling: quantity beyond which lambda is identically zero.
     points: (x, lambda) nodes for the tabulated family, strictly increasing
         in x; None otherwise.
@@ -186,6 +186,12 @@ class InverseDemand:
             raise ValueError(
                 f"lambda_max {self.lambda_max!r} is not the tabulated curve's peak {ls[0]!r}"
             )
+        if abs(xs[-1] - self.support_ceiling) > 1e-9 * xs[-1]:
+            raise ValueError(
+                f"support_ceiling {self.support_ceiling!r} is not the tabulated curve's last x {xs[-1]!r}"
+            )
+        if self.scale != 0.0:
+            raise ValueError(f"scale {self.scale!r} must be 0 for a tabulated curve")
 
     # -- constructors ------------------------------------------------------
 

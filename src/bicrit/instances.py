@@ -129,7 +129,8 @@ def _demand_from_spec(spec: dict, where: str, problems: list, strict: bool):
         alpha = float(spec.get("alpha", 0.0))
         scale = float(spec.get("scale", 1.0))
         if family == "tabulated":
-            return replace(InverseDemand.tabulated(spec["points"], alpha), lambda_max=lambda_max)
+            stated = {key: float(spec[key]) for key in ("scale", "support_ceiling") if key in spec}
+            return replace(InverseDemand.tabulated(spec["points"], alpha), lambda_max=lambda_max, **stated)
         if "support_ceiling" in spec:
             return InverseDemand(family, lambda_max, alpha, scale, float(spec["support_ceiling"]))
         if family == "linear":

@@ -90,9 +90,8 @@ class _ReserveFloored:
         return np.where(y < self.y0, below, self.costs.total(y))
 
     def conjugate(self, p):
-        """(C~*(p), maximizer): C~* is C*(max(p, r)), flat at slope 0 below r."""
-        value, y0 = self.costs.conjugate(np.maximum(p, self.reserve))
-        return value, np.where(p < self.reserve, 0.0, y0)
+        """C~*(p) = C*(max(p, r)), flat below r."""
+        return self.costs.conjugate(np.maximum(p, self.reserve))
 
 
 def augmented_we(

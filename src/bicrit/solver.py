@@ -14,11 +14,12 @@ F = -SW over the box 0 <= z <= cap, each round continuing from the last
 iterate; the first starts from zero or a given split (ladder rungs start from
 the welfare optimum's).
 
-After each round the gap is tried at the marginal-cost prices p = c(y(z));
-only if that misses the target is p improved by L-BFGS-B on D, with a
-subgradient (SciPy's, imported on that first use, so that a solve that never
-needs it loads NumPy only).  The posted prices are always c(y); the improved
-p only certifies.
+After each round the gap is taken at the posted prices p = c(y(z)): a round
+that misses its target runs the next, and a miss on the last raises
+SolverError.  The KKT conditions close this gap at an optimum z*.  Each used
+bundle's marginal-cost sum is its type's cheapest, q_i = lambda_i(x_i) (at
+most that at the cap, at least lambda_i(0) if x_i = 0), so each type's term
+picks t = x_i; p = c(y*) makes each conjugate pick y*; so D(c(y*)) = SW(z*).
 
 The program works on the instance's struct-of-arrays forms: the stacked
 bundle incidence, the DemandBatch of its curves and a batched cost (the
@@ -48,8 +49,8 @@ class SolverConfig:
     """Tolerance and iteration cap of the welfare solver.
 
     tol is the relative target of the weak-duality gap: a solve is certified
-    once D(p) - SW(z) <= tol * (1 + |SW(z)|).  max_iters caps the Newton
-    steps of each round, and the iterations of the dual price search.
+    once D(p) - SW(z) <= tol * (1 + |SW(z)|) at the marginal-cost prices
+    p = c(y(z)).  max_iters caps the Newton steps of each round.
     """
 
     max_iters: int = 20_000
@@ -81,55 +82,24 @@ class _FlowProgram(FlowProgram):
 
     def __init__(self, inst: MarketInstance, costs):
         super().__init__(inst.stacked_masks, inst.bundle_sizes, costs, demand=inst.demand_batch)
-        owner = np.repeat(np.arange(len(self.sizes)), self.sizes)
-        # Each split coordinate's (type, bundle) cell in a types x bundles grid.
-        self._cells = (owner, np.arange(self.offsets[-1]) - np.repeat(self.offsets[:-1], self.sizes))
 
     def dual(self, p):
-        """(D(p), a subgradient of D at p), for prices p >= 0.
-
-        A subgradient is the supply c^-1(p) that the conjugates pick, less
-        the goods of each type's best response routed to one cheapest bundle.
-        """
-        conjugate, supply = self.costs.conjugate(p)
-        grid = np.full((len(self.sizes), int(self.sizes.max())), np.inf)
-        grid[self._cells] = self.stacked @ p
-        best = np.argmin(grid, axis=1)
-        q = grid[np.arange(len(best)), best]
+        """D(p), for prices p >= 0."""
+        q = np.minimum.reduceat(self.stacked @ p, self.offsets[:-1])
         t = self.demand.demand_at_price(q)
-        value = conjugate.sum() + (self.demand.utility_integral(t) - q * t).sum()
-        return float(value), supply - self.stacked[self.offsets[:-1] + best].T @ t
+        return float(self.costs.conjugate(p).sum() + (self.demand.utility_integral(t) - q * t).sum())
 
-    def certificate(self, z, tol, max_iters):
-        """(gap, target): the best weak-duality gap D(p) - SW(z) found, and tol * (1 + |SW(z)|).
-
-        The gap is tried at p = c(y(z)) first; only if it misses the target
-        is p improved by L-BFGS-B on D, run until it makes no progress: the
-        default stopping tests end it long before the gap is near the target.
-        """
+    def certificate(self, z, tol):
+        """(gap, target): the weak-duality gap D(p) - SW(z) at p = c(y(z)), and tol * (1 + |SW(z)|)."""
         f = self.objective(z)
-        target = tol * (1.0 + abs(f))
-        p = self.costs.marginal(self.allocation(z))
-        gap = self.dual(p)[0] - f
-        if gap > target:
-            res = minimize(
-                self.dual,
-                p,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=[(0.0, None)] * p.size,
-                options={"maxiter": max_iters, "ftol": 0.0, "gtol": 0.0},
-            )
-            gap = min(gap, res.fun - f)
-        return gap, target
+        return self.dual(self.costs.marginal(self.allocation(z))) - f, tol * (1.0 + abs(f))
 
 
 def minimize(fun, x0, **kwargs):
     """scipy.optimize.minimize, imported on the first call.
 
-    Only certificate's dual price search calls it, and only when the gap at
-    p = c(y) misses its target, so no command imports SciPy unless that
-    happens.
+    No code in src/ calls it: it stays only as the name that
+    benchmarks/tracing.py rebinds to count its calls.
     """
     from scipy.optimize import minimize as scipy_minimize
 
@@ -147,7 +117,7 @@ def _solve_flow(inst: MarketInstance, costs, cfg: SolverConfig, start=None):
     z = np.zeros(int(program.offsets[-1])) if start is None else start
     for _ in range(ROUNDS):
         z = _run_newton(program, z, cfg.max_iters)
-        gap, target = program.certificate(z, cfg.tol, cfg.max_iters)
+        gap, target = program.certificate(z, cfg.tol)
         if gap <= target:
             break
     else:

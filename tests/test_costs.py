@@ -222,7 +222,7 @@ class TestCostBatch:
         # marginal and just either side of it too.
         for row in self._points(costs, np.random.default_rng(10)):
             p = np.array([c.marginal(float(y)) for c, y in zip(costs, row)])
-            value, y0 = batch.conjugate(p)
+            value, y0 = batch.conjugate(p), batch.marginal_inverse(p)
             want_y0 = [c.marginal_inverse(float(q)) for c, q in zip(costs, p)]
             np.testing.assert_array_equal(y0, want_y0)
             want = [q * y - c.total(y) for c, q, y in zip(costs, p, want_y0)]

@@ -57,9 +57,9 @@ print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.st
 
 
 def test_no_command_imports_scipy(tmp_path):
-    # The dual price search is the only SciPy user (solver.minimize imports
-    # scipy.optimize on its first call); a run it is not needed in must load
-    # NumPy only.
+    # SciPy is not a runtime dependency: no code in src/ calls
+    # solver.minimize, the one function that imports it, so every command
+    # loads NumPy only.
     src = str(Path(importlib.util.find_spec("bicrit").origin).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(

@@ -164,6 +164,34 @@ def test_tabulated_lambda_max_must_be_the_curve_peak(mixed_instance):
     assert instances.loads(json.dumps(doc)).buyer_types[2].demand.lambda_max == 1.0 + 1e-12
 
 
+def test_tabulated_ceiling_and_scale_must_match_the_curve(mixed_instance):
+    for field, value, problem in (
+        ("support_ceiling", 5.0, "support_ceiling 5.0 is not the tabulated curve's last x 1.0"),
+        ("scale", 3.0, "scale 3.0 must be 0 for a tabulated curve"),
+    ):
+        doc = _doc(mixed_instance)
+        doc["buyer_types"][2]["demand"][field] = value
+        with pytest.raises(InstanceFormatError) as exc:
+            instances.loads(json.dumps(doc), strict=True)
+        assert exc.value.problems == [f"buyer_types[2].demand: {problem}"]
+    # Within 1e-9 relative of the last x the stated ceiling is kept.
+    doc["buyer_types"][2]["demand"].update(scale=0.0, support_ceiling=1.0 + 1e-12)
+    assert instances.loads(json.dumps(doc)).buyer_types[2].demand.support_ceiling == 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("y_break", [1e200, 1e-200])
+def test_cost_whose_breakpoint_powers_leave_the_float_range_is_named(mixed_instance, y_break, tmp_path, capsys):
+    doc = _doc(mixed_instance)
+    doc["goods"][1]["cost"]["breakpoints"] = [[y_break, 2.0]]
+    infile = tmp_path / "instance.json"
+    infile.write_text(json.dumps(doc))
+    out = str(tmp_path / "out.json")
+    assert cli.main(["solve-welfare", "--in", str(infile), "--out", out]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"goods[1].cost: breakpoint {y_break!r}: the piece powers leave the float range" in err
+
+
 @pytest.mark.parametrize(
     "spec, want",
     [
