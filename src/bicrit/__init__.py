@@ -10,7 +10,6 @@ from .market import (
     best_response,
     buyer_marginal_costs,
     evaluate,
-    min_bundle_price,
     min_cost_allocation,
 )
 from .solver import SolverConfig, SolverError, solve_welfare
@@ -29,7 +28,6 @@ __all__ = [
     "best_response",
     "buyer_marginal_costs",
     "evaluate",
-    "min_bundle_price",
     "min_cost_allocation",
     "solve_welfare",
     "verify_regularity",

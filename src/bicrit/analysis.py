@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .demand import ALPHA_LIMIT
 from .market import PricingSolution
+from .tolerances import ALPHA_LIMIT, BOUNDARY_SLACK, BOUND_TOL
 
 __all__ = [
     "GuaranteeCertificate",
@@ -25,10 +25,6 @@ __all__ = [
     "welfare_factor",
     "zeta",
 ]
-
-# Default slack for comparing measured ratios against their factors, and for
-# every ladder inequality: absolute plus relative in the optimum welfare.
-BOUND_TOL = 1e-6
 
 
 def _check_alpha(alpha: float):
@@ -109,15 +105,17 @@ def tradeoff_bound(c: float, alpha: float) -> tuple[float, float]:
     """Instance trade-off (revenue factor, welfare factor) at measured c.
 
     c = SW*/SW(s) is measured from a thresholded solution, never chosen; it
-    always lies in (1, welfare_factor(alpha)].  The revenue factor
-    min(c * c1, c * c2 / (c - 1)) never exceeds zeta(alpha).
+    always lies in (1, welfare_factor(alpha)], and is finite.  The revenue
+    factor min(c * c1, c * c2 / (c - 1)) never exceeds zeta(alpha).
     """
     _check_alpha(alpha)
-    if c <= 1.0:
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, not {c}")
+    if not c > 1.0:
         raise ValueError(
             "c <= 1 is the welfare-optimal degenerate point; no trade-off applies"
         )
-    if c > welfare_factor(alpha) * (1.0 + 1e-12):
+    if not c <= welfare_factor(alpha) * (1.0 + BOUNDARY_SLACK):
         raise ValueError("c exceeds the welfare factor bound")
     c1, c2 = threshold_coefficients(alpha)
     return min(c * c1, c * c2 / (c - 1.0)), c

@@ -20,6 +20,7 @@ import sys
 from . import analysis, instances, multi_minded, oracle, unit_demand
 from .market import MarketInstance, PricingSolution, evaluate
 from .solver import SolverConfig, SolverError, solve_welfare
+from .tolerances import BOUND_TOL, GRID_ABOVE_REL, GRID_REACH_REL, MARGINAL_PRICE_TOL
 
 log = logging.getLogger("bicrit")
 
@@ -226,13 +227,13 @@ def _verify_checks(inst, args) -> list[dict]:
 
     opt = solve_welfare(inst, cfg)
     sw_star = opt.sw
-    tol = analysis.BOUND_TOL * (1.0 + abs(sw_star))
+    tol = BOUND_TOL * (1.0 + abs(sw_star))
 
     marg = inst.cost_batch.marginal(opt.allocation_vector(inst))
     identity = max(
         abs(opt.prices[g] - m) for g, m in zip(inst.good_ids, marg)
     )
-    add("optimum_prices_at_marginal_cost", identity <= 1e-9, f"residual {identity:.2e}")
+    add("optimum_prices_at_marginal_cost", identity <= MARGINAL_PRICE_TOL, f"residual {identity:.2e}")
 
     grid = oracle.GridSpec(price_step=args.grid_step)
     if grid.price_step is None and len(inst.goods) >= 3:
@@ -241,12 +242,12 @@ def _verify_checks(inst, args) -> list[dict]:
         sw_oracle, _ = oracle.oracle_max_welfare(inst, grid)
         add(
             "grid_never_beats_optimum",
-            sw_oracle <= sw_star + 1e-9 * (1.0 + abs(sw_star)),
+            sw_oracle <= sw_star + GRID_ABOVE_REL * (1.0 + abs(sw_star)),
             f"oracle {_fixed9(sw_oracle)} vs optimum {_fixed9(sw_star)}",
         )
         add(
             "optimum_reaches_grid",
-            sw_star >= sw_oracle - 5e-3 * (1.0 + abs(sw_star)),
+            sw_star >= sw_oracle - GRID_REACH_REL * (1.0 + abs(sw_star)),
             f"gap {sw_oracle - sw_star:.2e}",
         )
     except oracle.OracleCapError:

@@ -20,6 +20,15 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import one
+from .tolerances import (
+    ALPHA_LIMIT,
+    BOUNDARY_SLACK,
+    DEFAULT_PRICE_FLOOR,
+    NONINCREASING_SLACK,
+    REGULARITY_TOL,
+    STATED_REL,
+    TINY,
+)
 
 __all__ = [
     "ALPHA_LIMIT",
@@ -29,14 +38,6 @@ __all__ = [
     "InverseDemand",
     "verify_regularity",
 ]
-
-# Below this value alpha is treated as exactly zero and formulas use their
-# analytic alpha -> 0 limits.
-ALPHA_LIMIT = 1e-9
-
-# Families with unbounded natural support are cut off where the curve drops
-# below DEFAULT_PRICE_FLOOR * lambda_max.
-DEFAULT_PRICE_FLOOR = 1e-6
 
 _FAMILIES = ("linear", "exponential", "generalized-pareto", "tabulated")
 
@@ -180,13 +181,13 @@ class InverseDemand:
             raise ValueError("tabulated x values must be strictly increasing")
         if any(l < 0 for l in ls):
             raise ValueError("tabulated lambda values must be non-negative")
-        if any(b > a + 1e-15 for a, b in zip(ls, ls[1:])):
+        if any(b > a + NONINCREASING_SLACK for a, b in zip(ls, ls[1:])):
             raise ValueError("tabulated lambda values must be non-increasing")
-        if abs(ls[0] - self.lambda_max) > 1e-9 * self.lambda_max:
+        if abs(ls[0] - self.lambda_max) > STATED_REL * self.lambda_max:
             raise ValueError(
                 f"lambda_max {self.lambda_max!r} is not the tabulated curve's peak {ls[0]!r}"
             )
-        if abs(xs[-1] - self.support_ceiling) > 1e-9 * xs[-1]:
+        if abs(xs[-1] - self.support_ceiling) > STATED_REL * xs[-1]:
             raise ValueError(
                 f"support_ceiling {self.support_ceiling!r} is not the tabulated curve's last x {xs[-1]!r}"
             )
@@ -255,7 +256,7 @@ class InverseDemand:
             return self.family
         if self.alpha < ALPHA_LIMIT:
             return "exponential"
-        return "gp-log" if self.alpha > 1.0 - 1e-12 else "generalized-pareto"
+        return "gp-log" if self.alpha > 1.0 - BOUNDARY_SLACK else "generalized-pareto"
 
     # -- evaluations, through a one-curve DemandBatch ------------------------
 
@@ -277,7 +278,7 @@ class InverseDemand:
         arr = np.asarray(p, dtype=float)
         if np.any(arr <= 0):
             raise DemandDomainError("inverse demand needs a positive price")
-        if np.any(arr > self.lambda_max * (1.0 + 1e-12)):
+        if np.any(arr > self.lambda_max * (1.0 + BOUNDARY_SLACK)):
             raise DemandDomainError("price above the demand peak")
         return one(self._batch._inverse_clamped, arr)
 
@@ -311,7 +312,7 @@ class InverseDemand:
         k = np.clip(k, 0, len(self._ls) - 1)
         at_end = k >= len(self._slopes)
         kk = np.minimum(k, len(self._slopes) - 1)
-        slope = np.minimum(self._slopes[kk], -1e-300)
+        slope = np.minimum(self._slopes[kk], -TINY)
         interp = self._xs[kk] + (p - self._ls[kk]) / slope
         return np.where(at_end, self._xs[-1], interp)
 
@@ -365,7 +366,7 @@ class DemandBatch:
             for i, d in enumerate(curves) if d._kind == "tabulated"
         ]
         # The truncation floor: each curve's price at its support ceiling.
-        self._floor = np.maximum(self._apply(_EVAL, self.support_ceiling), 1e-300)
+        self._floor = np.maximum(self._apply(_EVAL, self.support_ceiling), TINY)
 
     def _apply(self, which, x):
         if len(self._kinds) == 1 and not self._tabulated:
@@ -424,7 +425,7 @@ class DemandBatch:
 def _hazard(lam, der):
     """Hazard ratios lambda / |lambda'| from values and absolute slopes; +inf at zero slope."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(der < 1e-300, np.inf, lam / np.maximum(der, 1e-300))
+        return np.where(der < TINY, np.inf, lam / np.maximum(der, TINY))
 
 
 def _regularity_grid(d: InverseDemand, grid_n: int) -> np.ndarray:
@@ -438,7 +439,7 @@ def verify_regularity(
     d: InverseDemand,
     alpha: float,
     grid_n: int = 400,
-    tol: float = 1e-8,
+    tol: float = REGULARITY_TOL,
     shift: float = 0.0,
 ) -> bool:
     """Grid check of the regularity inequality for the given alpha.
@@ -455,7 +456,7 @@ def verify_regularity(
     der = np.abs(np.asarray(d.derivative(xs)))
     # Restrict to the region where the (shifted) curve is non-negative and
     # drop points past the support where both value and slope vanish.
-    keep = (lam >= -1e-12) & ~((lam <= 0.0) & (der < 1e-300))
+    keep = (lam >= -BOUNDARY_SLACK) & ~((lam <= 0.0) & (der < TINY))
     xs, lam, der = xs[keep], np.maximum(lam[keep], 0.0), der[keep]
     if xs.size < 2:
         return True

@@ -15,7 +15,7 @@ goods' allocation (A the stacked bundle incidence, base a fixed allocation).
 
 One loop, damped projected Newton (Bertsekas, SIAM J. Control Optim. 20(2),
 1982), runs both, on F = -SW (the cost, for the split).  A step fixes the
-epsilon-active coordinates, those at most min(1e-6, ||z - P(z - grad F)||)
+epsilon-active coordinates, those at most min(ACTIVE_EPS, ||z - P(z - grad F)||)
 with F rising in them, and moves them toward 0 (a full step reaches it).  It
 also holds at 0 every bundle that gains no more than one its type uses below
 the cap; a block of fixed mass keeps its largest entry free.  On the others
@@ -34,7 +34,7 @@ a matrix over the splits.  Armijo backtracking runs along the projection
 arc, which clips z into [0, cap] and rescales each fixed-mass block to its
 total; a step whose predicted gain (the Newton decrement) is below the
 objective's rounding is taken whole.  A round ends once the decrement is at
-that level and the projected gradient is at most 1e-12 or has not halved in
+that level and the projected gradient is at most PG_STOP or has not halved in
 three steps.
 
 Each objective, gradient or curvature evaluation is one kernel call per
@@ -45,12 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Rounds of Newton a solve runs before it gives up on its certificate.
-ROUNDS = 4
-# The Newton step's damping is the projected gradient, but at least this.
-_DAMPING_FLOOR = 1e-14
-# Armijo backtracking gives up, and ends the round, after this many halvings.
-_MAX_HALVINGS = 60
+from .tolerances import ACTIVE_EPS, ARMIJO, DAMPING_FLOOR, MAX_HALVINGS, PG_STOP, ROUNDING_REL
 
 
 class FlowProgram:
@@ -193,7 +188,7 @@ def _run_newton(program, z, max_iters):
         pg = program.projected_gradient(z, grad)
         history.append(pg)
         # grad is the gradient of SW, so F rises with z_k where grad_k < 0.
-        fixed = (z <= min(1e-6, pg)) & (grad < 0.0)
+        fixed = (z <= min(ACTIVE_EPS, pg)) & (grad < 0.0)
         # A bundle at zero stays there unless it gains more than every bundle
         # its type uses below the cap, which can take the mass instead.  One
         # that differs from a used bundle only in goods at c'(0) = 0 would
@@ -206,21 +201,21 @@ def _run_newton(program, z, max_iters):
             # The mass a fixed block's fixed entries give up needs a free
             # entry to go to: its largest (Bertsekas's reference coordinate).
             fixed &= z < np.repeat(np.maximum.reduceat(z, program.offsets[:-1]), program.sizes)
-        d = program.newton_step(z, grad, ~fixed, max(pg, _DAMPING_FLOOR))
+        d = program.newton_step(z, grad, ~fixed, max(pg, DAMPING_FLOOR))
         # A full step sends the fixed coordinates to 0; a shorter one only
         # moves them toward it, so that every short enough step is a descent.
         d[fixed] = -z[fixed]
         # Below this decrement a step's gain is lost in the objective's rounding.
-        unseen = grad @ d <= 1e-15 * (1.0 + abs(f))
-        if unseen and (pg <= 1e-12 or (len(history) > 3 and pg > 0.5 * history[-4])):
+        unseen = grad @ d <= ROUNDING_REL * (1.0 + abs(f))
+        if unseen and (pg <= PG_STOP or (len(history) > 3 and pg > 0.5 * history[-4])):
             break
         step = 1.0
-        for _ in range(_MAX_HALVINGS):
+        for _ in range(MAX_HALVINGS):
             z_new = program.project(z + step * d)
             f_new, grad_new = program.value_and_gradient(z_new)
             # The slack is rounding in the objective; a step whose gain F
             # cannot resolve is taken whole.
-            if unseen or f_new >= f + 1e-4 * float(grad @ (z_new - z)) - 1e-15 * abs(f):
+            if unseen or f_new >= f + ARMIJO * float(grad @ (z_new - z)) - ROUNDING_REL * abs(f):
                 break
             step *= 0.5
         else:

@@ -17,7 +17,7 @@ welfare and ladder solves alike.
 The min-cost split is the welfare program's fixed-mass limit: one
 flow.FlowProgram over all goods, run by the same Newton loop as the welfare
 solve.  It stops only once split_kkt_violation's used-bundle spread is at
-most 0.1 * KKT_TOL, or after flow.ROUNDS rounds.
+most a tenth of tolerances.KKT_TOL, or after tolerances.ROUNDS rounds.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ import numpy as np
 
 from .costs import CostBatch, CostFunction
 from .demand import DemandBatch, InverseDemand
-from .flow import ROUNDS, FlowProgram, _run_newton
+from .flow import FlowProgram, _run_newton
+from .tolerances import KKT_TOL, PRICE_TIE_REL, ROUNDS, SPLIT_DUST, SPLIT_STEPS, STATED_REL
 
 __all__ = [
     "BuyerType",
@@ -39,23 +40,8 @@ __all__ = [
     "best_response",
     "buyer_marginal_costs",
     "evaluate",
-    "min_bundle_price",
     "min_cost_allocation",
 ]
-
-# Bundles whose price is within this (times 1 + lambda_max) of the cheapest
-# count as tied.  Solver-produced prices equalize marginal costs only to about
-# 1e-8, and breaking those near-ties routes whole buyer populations onto one
-# pseudo-cheapest good, so this must sit well above the solver tolerance.
-PRICE_TIE_REL = 1e-7
-# Reported splits below this are numeric dust and get dropped.
-SPLIT_DUST = 1e-12
-# Marginal-cost sums of used bundles must agree within this at a cost optimum.
-KKT_TOL = 1e-6
-
-_PEAK_TOL = 1e-9
-# Newton steps per round of the min-cost split: a safety cap.
-_SPLIT_STEPS = 500
 
 
 class MarketValidationError(ValueError):
@@ -109,9 +95,7 @@ class MarketInstance:
                     problems.append(
                         f"type {t.type_id}: bundle {list(b)} references unknown goods {unknown}"
                     )
-            if peak is not None and abs(t.demand.lambda_max - peak) > _PEAK_TOL * max(
-                peak, 1.0
-            ):
+            if peak is not None and abs(t.demand.lambda_max - peak) > STATED_REL * max(peak, 1.0):
                 problems.append(
                     f"type {t.type_id}: peak {t.demand.lambda_max} breaks the uniform "
                     f"peak {peak}"
@@ -236,20 +220,6 @@ class PricingSolution:
         return np.array([self.allocation[g] for g in inst.good_ids])
 
 
-def min_bundle_price(inst: MarketInstance, prices: dict[str, float], type_id: str):
-    """Cheapest bundle price for the type and one argmin bundle.
-
-    Ties, decided by _bundle_prices, resolve to the lexicographically smallest
-    bundle (bundles are stored as sorted good-id tuples, themselves sorted).
-    """
-    if type_id not in inst.type_ids:
-        raise KeyError(f"unknown buyer type {type_id!r}")
-    idx = inst.type_ids.index(type_id)
-    _, cheapest, tied = _bundle_prices(inst, inst.price_vector(prices))
-    first = int(np.argmax(tied[inst.bundle_offsets[idx] : inst.bundle_offsets[idx + 1]]))
-    return float(cheapest[idx]), inst.buyer_types[idx].bundles[first]
-
-
 def best_response(inst: MarketInstance, prices: dict[str, float]) -> dict[str, float]:
     """Envy-free demand: each type buys its cheapest bundle up to its valuation."""
     _, cheapest, _ = _bundle_prices(inst, inst.price_vector(prices))
@@ -264,9 +234,9 @@ def _bundle_prices(inst: MarketInstance, pvec):
     the last axis, every bundle's price (in stacked_masks row order), each
     type's cheapest bundle price, and the mask of bundles tied with their
     type's cheapest: within PRICE_TIE_REL * (1 + lambda_max) of it.
-    min_bundle_price picks from this mask, min_cost_allocation and evaluate
-    split over it, and oracle._sweep and oracle.oracle_min_split_cost read it
-    too, so the oracles audit exactly the bundle sets the code splits over.
+    min_cost_allocation and evaluate split over this mask, and oracle._sweep
+    reads it too, so the oracle audits exactly the bundle sets the code
+    splits over.
     """
     sums = pvec @ inst.stacked_masks.T
     cheapest = np.minimum.reduceat(sums, inst.bundle_offsets[:-1], axis=-1)
@@ -311,7 +281,7 @@ def split_min_cost(cost_fns, masks, totals):
     program = FlowProgram(stacked, sizes, _cost_batch(tuple(cost_fns)), masses=masses, base=base)
     z = np.repeat(masses / sizes, sizes)
     for _ in range(ROUNDS):
-        z = _run_newton(program, z, _SPLIT_STEPS)
+        z = _run_newton(program, z, SPLIT_STEPS)
         # The used-bundle spread, as split_kkt_violation measures it.
         if np.max(-program.gradient(z), where=z > SPLIT_DUST, initial=0.0) <= 0.1 * KKT_TOL:
             break

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import (
-    BOUND_TOL,
     mm_profit_factor,
     mm_welfare_factor,
     selection_base_factor,
@@ -31,6 +30,7 @@ from .analysis import (
 )
 from .market import MarketInstance, PricingSolution
 from .solver import SolverConfig, SolverError, _marginal_solution, _solve_flow
+from .tolerances import BOUNDARY_SLACK, BOUND_TOL, FLOOR_MARGIN
 from .unit_demand import resolve_alpha, threshold_price
 
 __all__ = [
@@ -43,9 +43,6 @@ __all__ = [
     "select_index",
     "selection_threshold",
 ]
-
-# Goods priced above the dummy price by more than this margin count saturated.
-_SAT_TOL = 1e-9
 
 
 @dataclass
@@ -113,7 +110,7 @@ def augmented_we(
     floored = _ReserveFloored(inst, dummy_price)
     z, y = _solve_flow(inst, floored, cfg, start)
     solution = _marginal_solution(inst, z, y, floored)
-    margin = _SAT_TOL * (1.0 + dummy_price)
+    margin = FLOOR_MARGIN * (1.0 + dummy_price)
     return LadderSolution(
         index=0,
         dummy_price=dummy_price,
@@ -127,7 +124,7 @@ def augmented_we(
 
 def rung_count(inst: MarketInstance) -> int:
     """Number of doubling steps: ceil(log2 of the bundle size ratio)."""
-    return int(math.ceil(math.log2(inst.bundle_size_ratio) - 1e-12))
+    return int(math.ceil(math.log2(inst.bundle_size_ratio) - BOUNDARY_SLACK))
 
 
 def dummy_price_at(inst: MarketInstance, j: int, alpha: float | None = None) -> float:
@@ -146,8 +143,11 @@ def ladder(
     Every rung's solve starts from the welfare optimum opt's split, so the
     rungs do not depend on each other or on their order.  A rung that fails
     to certify raises SolverError naming its index and reserve price.
+    alpha = 1 puts the threshold, and so every reserve, at 0: ValueError.
     """
     alpha = resolve_alpha(inst, alpha)
+    if not alpha < 1.0:
+        raise ValueError(f"alpha={alpha}: the reserve-price ladder needs alpha < 1")
     start = np.zeros(int(inst.bundle_offsets[-1]))
     start[[inst.bundle_rows[key] for key in opt.split]] = list(opt.split.values())
     rungs = []
@@ -319,7 +319,7 @@ def deviation_violations(
     threshold exceeds the demand peak have no applicable benchmark.
     """
     floor = rung.dummy_price * 2.0 * inst.max_bundle_size
-    if floor > inst.lambda_max * (1.0 - 1e-12):
+    if floor > inst.lambda_max * (1.0 - BOUNDARY_SLACK):
         return []
     # The benchmark: the optimum's demand, capped at what each type buys at the floor.
     x_a = np.minimum(

@@ -1,11 +1,10 @@
-"""Brute-force references for tiny instances.
+"""Brute-force reference for tiny instances.
 
-Two independent checks back the optimizing code: an exhaustive sweep over a
-price grid (demand responses stay exact; only prices are discretized) and an
-exhaustive enumeration of bundle splits on a fraction grid (to audit the
-minimum-cost allocation).  Both decide bundle ties with market._bundle_prices,
-the rule evaluate splits over.  Both are deterministic: sweeps enumerate
-price vectors lexicographically and ties resolve to the first maximizer.
+An exhaustive sweep over a price grid backs the optimizing code: demand
+responses stay exact; only prices are discretized.  It decides bundle ties
+with market._bundle_prices, the rule evaluate splits over.  It is
+deterministic: it enumerates price vectors lexicographically and ties
+resolve to the first maximizer.
 
 The price sweep values every grid point in one vectorized pass, through the
 instance's DemandBatch and CostBatch, the one evaluation kernel of each
@@ -18,28 +17,25 @@ the top candidates.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .market import MarketInstance, _bundle_prices, evaluate
+from .tolerances import GRID_TIE
 
 __all__ = [
     "GridSpec",
     "OracleCapError",
     "oracle_max_profit",
     "oracle_max_welfare",
-    "oracle_min_split_cost",
 ]
 
 # The best grid point is chosen among this many top candidates of the sweep:
 # exact re-evaluation repairs the cost the sweep overstates on tied points.
 _REFINE_TOP = 16
-
-_MAX_SPLIT_COMBOS = 3_000_000
-# The sweeps refuse instances with more goods or more types than this.
+# The sweep refuses instances with more goods or more types than this.
 MAX_GOODS = 3
 MAX_TYPES = 3
 # ... and price grids of more entries (grid points times goods) than this:
@@ -60,8 +56,8 @@ class GridSpec:
 
     def resolve_price_step(self, lambda_max: float) -> float:
         step = self.price_step if self.price_step is not None else lambda_max / 100.0
-        if not step > 0:
-            raise ValueError("price step must be positive")
+        if not 0 < step < math.inf:
+            raise ValueError("price step must be finite and positive")
         return step
 
     def levels(self, lambda_max: float) -> int:
@@ -162,7 +158,7 @@ def _refine(inst: MarketInstance, P, values, split, objective: str):
         if split[idx]:
             sol = evaluate(inst, inst.prices_dict(P[idx]))
             value = sol.sw if objective == "sw" else sol.profit
-        if value > best_value + 1e-15:
+        if value > best_value + GRID_TIE:
             best_value, best_row = value, idx
     return float(best_value), None if best_row is None else inst.prices_dict(P[best_row])
 
@@ -179,52 +175,3 @@ def oracle_max_profit(inst: MarketInstance, grid: GridSpec | None = None):
     grid = grid or GridSpec()
     P, _, profit, split = _sweep(inst, grid)
     return _refine(inst, P, profit, split, "profit")
-
-
-def _compositions(total_levels: int, parts: int):
-    """All non-negative integer vectors of the given length summing to total_levels."""
-    for cuts in itertools.combinations(range(total_levels + parts - 1), parts - 1):
-        prev = -1
-        comp = []
-        for c in cuts:
-            comp.append(c - prev - 1)
-            prev = c
-        comp.append(total_levels + parts - 2 - prev)
-        yield comp
-
-
-def oracle_min_split_cost(
-    inst: MarketInstance,
-    prices: dict[str, float],
-    demand: dict[str, float],
-    levels: int = 100,
-) -> float:
-    """Cheapest total cost over a fraction grid of argmin-bundle splits.
-
-    Each type's demand is distributed over its cheapest-priced bundles (tied
-    by the same rule min_cost_allocation uses) in multiples of demand/levels;
-    all combinations across types are enumerated.
-    An upper bound on the true minimum cost within O(levels^-2).
-    """
-    _, _, tied = _bundle_prices(inst, inst.price_vector(prices))
-    per_type = []
-    n = len(inst.good_ids)
-    offsets = inst.bundle_offsets
-    for t, lo, hi in zip(inst.buyer_types, offsets[:-1], offsets[1:]):
-        rows = inst.stacked_masks[lo:hi][tied[lo:hi]]
-        x = float(demand[t.type_id])
-        if x <= 0.0:
-            per_type.append(np.zeros((1, n)))
-            continue
-        if len(rows) == 1:
-            per_type.append(x * rows)
-            continue
-        comps = np.array(list(_compositions(levels, len(rows))), dtype=float)
-        per_type.append((comps / levels * x) @ rows)
-    combos = math.prod(a.shape[0] for a in per_type)
-    if combos > _MAX_SPLIT_COMBOS:
-        raise OracleCapError(f"{combos} split combinations exceed the enumeration cap")
-    Y = per_type[0]
-    for block in per_type[1:]:
-        Y = (Y[:, None, :] + block[None, :, :]).reshape(-1, n)
-    return float(inst.cost_batch.total(Y).sum(axis=-1).min())

@@ -9,7 +9,7 @@ capped at its demand support.  Its Lagrangian dual in the goods' prices p,
 is convex and bounds the optimum from above at every p >= 0 (weak duality),
 so D(p) - SW(z) bounds how far an iterate z is from optimal.
 
-A solve runs up to flow.ROUNDS rounds of the Newton core in flow.py on
+A solve runs up to tolerances.ROUNDS rounds of the Newton core in flow.py on
 F = -SW over the box 0 <= z <= cap, each round continuing from the last
 iterate; the first starts from zero or a given split (ladder rungs start from
 the welfare optimum's).
@@ -31,12 +31,14 @@ into the PricingSolution, posted at the marginals of the solved costs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import ROUNDS, FlowProgram, _run_newton
-from .market import MarketInstance, PricingSolution, SPLIT_DUST, _bundle_prices, _solution
+from .flow import FlowProgram, _run_newton
+from .market import MarketInstance, PricingSolution, _bundle_prices, _solution
+from .tolerances import ROUNDS, SOLVER_TOL, SPLIT_DUST
 
 __all__ = [
     "SolverConfig",
@@ -54,11 +56,11 @@ class SolverConfig:
     """
 
     max_iters: int = 20_000
-    tol: float = 1e-8
+    tol: float = SOLVER_TOL
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 

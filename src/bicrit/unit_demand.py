@@ -17,12 +17,12 @@ from .analysis import peak_decay
 from .market import (
     MarketInstance,
     PricingSolution,
-    SPLIT_DUST,
     buyer_marginal_costs,
     evaluate,
     split_kkt_violation,
 )
 from .solver import SolverConfig, solve_welfare
+from .tolerances import BOUNDARY_SLACK, DIAG_TOL, FLOOR_MARGIN, KKT_TOL, SPLIT_DUST, TINY
 
 __all__ = [
     "ThresholdedPrices",
@@ -31,10 +31,6 @@ __all__ = [
     "price_unit_demand",
     "threshold_price",
 ]
-
-# Slack when classifying goods/buyers into clusters and checking them.
-_CLUSTER_TOL = 1e-9
-_DIAG_TOL = 1e-6
 
 
 class UnitDemandError(ValueError):
@@ -53,7 +49,7 @@ def resolve_alpha(inst: MarketInstance, alpha: float | None) -> float:
     """The regularity parameter to price with; overrides may only enlarge it."""
     if alpha is None:
         return inst.alpha
-    if alpha < inst.alpha - 1e-12:
+    if alpha < inst.alpha - BOUNDARY_SLACK:
         raise ValueError(
             f"alpha={alpha} is below the instance's regularity {inst.alpha}"
         )
@@ -93,7 +89,7 @@ def price_unit_demand(
     primary = threshold_price(alpha, inst.lambda_max)
     prices = {g: max(primary, opt.prices[g]) for g in inst.good_ids}
     sol = evaluate(inst, prices)
-    margin = _CLUSTER_TOL * (1.0 + inst.lambda_max)
+    margin = FLOOR_MARGIN * (1.0 + inst.lambda_max)
     good_cluster = {
         g: "H" if prices[g] > primary + margin else "L" for g in inst.good_ids
     }
@@ -123,11 +119,11 @@ def cluster_diagnostics(
     for t in inst.buyer_types:
         cl = tp.type_cluster[t.type_id]
         x_new, x_opt = sol.demand[t.type_id], opt.demand[t.type_id]
-        if cl == "H" and abs(x_new - x_opt) > _DIAG_TOL * scale:
+        if cl == "H" and abs(x_new - x_opt) > DIAG_TOL * scale:
             violations.append(
                 f"H type {t.type_id}: demand {x_new} differs from optimal {x_opt}"
             )
-        if cl == "L" and x_new > x_opt + _DIAG_TOL * scale:
+        if cl == "L" and x_new > x_opt + DIAG_TOL * scale:
             violations.append(
                 f"L type {t.type_id}: demand {x_new} above optimal {x_opt}"
             )
@@ -136,11 +132,11 @@ def cluster_diagnostics(
     for g, c_new, c_opt in zip(inst.good_ids, marg_new, marg_opt):
         cl = tp.good_cluster[g]
         y_new, y_opt = sol.allocation[g], opt.allocation[g]
-        if cl == "H" and abs(y_new - y_opt) > _DIAG_TOL * scale:
+        if cl == "H" and abs(y_new - y_opt) > DIAG_TOL * scale:
             violations.append(
                 f"H good {g}: allocation {y_new} differs from optimal {y_opt}"
             )
-        if cl == "L" and c_new > c_opt + _DIAG_TOL * scale:
+        if cl == "L" and c_new > c_opt + DIAG_TOL * scale:
             violations.append(
                 f"L good {g}: marginal cost rose above the optimum's"
             )
@@ -154,7 +150,7 @@ def cluster_diagnostics(
                     f"({tp.good_cluster[g]}) across clusters"
                 )
     kkt = split_kkt_violation(inst, sol.allocation, sol.split)
-    if kkt > _DIAG_TOL:
+    if kkt > KKT_TOL:
         violations.append(
             f"allocation is not cost-minimal for the demand (gap {kkt:.2e})"
         )
@@ -178,10 +174,10 @@ def low_cluster_hazard_condition(
     slopes = np.abs(inst.demand_batch.derivative(xvec)).tolist()
     problems = []
     for t, x, lam_x, slope in zip(inst.buyer_types, xvec.tolist(), lam, slopes):
-        if tp.type_cluster[t.type_id] != "L" or x <= SPLIT_DUST or slope < 1e-300:
+        if tp.type_cluster[t.type_id] != "L" or x <= SPLIT_DUST or slope < TINY:
             continue
         shifted = lam_x - rates[t.type_id]
-        if shifted / slope > x + _DIAG_TOL * (1.0 + x):
+        if shifted / slope > x + DIAG_TOL * (1.0 + x):
             problems.append(
                 f"type {t.type_id}: shifted hazard {shifted / slope:.6f} exceeds demand {x:.6f}"
             )

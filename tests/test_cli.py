@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from bicrit import MarketInstance, cli, instances
+from bicrit import CostFunction, InverseDemand, MarketInstance, cli, instances
 from bicrit.solver import SolverConfig
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -46,7 +46,7 @@ def test_verify_passes_every_check(instance_name, n_checks, request, tmp_path):
     assert all(c["ok"] for c in record["checks"])
 
 
-@pytest.mark.parametrize("flag", [["--max-iters", "0"], ["--tol", "0"]])
+@pytest.mark.parametrize("flag", [["--max-iters", "0"], ["--tol", "0"], ["--tol", "inf"]])
 def test_invalid_solver_settings_exit_with_validation_code(flag, twin_goods_instance, tmp_path, capsys):
     infile = tmp_path / "instance.json"
     instances.save(twin_goods_instance, infile)
@@ -287,3 +287,45 @@ def test_verify_skips_a_grid_beyond_the_oracle_cap(tmp_path, caplog):
     assert "beyond oracle caps" in caplog.text
     names = [c["name"] for c in json.loads(outfile.read_text())["checks"]]
     assert "grid_never_beats_optimum" not in names and "income_covers_twice_cost" in names
+
+
+def _refused(argv, capsys):
+    """Run argv; assert exit 1 with an error line and no traceback, and return stderr."""
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("spec, c", [("0:0.5:0.25", "nan"), ("1:1:0.1", "inf")])
+def test_sweep_refuses_a_non_finite_c(spec, c, capsys):
+    assert "c must be finite" in _refused(["sweep", "--alpha", spec, "--c", c], capsys)
+
+
+def test_verify_refuses_an_infinite_grid_step(tmp_path, capsys):
+    infile = os.path.join(GOLDEN, "tiny-00.json")
+    err = _refused(["verify", "--in", infile, "--grid-step", "inf", "--out", str(tmp_path / "v.json")], capsys)
+    assert "price step must be finite" in err
+
+
+def _pareto_alpha_one_bundles():
+    # Generalized-Pareto curves at alpha = 1 and a pair bundle: a valid
+    # instance whose ladder would put every reserve at 0.
+    demand = InverseDemand.generalized_pareto(1.0, 1.0, 1.0)
+    cost = CostFunction.power(1.0, 1.0)
+    return MarketInstance.create(
+        [("g1", cost), ("g2", cost)], [("b1", [["g1"]], demand), ("b2", [["g1", "g2"]], demand)]
+    )
+
+
+@pytest.mark.parametrize("command", ["price-mm", "verify"])
+def test_ladder_at_alpha_one_names_alpha(command, tmp_path, capsys):
+    infile = tmp_path / "instance.json"
+    instances.save(_pareto_alpha_one_bundles(), infile)
+    err = _refused([command, "--in", str(infile), "--out", str(tmp_path / "out.json")], capsys)
+    assert "alpha=1.0" in err and "alpha < 1" in err
+
+
+def test_price_mm_refuses_an_alpha_override_of_one(tmp_path, capsys):
+    argv = ["price-mm", "--in", os.path.join(GOLDEN, "mm-00.json"), "--alpha", "1", "--out", str(tmp_path / "o.json")]
+    assert "alpha < 1" in _refused(argv, capsys)

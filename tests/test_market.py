@@ -13,11 +13,9 @@ from bicrit import (
     best_response,
     buyer_marginal_costs,
     evaluate,
-    min_bundle_price,
     min_cost_allocation,
 )
 from bicrit.market import KKT_TOL, SPLIT_DUST, _bundle_prices, split_kkt_violation
-from bicrit.oracle import oracle_min_split_cost
 
 from conftest import (
     random_cost,
@@ -26,6 +24,7 @@ from conftest import (
     random_prices,
     random_unit_demand_instance,
 )
+from split_oracle import oracle_min_split_cost
 
 
 @pytest.fixture
@@ -36,36 +35,27 @@ def substitutes(linear_demand, quadratic_cost):
     )
 
 
-class TestMinBundlePrice:
-    def test_picks_cheaper_singleton(self, substitutes):
-        q, bundle = min_bundle_price(substitutes, {"g1": 0.3, "g2": 0.5}, "b1")
-        assert q == pytest.approx(0.3)
-        assert bundle == ("g1",)
+class TestBundlePrices:
+    def test_cheapest_is_the_cheaper_singleton(self, substitutes):
+        _, cheapest, tied = _bundle_prices(substitutes, np.array([0.3, 0.5]))
+        assert cheapest[0] == pytest.approx(0.3)
+        np.testing.assert_array_equal(tied, [True, False])
 
-    def test_sums_pair_bundle(self, linear_demand, quadratic_cost):
+    def test_a_pair_bundle_costs_its_goods_sum(self, linear_demand, quadratic_cost):
         inst = MarketInstance.create(
             [("g1", quadratic_cost), ("g2", quadratic_cost)],
             [("b1", [["g1", "g2"]], linear_demand)],
         )
-        q, bundle = min_bundle_price(inst, {"g1": 0.3, "g2": 0.5}, "b1")
-        assert q == pytest.approx(0.8)
-        assert bundle == ("g1", "g2")
+        _, cheapest, _ = _bundle_prices(inst, np.array([0.3, 0.5]))
+        assert cheapest[0] == pytest.approx(0.8)
 
-    @pytest.mark.parametrize(
-        "g1_price", [0.4, 0.4 + 5e-8], ids=["exact-tie", "near-tie"]
-    )
-    def test_tie_breaks_lexicographically(self, substitutes, g1_price):
-        # 5e-8 lies inside the tie band of _bundle_prices, so both bundles tie.
-        q, bundle = min_bundle_price(substitutes, {"g1": g1_price, "g2": 0.4}, "b1")
-        assert q == pytest.approx(0.4)
-        assert bundle == ("g1",)
+    @pytest.mark.parametrize("g1_price", [0.4, 0.4 + 5e-8], ids=["exact-tie", "near-tie"])
+    def test_ties_within_the_band_are_both_cheapest(self, substitutes, g1_price):
+        # 5e-8 lies inside the tie band, so both bundles tie at the cheaper price.
+        _, cheapest, tied = _bundle_prices(substitutes, np.array([g1_price, 0.4]))
+        assert cheapest[0] == pytest.approx(0.4)
+        np.testing.assert_array_equal(tied, [True, True])
 
-    def test_unknown_type_raises_key_error(self, substitutes):
-        with pytest.raises(KeyError, match="b9"):
-            min_bundle_price(substitutes, {"g1": 0.3, "g2": 0.5}, "b9")
-
-
-class TestBundlePrices:
     def test_a_stack_of_price_vectors_matches_row_by_row_calls(self, linear_demand, quadratic_cost):
         inst = MarketInstance.create(
             [("g1", quadratic_cost), ("g2", quadratic_cost), ("g3", quadratic_cost)],

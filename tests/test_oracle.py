@@ -248,6 +248,11 @@ def test_sweep_welfare_equals_evaluate_on_rows_without_a_split(beta, alpha):
 
 
 class TestGridCap:
+    @pytest.mark.parametrize("step", [0.0, -1.0, float("inf"), float("nan")])
+    def test_a_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(ValueError, match="finite and positive"):
+            GridSpec(price_step=step).resolve_price_step(1.0)
+
     def test_verify_grids_fit(self, linear_demand):
         for n_goods, step, points in ((3, 1.0 / 20.0, 9261), (2, 1.0 / 100.0, 10201)):
             goods = [(f"g{k}", CostFunction.power(1.0, 1.0)) for k in range(n_goods)]

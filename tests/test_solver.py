@@ -17,10 +17,10 @@ from bicrit import (
 from bicrit import flow, solver
 from bicrit.flow import FlowProgram
 from bicrit.multi_minded import _ReserveFloored
-from bicrit.oracle import oracle_min_split_cost
 from bicrit.solver import _FlowProgram, _run_newton
 
 from conftest import random_unit_demand_instance, random_multi_minded_instance
+from split_oracle import oracle_min_split_cost
 
 
 class TestAnalyticFixtures:
