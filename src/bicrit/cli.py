@@ -67,7 +67,7 @@ def _emit(record, out_path):
 
 
 def _solver_config(args) -> SolverConfig:
-    given = {k: getattr(args, k, None) for k in ("tol", "max_iters")}
+    given = {"tol": args.tol, "max_iters": args.max_iters}
     return SolverConfig(**{k: v for k, v in given.items() if v is not None})
 
 
@@ -94,7 +94,9 @@ def _cmd_evaluate(args) -> int:
     if not isinstance(prices, dict):
         raise instances.InstanceFormatError(["prices: expected an object mapping good id to price"])
     missing = [g for g in inst.good_ids if g not in prices]
+    unknown = [g for g in prices if g not in inst.good_index]
     problems = [f"prices: missing goods {missing}"] if missing else []
+    problems += [f"prices: unknown goods {unknown}"] if unknown else []
     problems += [
         f"prices: good {g!r} has price {json.dumps(prices[g])}, not a finite real number"
         for g in inst.good_ids
@@ -299,14 +301,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="bicrit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_instance=True):
+    def common(p, needs_instance=True, solves=True):
         if needs_instance:
             p.add_argument("--in", dest="infile", required=True, help="instance file")
             p.add_argument("--strict", action="store_true",
                            help="reject unknown keys in the instance file")
         p.add_argument("--out", default=None, help="result file (default stdout)")
-        p.add_argument("--tol", type=float, default=None, help="solver tolerance")
-        p.add_argument("--max-iters", type=int, default=None, help="cap on Newton steps per solver round")
+        if solves:
+            p.add_argument("--tol", type=float, default=None, help="solver tolerance")
+            p.add_argument("--max-iters", type=int, default=None, help="cap on Newton steps per solver round")
 
     p = sub.add_parser("solve-welfare", help="welfare-maximizing prices")
     common(p)
@@ -328,13 +331,13 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_price_mm)
 
     p = sub.add_parser("evaluate", help="evaluate user-given prices")
-    common(p)
+    common(p, solves=False)
     p.add_argument("--prices", required=True,
                    help="JSON object mapping good id to price, inline or a file path")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("sweep", help="CSV of guarantee factors over an alpha grid")
-    common(p, needs_instance=False)
+    common(p, needs_instance=False, solves=False)
     p.add_argument("--alpha", required=True, help="grid as start:stop:step")
     p.add_argument("--c", type=float, default=2.0,
                    help="welfare factor at which to evaluate the trade-off curve")

@@ -236,11 +236,3 @@ class CostBatch:
         if (p < 0).any():
             raise CostDomainError("marginal inverse needs a non-negative price")
         return self._on_pieces(_piece_inverse, self._start_marginals, p)
-
-    def conjugate(self, p):
-        """The convex conjugate C*(p) = max_y [p y - C(y)].
-
-        Its maximizer y0 = c^-1(p) solves c(y0) = p, so C*(p) = p y0 - C(y0).
-        """
-        y0 = self.marginal_inverse(p)
-        return p * y0 - self.total(y0)

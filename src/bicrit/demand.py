@@ -31,8 +31,6 @@ from .tolerances import (
 )
 
 __all__ = [
-    "ALPHA_LIMIT",
-    "DEFAULT_PRICE_FLOOR",
     "DemandBatch",
     "DemandDomainError",
     "InverseDemand",

@@ -86,10 +86,6 @@ class _ReserveFloored:
         below = self._total_at_y0 + self.reserve * (y - self.y0)
         return np.where(y < self.y0, below, self.costs.total(y))
 
-    def conjugate(self, p):
-        """C~*(p) = C*(max(p, r)), flat below r."""
-        return self.costs.conjugate(np.maximum(p, self.reserve))
-
 
 def augmented_we(
     inst: MarketInstance, dummy_price: float, cfg: SolverConfig | None = None, start=None

@@ -14,19 +14,23 @@ F = -SW over the box 0 <= z <= cap, each round continuing from the last
 iterate; the first starts from zero or a given split (ladder rungs start from
 the welfare optimum's).
 
-After each round the gap is taken at the posted prices p = c(y(z)): a round
-that misses its target runs the next, and a miss on the last raises
-SolverError.  The KKT conditions close this gap at an optimum z*.  Each used
-bundle's marginal-cost sum is its type's cheapest, q_i = lambda_i(x_i) (at
-most that at the cap, at least lambda_i(0) if x_i = 0), so each type's term
-picks t = x_i; p = c(y*) makes each conjugate pick y*; so D(c(y*)) = SW(z*).
+After each round the gap is taken at the posted prices p = c(y(z)), the
+costs' gradient at y, where Fenchel's equality C*(p) = p y - C(y)
+(Rockafellar, Convex Analysis, 1970, Thm 23.5) cancels the cost terms:
+
+    D(c(y)) - SW(z) = sum_r z_r (p(S_r) - q_i) + sum_i [U_i(t_i) - U_i(x_i) - q_i (t_i - x_i)]
+
+over the split's rows r (type i, bundle S_r), t_i the demand at q_i.  Both
+sums are non-negative, and both vanish exactly at the KKT point: each used
+bundle's marginal-cost sum is its type's cheapest, and x_i = t_i.  A round
+that misses its target runs the next; a miss on the last raises SolverError.
 
 The program works on the instance's struct-of-arrays forms: the stacked
 bundle incidence, the DemandBatch of its curves and a batched cost (the
-instance's CostBatch, or reserve-floored costs on a ladder rung).  Each dual
-evaluation is one kernel call per family.  A solve returns its split, in
-stacked_masks row order, and its allocation; market._solution turns them
-into the PricingSolution, posted at the marginals of the solved costs.
+instance's CostBatch, or reserve-floored costs on a ladder rung).  A solve
+returns its split, in stacked_masks row order, and its allocation;
+market._solution turns them into the PricingSolution, posted at the
+marginals of the solved costs.
 """
 
 from __future__ import annotations
@@ -75,26 +79,25 @@ class SolverError(RuntimeError):
 
 
 class _FlowProgram(FlowProgram):
-    """The welfare program of the instance's buyer types against costs, with its dual.
+    """The welfare program of the instance's buyer types against costs, with its certificate.
 
-    costs is a batched cost over the instance's goods (marginal, total and
-    conjugate take and return one value per good): usually inst.cost_batch,
-    or reserve-floored costs on a ladder rung.
+    costs is a batched cost over the instance's goods (marginal, slope and
+    total take and return one value per good): usually inst.cost_batch, or
+    reserve-floored costs on a ladder rung.
     """
 
     def __init__(self, inst: MarketInstance, costs):
         super().__init__(inst.stacked_masks, inst.bundle_sizes, costs, demand=inst.demand_batch)
 
-    def dual(self, p):
-        """D(p), for prices p >= 0."""
-        q = np.minimum.reduceat(self.stacked @ p, self.offsets[:-1])
-        t = self.demand.demand_at_price(q)
-        return float(self.costs.conjugate(p).sum() + (self.demand.utility_integral(t) - q * t).sum())
-
     def certificate(self, z, tol):
-        """(gap, target): the weak-duality gap D(p) - SW(z) at p = c(y(z)), and tol * (1 + |SW(z)|)."""
-        f = self.objective(z)
-        return self.dual(self.costs.marginal(self.allocation(z))) - f, tol * (1.0 + abs(f))
+        """(gap, target): the module docstring's D(c(y)) - SW(z), and tol * (1 + |SW(z)|)."""
+        x, y = self.totals(z), self.allocation(z)
+        sums = self.stacked @ self.costs.marginal(y)
+        q = np.minimum.reduceat(sums, self.offsets[:-1])
+        t = self.demand.demand_at_price(q)
+        utility = self.demand.utility_integral
+        gap = z @ (sums - np.repeat(q, self.sizes)) + (utility(t) - utility(x) - q * (t - x)).sum()
+        return float(gap), tol * (1.0 + abs(self._value(x, y)))
 
 
 def minimize(fun, x0, **kwargs):

@@ -54,6 +54,21 @@ def test_invalid_solver_settings_exit_with_validation_code(flag, twin_goods_inst
     assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--max-iters", "0"], ["--tol", "0"], ["--tol", "inf"]])
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--alpha", "0:0.5:0.5"],
+     ["evaluate", "--in", os.path.join(GOLDEN, "tiny-00.json"), "--prices", '{"g0": 0.1, "g1": 0.1, "g2": 0.1}']],
+    ids=["sweep", "evaluate"],
+)
+def test_commands_that_solve_nothing_take_no_solver_flags(argv, flag, tmp_path, capsys):
+    outfile = tmp_path / "out"
+    assert cli.main([*argv, *flag, "--out", str(outfile)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: unrecognized arguments: ") and err.count("\n") == 1
+    assert not outfile.exists()
+
+
 def test_solver_flags_do_not_leak_between_calls(twin_goods_instance, tmp_path, monkeypatch):
     # main reuses one parser per process; each call must start from its defaults.
     infile = tmp_path / "instance.json"
@@ -224,6 +239,14 @@ def test_every_bad_price_is_named_from_a_prices_file(tmp_path, capsys):
     assert cli.main(["evaluate", "--in", infile, "--prices", str(prices)]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "missing goods ['g1']" in err and "'g0'" in err and "'g2'" in err
+
+
+def test_prices_for_unknown_goods_are_a_validation_error(tmp_path, capsys):
+    infile = _write_instance(tmp_path / "instance.json")
+    prices = '{"g0": 0.1, "g1": 0.1, "g2": 0.1, "zzz": 5}'
+    assert cli.main(["evaluate", "--in", infile, "--prices", prices]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == "error: prices: unknown goods ['zzz']\n"
 
 
 def test_prices_that_are_not_an_object_are_a_validation_error(tmp_path, capsys):

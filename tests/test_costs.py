@@ -215,20 +215,17 @@ class TestCostBatch:
         np.testing.assert_array_equal(getattr(batch, method)(grid[:40].reshape(20, 2, -1)),
                                       np.reshape(want[:40], (20, 2, -1)))
 
-    def test_conjugate_matches_scalar_inverse_and_total(self):
+    def test_marginal_inverse_matches_scalar(self):
         costs = batch_costs()
         batch = CostBatch(costs)
         # Prices at the sample quantities' marginals, so at each breakpoint's
         # marginal and just either side of it too.
         for row in self._points(costs, np.random.default_rng(10)):
             p = np.array([c.marginal(float(y)) for c, y in zip(costs, row)])
-            value, y0 = batch.conjugate(p), batch.marginal_inverse(p)
-            want_y0 = [c.marginal_inverse(float(q)) for c, q in zip(costs, p)]
-            np.testing.assert_array_equal(y0, want_y0)
-            want = [q * y - c.total(y) for c, q, y in zip(costs, p, want_y0)]
-            np.testing.assert_array_equal(value, want)
+            want = [c.marginal_inverse(float(q)) for c, q in zip(costs, p)]
+            np.testing.assert_array_equal(batch.marginal_inverse(p), want)
         with pytest.raises(CostDomainError):
-            batch.conjugate(np.full(len(costs), -1e-12))
+            batch.marginal_inverse(np.full(len(costs), -1e-12))
 
     def test_slope_matches_differences_of_marginal(self):
         costs = sample_costs()

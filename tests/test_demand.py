@@ -10,12 +10,12 @@ from scipy.integrate import quad
 
 from bicrit.analysis import peak_ratio
 from bicrit.demand import (
-    ALPHA_LIMIT,
     DemandBatch,
     DemandDomainError,
     InverseDemand,
     verify_regularity,
 )
+from bicrit.tolerances import ALPHA_LIMIT
 
 
 def make_tabulated_concave(rng, n_segments=8, lambda_max=1.0):

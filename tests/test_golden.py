@@ -22,7 +22,7 @@ import os
 import pytest
 
 from bicrit import cli
-from bicrit.market import PRICE_TIE_REL
+from bicrit.tolerances import PRICE_TIE_REL
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 GOLDEN_REL = 1e-9

@@ -15,7 +15,8 @@ from bicrit import (
     evaluate,
     min_cost_allocation,
 )
-from bicrit.market import KKT_TOL, SPLIT_DUST, _bundle_prices, split_kkt_violation
+from bicrit.market import _bundle_prices, split_kkt_violation
+from bicrit.tolerances import KKT_TOL, SPLIT_DUST
 
 from conftest import (
     random_cost,

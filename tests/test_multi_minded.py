@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bicrit import multi_minded, solve_welfare
-from bicrit.analysis import BOUND_TOL, mm_profit_factor
+from bicrit.analysis import mm_profit_factor
 from bicrit.multi_minded import (
     _ReserveFloored,
     augmented_we,
@@ -17,6 +17,7 @@ from bicrit.multi_minded import (
     select_index,
 )
 from bicrit.solver import SolverError
+from bicrit.tolerances import BOUND_TOL
 
 from conftest import random_multi_minded_instance
 

@@ -211,7 +211,7 @@ class TestConfig:
 
 
 class TestDualGap:
-    """D(p) - SW(z) at p = c(y(z)), against targets inf and 0."""
+    """D(p) - SW(z) at p = c(y(z)): against targets inf and 0, and against its conjugate form."""
 
     # lambda(x) = 1 - x and c(y) = y on both goods: the optimum splits x = 2/3
     # evenly; at reserve 0.5 the marginals floor at 0.5 and it splits x = 1/2.
@@ -229,6 +229,46 @@ class TestDualGap:
                     assert f_opt - program.objective(z) <= gap + 1e-12
                     assert gap <= program.certificate(z, np.inf)[0]
                 assert program.certificate(np.array(z_opt), tol)[0] <= 1e-12
+
+    @staticmethod
+    def _conjugate_gap(program, inst, reserve, z):
+        """D(p) - SW(z) at p = c(y(z)), with each cost's conjugate in closed form.
+
+        For power costs C*(p) = p y0 - C(y0) at y0 = (p / a)^(1 / beta); the
+        reserve-floored cost's conjugate is C*(max(p, r)).
+        """
+        a = np.array([c.a for _, c in inst.goods])
+        beta = np.array([c.beta for _, c in inst.goods])
+        p = program.costs.marginal(program.allocation(z))
+        p_c = p if reserve is None else np.maximum(p, reserve)
+        y0 = (p_c / a) ** (1.0 / beta)
+        conjugate = p_c * y0 - a * y0 ** (beta + 1.0) / (beta + 1.0)
+        q = np.minimum.reduceat(program.stacked @ p, program.offsets[:-1])
+        t = program.demand.demand_at_price(q)
+        dual = conjugate.sum() + (program.demand.utility_integral(t) - q * t).sum()
+        return dual - program.objective(z)
+
+    @pytest.mark.parametrize("reserve", [None, 0.2, 0.6])
+    def test_matches_the_conjugate_form_of_the_gap(self, reserve):
+        rng = np.random.default_rng(83)
+        for k in range(12):
+            if k % 3 == 0:
+                drawn = random_unit_demand_instance(rng, alpha=(0.0, 0.5)[k % 2])
+            else:
+                drawn = random_multi_minded_instance(rng, alpha=0.4, size_ratio=1 + k % 4)
+            inst = MarketInstance(
+                tuple((g, CostFunction.power(c.a, c.beta)) for g, c in drawn.goods), drawn.buyer_types
+            )
+            costs = inst.cost_batch if reserve is None else _ReserveFloored(inst, reserve)
+            program = _FlowProgram(inst, costs)
+            n = program.caps.size
+            z_opt = _run_newton(program, np.zeros(n), SolverConfig().max_iters)
+            points = [np.zeros(n), z_opt, program.project(z_opt * rng.uniform(0.9, 1.1, size=n))]
+            points += [rng.uniform(0.0, 1.0, size=n) * rng.random(n).round() for _ in range(4)]
+            for z in points:
+                gap, _ = program.certificate(z, 1.0)
+                f = program.objective(z)
+                assert abs(gap - self._conjugate_gap(program, inst, reserve, z)) <= 1e-12 * (1.0 + abs(f))
 
 
 class TestValueAndGradient:
