@@ -21,6 +21,7 @@ __all__ = [
     "peak_decay",
     "peak_ratio",
     "selection_base_factor",
+    "threshold_price",
     "tradeoff_bound",
     "welfare_factor",
     "zeta",
@@ -41,6 +42,14 @@ def peak_decay(alpha: float) -> float:
     if alpha < ALPHA_LIMIT:
         return math.exp(-1.0)
     return math.exp(math.log1p(-alpha) / alpha) if alpha < 1.0 else 0.0
+
+
+def threshold_price(alpha: float, lambda_max: float) -> float:
+    """The uniform price floor lambda_max * (1 - alpha)^(1/alpha).
+
+    lambda_max / e in the alpha -> 0 limit and 0 at alpha = 1.
+    """
+    return lambda_max * peak_decay(alpha)
 
 
 def peak_ratio(alpha: float) -> float:

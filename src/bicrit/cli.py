@@ -97,11 +97,13 @@ def _cmd_evaluate(args) -> int:
     unknown = [g for g in prices if g not in inst.good_index]
     problems = [f"prices: missing goods {missing}"] if missing else []
     problems += [f"prices: unknown goods {unknown}"] if unknown else []
-    problems += [
-        f"prices: good {g!r} has price {json.dumps(prices[g])}, not a finite real number"
-        for g in inst.good_ids
-        if g in prices and not (isinstance(prices[g], float) and math.isfinite(prices[g]))
-    ]
+    for g in [g for g in inst.good_ids if g in prices]:
+        price = prices[g]
+        if not (isinstance(price, float) and math.isfinite(price)):
+            problems.append(f"prices: good {g!r} has price {json.dumps(price)}, not a finite real number")
+        elif price < 0.0:
+            # Zero is a price: the oracle's grid starts there.
+            problems.append(f"prices: good {g!r} has negative price {json.dumps(price)}")
     if problems:
         raise instances.InstanceFormatError(problems)
     sol = evaluate(inst, prices)
@@ -309,7 +311,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="result file (default stdout)")
         if solves:
             p.add_argument("--tol", type=float, default=None, help="solver tolerance")
-            p.add_argument("--max-iters", type=int, default=None, help="cap on Newton steps per solver round")
+            p.add_argument("--max-iters", type=int, default=None, help="cap on Newton steps per solve")
 
     p = sub.add_parser("solve-welfare", help="welfare-maximizing prices")
     common(p)

@@ -33,9 +33,10 @@ np.linalg.solve) plus work linear in the incidence's entry pairs, and never
 a matrix over the splits.  Armijo backtracking runs along the projection
 arc, which clips z into [0, cap] and rescales each fixed-mass block to its
 total; a step whose predicted gain (the Newton decrement) is below the
-objective's rounding is taken whole.  A round ends once the decrement is at
+objective's rounding is taken whole.  A run ends once the decrement is at
 that level and the projected gradient is at most PG_STOP or has not halved in
-three steps.
+three steps (at large price scales, rounding in F keeps it above PG_STOP), or
+once backtracking fails or max_iters steps are taken.
 
 Each objective, gradient or curvature evaluation is one kernel call per
 family of the program's DemandBatch and batched costs.
@@ -177,9 +178,9 @@ class FlowProgram:
 
 
 def _run_newton(program, z, max_iters):
-    """One round of damped projected Newton on F = -SW(z) from z (see the module docstring).
+    """Damped projected Newton on F = -SW(z) from z (see the module docstring).
 
-    Returns the last iterate after the stopping test or max_iters steps.
+    Returns the last iterate; the caller certifies it.
     """
     z = program.project(z)
     f, grad = program.value_and_gradient(z)

@@ -15,9 +15,8 @@ allocation into a PricingSolution: for evaluate and for the solver's
 welfare and ladder solves alike.
 
 The min-cost split is the welfare program's fixed-mass limit: one
-flow.FlowProgram over all goods, run by the same Newton loop as the welfare
-solve.  It stops only once split_kkt_violation's used-bundle spread is at
-most a tenth of tolerances.KKT_TOL, or after tolerances.ROUNDS rounds.
+flow.FlowProgram over all goods, run once by the same Newton loop as the
+welfare solve, for at most tolerances.SPLIT_STEPS steps.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 from .costs import CostBatch, CostFunction
 from .demand import DemandBatch, InverseDemand
 from .flow import FlowProgram, _run_newton
-from .tolerances import KKT_TOL, PRICE_TIE_REL, ROUNDS, SPLIT_DUST, SPLIT_STEPS, STATED_REL
+from .tolerances import PRICE_TIE_REL, SPLIT_DUST, SPLIT_STEPS, STATED_REL
 
 __all__ = [
     "BuyerType",
@@ -279,12 +278,7 @@ def split_min_cost(cost_fns, masks, totals):
     masses = np.array([totals[i] for i in free], dtype=float)
     stacked = np.vstack([masks[i] for i in free])
     program = FlowProgram(stacked, sizes, _cost_batch(tuple(cost_fns)), masses=masses, base=base)
-    z = np.repeat(masses / sizes, sizes)
-    for _ in range(ROUNDS):
-        z = _run_newton(program, z, SPLIT_STEPS)
-        # The used-bundle spread, as split_kkt_violation measures it.
-        if np.max(-program.gradient(z), where=z > SPLIT_DUST, initial=0.0) <= 0.1 * KKT_TOL:
-            break
+    z = _run_newton(program, np.repeat(masses / sizes, sizes), SPLIT_STEPS)
     for i, part in zip(free, np.split(z, program.offsets[1:-1])):
         splits[i] = part
     return splits, program.allocation(z)

@@ -27,11 +27,12 @@ from .analysis import (
     mm_welfare_factor,
     selection_base_factor,
     threshold_coefficients,
+    threshold_price,
 )
 from .market import MarketInstance, PricingSolution
 from .solver import SolverConfig, SolverError, _marginal_solution, _solve_flow
 from .tolerances import BOUNDARY_SLACK, BOUND_TOL, FLOOR_MARGIN
-from .unit_demand import resolve_alpha, threshold_price
+from .unit_demand import resolve_alpha
 
 __all__ = [
     "BoundCheck",

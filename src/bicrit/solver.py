@@ -9,21 +9,21 @@ capped at its demand support.  Its Lagrangian dual in the goods' prices p,
 is convex and bounds the optimum from above at every p >= 0 (weak duality),
 so D(p) - SW(z) bounds how far an iterate z is from optimal.
 
-A solve runs up to tolerances.ROUNDS rounds of the Newton core in flow.py on
-F = -SW over the box 0 <= z <= cap, each round continuing from the last
-iterate; the first starts from zero or a given split (ladder rungs start from
-the welfare optimum's).
+A solve is one run of the Newton core in flow.py on F = -SW over the box
+0 <= z <= cap, from zero or a given split (ladder rungs start from the
+welfare optimum's), certified once.
 
-After each round the gap is taken at the posted prices p = c(y(z)), the
-costs' gradient at y, where Fenchel's equality C*(p) = p y - C(y)
-(Rockafellar, Convex Analysis, 1970, Thm 23.5) cancels the cost terms:
+The run's last iterate is certified by the gap at the posted prices
+p = c(y(z)), the costs' gradient at y, where Fenchel's equality
+C*(p) = p y - C(y) (Rockafellar, Convex Analysis, 1970, Thm 23.5) cancels
+the cost terms:
 
     D(c(y)) - SW(z) = sum_r z_r (p(S_r) - q_i) + sum_i [U_i(t_i) - U_i(x_i) - q_i (t_i - x_i)]
 
 over the split's rows r (type i, bundle S_r), t_i the demand at q_i.  Both
 sums are non-negative, and both vanish exactly at the KKT point: each used
-bundle's marginal-cost sum is its type's cheapest, and x_i = t_i.  A round
-that misses its target runs the next; a miss on the last raises SolverError.
+bundle's marginal-cost sum is its type's cheapest, and x_i = t_i.  A gap
+above its target raises SolverError.
 
 The program works on the instance's struct-of-arrays forms: the stacked
 bundle incidence, the DemandBatch of its curves and a batched cost (the
@@ -42,7 +42,7 @@ import numpy as np
 
 from .flow import FlowProgram, _run_newton
 from .market import MarketInstance, PricingSolution, _bundle_prices, _solution
-from .tolerances import ROUNDS, SOLVER_TOL, SPLIT_DUST
+from .tolerances import SOLVER_TOL, SPLIT_DUST
 
 __all__ = [
     "SolverConfig",
@@ -56,7 +56,7 @@ class SolverConfig:
 
     tol is the relative target of the weak-duality gap: a solve is certified
     once D(p) - SW(z) <= tol * (1 + |SW(z)|) at the marginal-cost prices
-    p = c(y(z)).  max_iters caps the Newton steps of each round.
+    p = c(y(z)).  max_iters caps the Newton steps of the solve.
     """
 
     max_iters: int = 20_000
@@ -115,19 +115,15 @@ def _solve_flow(inst: MarketInstance, costs, cfg: SolverConfig, start=None):
     """Certified optimum (z, y) of the program against costs.
 
     z is the split in stacked_masks row order, entries below SPLIT_DUST
-    zeroed, and y the allocation.  The first round starts from start, a
-    split in the same order (zero if None), clipped into [0, cap].
+    zeroed, and y the allocation.  The run starts from start, a split in
+    the same order (zero if None), clipped into [0, cap].
     """
     program = _FlowProgram(inst, costs)
-    z = np.zeros(int(program.offsets[-1])) if start is None else start
-    for _ in range(ROUNDS):
-        z = _run_newton(program, z, cfg.max_iters)
-        gap, target = program.certificate(z, cfg.tol)
-        if gap <= target:
-            break
-    else:
+    z = _run_newton(program, np.zeros(int(program.offsets[-1])) if start is None else start, cfg.max_iters)
+    gap, target = program.certificate(z, cfg.tol)
+    if gap > target:
         raise SolverError(
-            f"welfare solver gap {gap:.3e} above tolerance after {ROUNDS} rounds",
+            f"welfare solver gap {gap:.3e} above tolerance {target:.3e}",
             best_splits=z,
             residual=gap,
         )

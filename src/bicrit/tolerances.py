@@ -41,11 +41,9 @@ REGULARITY_TOL = 1e-8
 # -- the Newton core (flow.py) ------------------------------------------------
 # SolverConfig's default relative target for the weak-duality gap.
 SOLVER_TOL = 1e-8
-# Rounds of Newton a solve, or a min-cost split, runs before it gives up.
-ROUNDS = 4
-# Newton steps per round of the min-cost split: a safety cap.
+# Newton steps of a min-cost split: a safety cap.
 SPLIT_STEPS = 500
-# Armijo backtracking gives up, and ends the round, after this many halvings.
+# Armijo backtracking gives up, and ends the run, after this many halvings.
 MAX_HALVINGS = 60
 # Armijo's sufficient-decrease fraction of the predicted gain.
 ARMIJO = 1e-4
@@ -55,7 +53,7 @@ DAMPING_FLOOR = 1e-14
 ACTIVE_EPS = 1e-6
 # The objective's rounding, relative to |F|: a gain below it is unseen.
 ROUNDING_REL = 1e-15
-# A round may end once the projected gradient is at most this.
+# A run may end once the projected gradient is at most this.
 PG_STOP = 1e-12
 
 # -- the market ---------------------------------------------------------------
@@ -67,7 +65,7 @@ PRICE_TIE_REL = 1e-7
 # Split entries at most this are numeric dust: dropped, and not "used".
 SPLIT_DUST = 1e-12
 # Used bundles' marginal-cost sums agree within this at a cost optimum
-# (split_kkt_violation); the split's Newton loop stops at a tenth of it.
+# (split_kkt_violation).
 KKT_TOL = 1e-6
 
 # -- checks -------------------------------------------------------------------

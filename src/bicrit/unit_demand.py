@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import peak_decay
+from .analysis import threshold_price
 from .market import (
     MarketInstance,
     PricingSolution,
@@ -29,20 +29,11 @@ __all__ = [
     "UnitDemandError",
     "cluster_diagnostics",
     "price_unit_demand",
-    "threshold_price",
 ]
 
 
 class UnitDemandError(ValueError):
     """Raised when a non-unit-demand instance hits the unit-demand algorithm."""
-
-
-def threshold_price(alpha: float, lambda_max: float) -> float:
-    """The uniform price floor lambda_max * (1 - alpha)^(1/alpha).
-
-    lambda_max / e in the alpha -> 0 limit and 0 at alpha = 1.
-    """
-    return lambda_max * peak_decay(alpha)
 
 
 def resolve_alpha(inst: MarketInstance, alpha: float | None) -> float:

@@ -232,6 +232,19 @@ def test_non_finite_or_non_numeric_price_is_a_validation_error(token, tmp_path, 
     assert "'g0'" not in err and "'g2'" not in err
 
 
+def test_negative_price_is_a_validation_error(capsys):
+    golden = os.path.join(GOLDEN, "tiny-00.json")
+    prices = '{"g0": -1, "g1": 0.1, "g2": 0.1}'
+    assert cli.main(["evaluate", "--in", golden, "--prices", prices]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: prices: good 'g0' has negative price -1.0\n"
+
+
+def test_negative_zero_price_evaluates(tmp_path, capsys):
+    infile = _write_instance(tmp_path / "instance.json")
+    assert cli.main(["evaluate", "--in", infile, "--prices", '{"g0": -0.0, "g1": 0.5, "g2": 0.5}']) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["solution"]["prices"]["g0"] == 0.0
+
+
 def test_every_bad_price_is_named_from_a_prices_file(tmp_path, capsys):
     infile = _write_instance(tmp_path / "instance.json")
     prices = tmp_path / "prices.json"

@@ -1,5 +1,7 @@
 """Welfare solver: analytic optima, optimality certificates, and configs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from bicrit import (
     min_cost_allocation,
     solve_welfare,
 )
-from bicrit import flow, solver
+from bicrit import solver
 from bicrit.flow import FlowProgram
 from bicrit.multi_minded import _ReserveFloored
 from bicrit.solver import _FlowProgram, _run_newton
@@ -94,7 +96,7 @@ class TestOptimalityCertificates:
         # the optimum b0 uses {g0} and {g2}, and both zero-mass bundles tie
         # with them (c(0) = c'(0) = 0 on g1 and g3).  While b1's {g0, g1}
         # drained, b0's {g0, g3} was fixed at zero, released and given half of
-        # b0's shifting mass, and the round stalled at 1.2e-8.
+        # b0's shifting mass, and the run stalled at 1.2e-8.
         rng = np.random.default_rng(12345)
         for _ in range(600):
             random_unit_demand_instance(rng, 0.5)
@@ -120,29 +122,25 @@ class TestOptimalityCertificates:
         assert err.value.best_splits.shape == (int(inst.bundle_offsets[-1]),)
         assert err.value.residual > SolverConfig().tol
 
-    def test_later_round_certifies_at_marginal_cost_prices(self, monkeypatch):
-        # At 4 Newton steps a round the gap at p = c(y) misses its target
-        # twice; the third round certifies there, with no search over p.
+    def test_max_iters_caps_the_whole_solve(self, monkeypatch):
+        # This draw needs about ten Newton steps: four do not certify, and a
+        # solve runs no further steps after its cap.  At the default cap it
+        # certifies at p = c(y), with no search over p.
         def no_price_search(*args, **kwargs):
             raise AssertionError("the certificate searched over prices")
 
-        rounds = []
-
-        def counted(*args):
-            rounds.append(args)
-            return flow._run_newton(*args)
-
         monkeypatch.setattr(solver, "minimize", no_price_search)
-        monkeypatch.setattr(solver, "_run_newton", counted)
         inst = random_multi_minded_instance(np.random.default_rng(71), alpha=0.5, size_ratio=2)
-        opt = solve_welfare(inst, SolverConfig(max_iters=4))
-        assert len(rounds) == 3
+        with pytest.raises(SolverError) as err:
+            solve_welfare(inst, SolverConfig(max_iters=4))
+        assert err.value.best_splits.shape == (int(inst.bundle_offsets[-1]),)
+        opt = solve_welfare(inst)
         for g, cost in inst.goods:
             assert opt.prices[g] == cost.marginal(opt.allocation[g])
 
     # Unit-demand draws on which L-BFGS-B primal rounds never certified at
     # the marginal-cost prices, so that only a better dual price did; the
-    # Newton rounds certify them at p = c(y).
+    # Newton run certifies them at p = c(y).
     @pytest.mark.parametrize(
         "seed, alphas, shape",
         [(5, (0.0, 0.3), (4, 20)), (3, (0.0, 0.3), (4, 26)), (0, (0.0,), (6, 26))],
@@ -155,6 +153,48 @@ class TestOptimalityCertificates:
         opt = solve_welfare(inst)
         for g, cost in inst.goods:
             assert opt.prices[g] == cost.marginal(opt.allocation[g])
+
+
+def _scaled(inst, scale):
+    """inst with lambda_max and every cost coefficient a times scale.
+
+    The optimum's split is unchanged, and its prices and SW scale by scale.
+    """
+    goods = [(g, dataclasses.replace(c, a=c.a * scale)) for g, c in inst.goods]
+    types = [
+        (t.type_id, [list(b) for b in t.bundles], dataclasses.replace(t.demand, lambda_max=t.demand.lambda_max * scale))
+        for t in inst.buyer_types
+    ]
+    return MarketInstance.create(goods, types)
+
+
+class TestPriceScale:
+    """At prices of 1e6 and above, rounding in F keeps the projected gradient
+    above PG_STOP: the stall clause of the stopping test ends each run."""
+
+    @pytest.mark.parametrize("scale", [1e6, 1e9])
+    def test_scaled_markets_certify_in_few_steps(self, scale, monkeypatch):
+        steps = []
+
+        def counted(self, *args):
+            steps.append(1)
+            return newton_step(self, *args)
+
+        newton_step = FlowProgram.newton_step
+        monkeypatch.setattr(FlowProgram, "newton_step", counted)
+        cfg = SolverConfig(max_iters=200)
+        rng = np.random.default_rng(61)
+        for k in range(8):
+            if k % 2:
+                inst = random_multi_minded_instance(rng, alpha=0.3, size_ratio=1 + k % 4)
+            else:
+                inst = random_unit_demand_instance(rng, alpha=0.3)
+            opt = solve_welfare(inst, cfg)
+            steps.clear()
+            big = solve_welfare(_scaled(inst, scale), cfg)
+            assert len(steps) <= 60
+            for want, got in [(opt.sw, big.sw), *((opt.prices[g], big.prices[g]) for g in inst.good_ids)]:
+                assert abs(got / scale - want) <= 1e-6 * (1.0 + abs(want))
 
 
 def _zero_price_allocation(inst, demand):
@@ -272,7 +312,7 @@ class TestDualGap:
 
 
 class TestValueAndGradient:
-    """The fused evaluation the Newton rounds use, on instance and reserve-floored costs."""
+    """The fused evaluation the Newton run uses, on instance and reserve-floored costs."""
 
     @pytest.mark.parametrize("reserve", [None, 0.3])
     def test_equals_objective_and_gradient_and_finite_differences(self, reserve):

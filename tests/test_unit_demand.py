@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from bicrit import CostFunction, InverseDemand, MarketInstance, solve_welfare
-from bicrit.analysis import threshold_coefficients, welfare_factor, zeta
+from bicrit.analysis import threshold_coefficients, threshold_price, welfare_factor, zeta
 from bicrit.unit_demand import (
     UnitDemandError,
     cluster_diagnostics,
     low_cluster_hazard_condition,
     price_unit_demand,
-    threshold_price,
 )
 
 from conftest import random_unit_demand_instance
