@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .market import PricingSolution
+from .market import MarketInstance, PricingSolution
 from .tolerances import ALPHA_LIMIT, BOUNDARY_SLACK, BOUND_TOL
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "mm_welfare_factor",
     "peak_decay",
     "peak_ratio",
+    "resolve_alpha",
     "selection_base_factor",
     "threshold_price",
     "tradeoff_bound",
@@ -50,6 +51,17 @@ def threshold_price(alpha: float, lambda_max: float) -> float:
     lambda_max / e in the alpha -> 0 limit and 0 at alpha = 1.
     """
     return lambda_max * peak_decay(alpha)
+
+
+def resolve_alpha(inst: MarketInstance, alpha: float | None) -> float:
+    """The regularity parameter to price with; overrides may only enlarge it."""
+    if alpha is None:
+        return inst.alpha
+    if alpha < inst.alpha - BOUNDARY_SLACK:
+        raise ValueError(
+            f"alpha={alpha} is below the instance's regularity {inst.alpha}"
+        )
+    return alpha
 
 
 def peak_ratio(alpha: float) -> float:

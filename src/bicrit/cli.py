@@ -113,10 +113,9 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_price_ud(args) -> int:
     inst = _load(args)
-    cfg = _solver_config(args)
-    opt = solve_welfare(inst, cfg)
-    tp, sol = unit_demand.price_unit_demand(inst, cfg, alpha=args.alpha, opt=opt)
-    alpha = unit_demand.resolve_alpha(inst, args.alpha)
+    opt = solve_welfare(inst, _solver_config(args))
+    tp, sol = unit_demand.price_unit_demand(inst, opt, alpha=args.alpha)
+    alpha = analysis.resolve_alpha(inst, args.alpha)
     cert = analysis.certificate(alpha, opt.sw, sol)
     record = {
         "command": "price-ud",
@@ -154,7 +153,7 @@ def _rung_record(rung, dump_solutions: bool) -> dict:
 def _cmd_price_mm(args) -> int:
     inst = _load(args)
     cfg = _solver_config(args)
-    alpha = unit_demand.resolve_alpha(inst, args.alpha)
+    alpha = analysis.resolve_alpha(inst, args.alpha)
     opt = solve_welfare(inst, cfg)
     rungs = multi_minded.ladder(inst, opt, cfg, alpha=alpha)
     selected = multi_minded.select_index(inst, rungs, opt, alpha=alpha)
@@ -264,7 +263,7 @@ def _verify_checks(inst, args) -> list[dict]:
     add("profit_covers_cost", opt.profit >= cost - tol, "")
 
     if inst.is_unit_demand():
-        tp, sol = unit_demand.price_unit_demand(inst, cfg, opt=opt)
+        tp, sol = unit_demand.price_unit_demand(inst, opt)
         cert = analysis.certificate(inst.alpha, sw_star, sol)
         for name, verdict in cert.verdicts.items():
             add(f"thresholded_{name}", verdict != "FAIL", verdict)

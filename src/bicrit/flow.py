@@ -15,11 +15,11 @@ goods' allocation (A the stacked bundle incidence, base a fixed allocation).
 
 One loop, damped projected Newton (Bertsekas, SIAM J. Control Optim. 20(2),
 1982), runs both, on F = -SW (the cost, for the split).  A step fixes the
-epsilon-active coordinates, those at most min(ACTIVE_EPS, ||z - P(z - grad F)||)
-with F rising in them, and moves them toward 0 (a full step reaches it).  It
-also holds at 0 every bundle that gains no more than one its type uses below
-the cap; a block of fixed mass keeps its largest entry free.  On the others
-it solves (H + mu I) d = -grad F, where
+epsilon-active coordinates, those within min(ACTIVE_EPS, ||z - P(z - grad F)||)
+of the bound, 0 or the cap, that F falls toward, and moves them toward it (a
+full step reaches it).  It also holds at 0 every bundle that gains no more
+than one its type uses below the cap; a block of fixed mass keeps its largest
+entry free.  On the others it solves (H + mu I) d = -grad F, where
 
     H = E^T diag(w) E + A diag(c'(y)) A^T
 
@@ -104,25 +104,17 @@ class FlowProgram:
         price = np.minimum.reduceat(sums, self.offsets[:-1]) if self.masses is not None else self.demand.eval(x)
         return np.repeat(price, self.sizes) - sums
 
-    def objective(self, z):
-        return self._value(self.totals(z), self.allocation(z))
-
-    def gradient(self, z):
-        return self._gradient(self.totals(z), self.allocation(z))
-
     def value_and_gradient(self, z):
-        """(objective(z), gradient(z)) from one pass of totals and allocation."""
+        """(SW(z), grad SW(z)) from one pass of totals and allocation (-cost for a split)."""
         x, y = self.totals(z), self.allocation(z)
         return self._value(x, y), self._gradient(x, y)
 
-    def projected_gradient(self, z, gradient=None):
-        """KKT residual ||z - P(z + grad SW(z))||_inf, P the projection on [0, cap].
+    def projected_gradient(self, z, gradient):
+        """KKT residual ||z - P(z + gradient)||_inf, P the projection on [0, cap].
 
-        Zero exactly at the program's optima.  gradient is grad SW(z), if
-        the caller has it.
+        gradient is grad SW(z); the residual is zero exactly at the
+        program's optima.
         """
-        if gradient is None:
-            gradient = self.gradient(z)
         return float(np.abs(z - np.clip(z + gradient, 0.0, self.caps)).max())
 
     def project(self, z):
@@ -188,8 +180,13 @@ def _run_newton(program, z, max_iters):
     for _ in range(max_iters):
         pg = program.projected_gradient(z, grad)
         history.append(pg)
-        # grad is the gradient of SW, so F rises with z_k where grad_k < 0.
-        fixed = (z <= min(ACTIVE_EPS, pg)) & (grad < 0.0)
+        # grad is the gradient of SW, so F falls toward 0 where grad_k < 0
+        # and toward the cap where grad_k > 0.  Without the cap side, a type
+        # at the ceiling of a curve that ends at a positive price (the curve
+        # reads 0 at the ceiling) steps back below it and returns, forever.
+        eps = min(ACTIVE_EPS, pg)
+        fixed = (z <= eps) & (grad < 0.0)
+        capped = (z >= program.caps - eps) & (grad > 0.0)
         # A bundle at zero stays there unless it gains more than every bundle
         # its type uses below the cap, which can take the mass instead.  One
         # that differs from a used bundle only in goods at c'(0) = 0 would
@@ -202,10 +199,12 @@ def _run_newton(program, z, max_iters):
             # The mass a fixed block's fixed entries give up needs a free
             # entry to go to: its largest (Bertsekas's reference coordinate).
             fixed &= z < np.repeat(np.maximum.reduceat(z, program.offsets[:-1]), program.sizes)
-        d = program.newton_step(z, grad, ~fixed, max(pg, DAMPING_FLOOR))
-        # A full step sends the fixed coordinates to 0; a shorter one only
-        # moves them toward it, so that every short enough step is a descent.
+        d = program.newton_step(z, grad, ~(fixed | capped), max(pg, DAMPING_FLOOR))
+        # A full step sends the fixed coordinates to 0 and the capped ones to
+        # their cap; a shorter one only moves them toward it, so that every
+        # short enough step is a descent.
         d[fixed] = -z[fixed]
+        d[capped] = program.caps[capped] - z[capped]
         # Below this decrement a step's gain is lost in the objective's rounding.
         unseen = grad @ d <= ROUNDING_REL * (1.0 + abs(f))
         if unseen and (pg <= PG_STOP or (len(history) > 3 and pg > 0.5 * history[-4])):

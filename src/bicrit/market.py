@@ -16,7 +16,7 @@ welfare and ladder solves alike.
 
 The min-cost split is the welfare program's fixed-mass limit: one
 flow.FlowProgram over all goods, run once by the same Newton loop as the
-welfare solve, for at most tolerances.SPLIT_STEPS steps.
+welfare solve, for at most tolerances.NEWTON_STEPS steps.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .costs import CostBatch, CostFunction
 from .demand import DemandBatch, InverseDemand
 from .flow import FlowProgram, _run_newton
-from .tolerances import PRICE_TIE_REL, SPLIT_DUST, SPLIT_STEPS, STATED_REL
+from .tolerances import NEWTON_STEPS, PRICE_TIE_REL, SPLIT_DUST, STATED_REL
 
 __all__ = [
     "BuyerType",
@@ -250,10 +250,10 @@ def _cost_batch(cost_fns: tuple[CostFunction, ...]) -> CostBatch:
 
 
 def split_min_cost(cost_fns, masks, totals):
-    """Distribute each type's total mass over its admissible bundles at least cost.
+    """Distribute each type's total mass over the bundles its mask allows at least cost.
 
     masks is one (m_i, n_goods) incidence matrix per type and totals the mass
-    each type must route.  Types with a single admissible bundle are folded
+    each type must route.  Types with a single allowed bundle are folded
     into the fixed base allocation.  The others, the free types, form one
     fixed-mass FlowProgram over all goods, started from even splits.
 
@@ -278,7 +278,7 @@ def split_min_cost(cost_fns, masks, totals):
     masses = np.array([totals[i] for i in free], dtype=float)
     stacked = np.vstack([masks[i] for i in free])
     program = FlowProgram(stacked, sizes, _cost_batch(tuple(cost_fns)), masses=masses, base=base)
-    z = _run_newton(program, np.repeat(masses / sizes, sizes), SPLIT_STEPS)
+    z = _run_newton(program, np.repeat(masses / sizes, sizes), NEWTON_STEPS)
     for i, part in zip(free, np.split(z, program.offsets[1:-1])):
         splits[i] = part
     return splits, program.allocation(z)
@@ -343,44 +343,35 @@ def evaluate(inst: MarketInstance, prices: dict[str, float]) -> PricingSolution:
     return _solution(inst, pvec, cheapest, xvec, *_min_cost_split(inst, tied, xvec.tolist()))
 
 
-def buyer_marginal_costs(
-    inst: MarketInstance, allocation: dict[str, float], split=None
-) -> dict[str, float]:
-    """Per-type marginal cost of one extra unit at the given allocation.
+def buyer_marginal_costs(inst: MarketInstance, allocation: dict[str, float], split) -> dict[str, float]:
+    """Per-type marginal cost of one extra unit at the given allocation and split.
 
     In a cost-minimal solution every bundle a type actually uses carries the
     same marginal-cost sum, so this is well defined up to solver tolerance;
-    the minimum over used bundles is reported.  Types using nothing fall back
-    to the cheapest bundle by marginal cost.
+    the minimum over used bundles is reported.  Types using nothing (every
+    type, for an empty split) fall back to the cheapest bundle by marginal
+    cost.
     """
     yvec = np.array([allocation[g] for g in inst.good_ids])
     sums = inst.stacked_masks @ inst.cost_batch.marginal(yvec)
     starts = inst.bundle_offsets[:-1]
-    best = np.minimum.reduceat(sums, starts)
-    if split is not None:
-        used = np.zeros(len(sums), dtype=bool)
-        used[[inst.bundle_rows[key] for key, v in split.items() if v > SPLIT_DUST]] = True
-        best_used = np.minimum.reduceat(np.where(used, sums, np.inf), starts)
-        best = np.where(np.logical_or.reduceat(used, starts), best_used, best)
+    used = np.zeros(len(sums), dtype=bool)
+    used[[inst.bundle_rows[key] for key, v in split.items() if v > SPLIT_DUST]] = True
+    best_used = np.minimum.reduceat(np.where(used, sums, np.inf), starts)
+    best = np.where(np.logical_or.reduceat(used, starts), best_used, np.minimum.reduceat(sums, starts))
     return dict(zip(inst.type_ids, best.tolist()))
 
 
-def split_kkt_violation(inst: MarketInstance, allocation, split, admissible=None) -> float:
+def split_kkt_violation(inst: MarketInstance, allocation, split) -> float:
     """Largest gap between a used bundle's marginal-cost sum and the type's best.
 
-    Zero (up to KKT_TOL) certifies the split is cost minimal.  admissible may
-    map type id -> the bundles the split was allowed to use (e.g. only the
-    argmin-priced ones); by default every bundle of the type competes.
+    Zero (up to KKT_TOL) certifies the split is cost minimal over all of each
+    type's bundles.
     """
     yvec = np.array([allocation[g] for g in inst.good_ids])
     sums = inst.stacked_masks @ inst.cost_batch.marginal(yvec)
     used = np.zeros(len(sums), dtype=bool)
     used[[inst.bundle_rows[key] for key, v in split.items() if v > SPLIT_DUST]] = True
-    allowed = sums
-    if admissible is not None:
-        allowed = np.full(len(sums), np.inf)
-        rows = [inst.bundle_rows[(tid, b)] for tid, bs in admissible.items() for b in bs]
-        allowed[rows] = sums[rows]
-    best = np.minimum.reduceat(allowed, inst.bundle_offsets[:-1])
+    best = np.minimum.reduceat(sums, inst.bundle_offsets[:-1])
     gaps = sums - np.repeat(best, inst.bundle_sizes)
     return float(np.max(gaps, where=used, initial=0.0))

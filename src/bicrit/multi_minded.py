@@ -25,6 +25,7 @@ import numpy as np
 from .analysis import (
     mm_profit_factor,
     mm_welfare_factor,
+    resolve_alpha,
     selection_base_factor,
     threshold_coefficients,
     threshold_price,
@@ -32,7 +33,6 @@ from .analysis import (
 from .market import MarketInstance, PricingSolution
 from .solver import SolverConfig, SolverError, _marginal_solution, _solve_flow
 from .tolerances import BOUNDARY_SLACK, BOUND_TOL, FLOOR_MARGIN
-from .unit_demand import resolve_alpha
 
 __all__ = [
     "BoundCheck",

@@ -42,7 +42,7 @@ import numpy as np
 
 from .flow import FlowProgram, _run_newton
 from .market import MarketInstance, PricingSolution, _bundle_prices, _solution
-from .tolerances import SOLVER_TOL, SPLIT_DUST
+from .tolerances import NEWTON_STEPS, SOLVER_TOL, SPLIT_DUST
 
 __all__ = [
     "SolverConfig",
@@ -59,7 +59,7 @@ class SolverConfig:
     p = c(y(z)).  max_iters caps the Newton steps of the solve.
     """
 
-    max_iters: int = 20_000
+    max_iters: int = NEWTON_STEPS
     tol: float = SOLVER_TOL
 
     def __post_init__(self):

@@ -41,8 +41,9 @@ REGULARITY_TOL = 1e-8
 # -- the Newton core (flow.py) ------------------------------------------------
 # SolverConfig's default relative target for the weak-duality gap.
 SOLVER_TOL = 1e-8
-# Newton steps of a min-cost split: a safety cap.
-SPLIT_STEPS = 500
+# Newton steps of a min-cost split, and SolverConfig's default cap on those
+# of a welfare solve: a safety cap, far above the steps runs take.
+NEWTON_STEPS = 500
 # Armijo backtracking gives up, and ends the run, after this many halvings.
 MAX_HALVINGS = 60
 # Armijo's sufficient-decrease fraction of the predicted gain.

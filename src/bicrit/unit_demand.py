@@ -8,12 +8,11 @@ welfare optimum and a low cluster whose buyers all pay the threshold.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import threshold_price
+from .analysis import resolve_alpha, threshold_price
 from .market import (
     MarketInstance,
     PricingSolution,
@@ -21,8 +20,7 @@ from .market import (
     evaluate,
     split_kkt_violation,
 )
-from .solver import SolverConfig, solve_welfare
-from .tolerances import BOUNDARY_SLACK, DIAG_TOL, FLOOR_MARGIN, KKT_TOL, SPLIT_DUST, TINY
+from .tolerances import DIAG_TOL, FLOOR_MARGIN, KKT_TOL, SPLIT_DUST, TINY
 
 __all__ = [
     "ThresholdedPrices",
@@ -36,17 +34,6 @@ class UnitDemandError(ValueError):
     """Raised when a non-unit-demand instance hits the unit-demand algorithm."""
 
 
-def resolve_alpha(inst: MarketInstance, alpha: float | None) -> float:
-    """The regularity parameter to price with; overrides may only enlarge it."""
-    if alpha is None:
-        return inst.alpha
-    if alpha < inst.alpha - BOUNDARY_SLACK:
-        raise ValueError(
-            f"alpha={alpha} is below the instance's regularity {inst.alpha}"
-        )
-    return alpha
-
-
 @dataclass
 class ThresholdedPrices:
     """Thresholded price vector and the induced market partition.
@@ -57,26 +44,18 @@ class ThresholdedPrices:
 
     primary_price: float
     prices: dict[str, float]
-    good_cluster: dict[str, str] = field(default_factory=dict)
-    type_cluster: dict[str, str] = field(default_factory=dict)
+    good_cluster: dict[str, str]
+    type_cluster: dict[str, str]
 
 
-def price_unit_demand(
-    inst: MarketInstance,
-    cfg: SolverConfig | None = None,
-    alpha: float | None = None,
-    opt: PricingSolution | None = None,
-):
-    """Thresholded prices and the evaluated market outcome.
+def price_unit_demand(inst: MarketInstance, opt: PricingSolution, alpha: float | None = None):
+    """Thresholded prices above the welfare optimum opt, and the evaluated market outcome.
 
-    Returns (ThresholdedPrices, PricingSolution).  Pass a precomputed welfare
-    optimum via opt to skip the solve.
+    Returns (ThresholdedPrices, PricingSolution).
     """
     if not inst.is_unit_demand():
         raise UnitDemandError("instance has multi-good bundles; use the ladder pricer")
     alpha = resolve_alpha(inst, alpha)
-    if opt is None:
-        opt = solve_welfare(inst, cfg)
     primary = threshold_price(alpha, inst.lambda_max)
     prices = {g: max(primary, opt.prices[g]) for g in inst.good_ids}
     sol = evaluate(inst, prices)

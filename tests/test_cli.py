@@ -232,6 +232,14 @@ def test_non_finite_or_non_numeric_price_is_a_validation_error(token, tmp_path, 
     assert "'g0'" not in err and "'g2'" not in err
 
 
+def test_uncertified_solve_exits_with_solver_code(capsys):
+    golden = os.path.join(GOLDEN, "ud-00.json")
+    assert cli.main(["solve-welfare", "--in", golden, "--max-iters", "1"]) == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: welfare solver gap")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_negative_price_is_a_validation_error(capsys):
     golden = os.path.join(GOLDEN, "tiny-00.json")
     prices = '{"g0": -1, "g1": 0.1, "g2": 0.1}'

@@ -188,7 +188,7 @@ class TestSplitKKT:
         assert split[("b0", ("g0",))] == pytest.approx(1e-8, rel=1e-12)
 
     def test_violation_matches_per_type_loop(self):
-        # Random splits over random bundles, some outside the admissible sets.
+        # Random splits over random bundles.
         for seed in range(20):
             rng = np.random.default_rng(seed)
             inst = random_multi_minded_instance(rng, 0.3, 1 + seed % 3)
@@ -198,18 +198,13 @@ class TestSplitKKT:
                 for t in inst.buyer_types
                 for b in t.bundles
             }
-            admissible = {
-                t.type_id: [b for b in t.bundles if rng.uniform() < 0.6] or [t.bundles[0]]
-                for t in inst.buyer_types
-            }
-            for allowed in (None, admissible):
-                assert split_kkt_violation(inst, allocation, split, allowed) == pytest.approx(
-                    _violation_by_type(inst, allocation, split, allowed), rel=1e-12, abs=1e-15
-                )
+            assert split_kkt_violation(inst, allocation, split) == pytest.approx(
+                _violation_by_type(inst, allocation, split, None), rel=1e-12, abs=1e-15
+            )
 
     def test_buyer_marginal_costs_match_per_type_loop(self):
         # The least marginal-cost sum over each type's used bundles, or over
-        # all of them where the type uses none (or no split is given).
+        # all of them where the type uses none (every type, for an empty split).
         for seed in range(20):
             rng = np.random.default_rng(seed)
             inst = random_multi_minded_instance(rng, 0.3, 1 + seed % 3)
@@ -220,16 +215,21 @@ class TestSplitKKT:
                 for b in t.bundles
             }
             marg = inst.cost_batch.marginal(np.array([allocation[g] for g in inst.good_ids]))
-            for given in (None, split):
+            for given in ({}, split):
                 expected = {}
                 for t in inst.buyer_types:
                     sums = {b: sum(float(marg[inst.good_index[g]]) for g in b) for b in t.bundles}
-                    used = [b for b in t.bundles if given is not None and given[(t.type_id, b)] > SPLIT_DUST]
+                    used = [b for b in t.bundles if given.get((t.type_id, b), 0.0) > SPLIT_DUST]
                     expected[t.type_id] = min(sums[b] for b in used or t.bundles)
                 assert buyer_marginal_costs(inst, allocation, given) == pytest.approx(expected, rel=1e-12)
 
 
 def _violation_by_type(inst, allocation, split, admissible):
+    """The largest used bundle's marginal-cost sum above its type's best.
+
+    admissible maps type id -> the bundles that compete for the best (every
+    bundle of the type if None).
+    """
     marg = inst.cost_batch.marginal(np.array([allocation[g] for g in inst.good_ids]))
     worst = 0.0
     for t in inst.buyer_types:
@@ -341,12 +341,12 @@ class TestSolutionIdentities:
                 t.type_id: [b for b in t.bundles if tied[inst.bundle_rows[(t.type_id, b)]]]
                 for t in inst.buyer_types
             }
-            assert split_kkt_violation(inst, sol.allocation, sol.split, admissible) <= 1e-6
+            assert _violation_by_type(inst, sol.allocation, sol.split, admissible) <= 1e-6
 
 
 def _constrained(inst, demand):
     y = min_cost_allocation(inst, {g: 0.0 for g in inst.good_ids}, demand)[1]
-    rates = buyer_marginal_costs(inst, y)
+    rates = buyer_marginal_costs(inst, y, {})
     return y, rates
 
 
@@ -369,8 +369,8 @@ class TestCostLemmas:
             y_low, _ = _constrained(inst, x_low)
             for g, cost in inst.goods:
                 assert cost.marginal(y_high[g]) <= cost.marginal(y_low[g]) + 1e-6
-            r_high = buyer_marginal_costs(inst, y_high)
-            r_low = buyer_marginal_costs(inst, y_low)
+            r_high = buyer_marginal_costs(inst, y_high, {})
+            r_low = buyer_marginal_costs(inst, y_low, {})
             for t in inst.buyer_types:
                 assert r_high[t.type_id] <= r_low[t.type_id] + 1e-6
 

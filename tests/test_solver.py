@@ -21,8 +21,17 @@ from bicrit.flow import FlowProgram
 from bicrit.multi_minded import _ReserveFloored
 from bicrit.solver import _FlowProgram, _run_newton
 
-from conftest import random_unit_demand_instance, random_multi_minded_instance
+from conftest import random_cost, random_unit_demand_instance, random_multi_minded_instance
 from split_oracle import oracle_min_split_cost
+
+
+def _objective(program, z):
+    return program.value_and_gradient(z)[0]
+
+
+def _residual(program, z):
+    """The program's projected gradient at z."""
+    return program.projected_gradient(z, program.value_and_gradient(z)[1])
 
 
 class TestAnalyticFixtures:
@@ -73,7 +82,7 @@ class TestOptimalityCertificates:
                 splits.append(
                     np.array([opt.split.get((t.type_id, b), 0.0) for b in t.bundles])
                 )
-            norm = _FlowProgram(inst, inst.cost_batch).projected_gradient(np.concatenate(splits))
+            norm = _residual(_FlowProgram(inst, inst.cost_batch), np.concatenate(splits))
             assert norm <= 1e-6 * (1.0 + abs(opt.sw))
 
     def test_solutions_meet_kkt_to_solver_precision(self):
@@ -88,7 +97,7 @@ class TestOptimalityCertificates:
                 np.array([opt.split.get((t.type_id, b), 0.0) for b in t.bundles])
                 for t in inst.buyer_types
             ]
-            norm = _FlowProgram(inst, inst.cost_batch).projected_gradient(np.concatenate(splits))
+            norm = _residual(_FlowProgram(inst, inst.cost_batch), np.concatenate(splits))
             assert norm <= 1e-10 * (1.0 + abs(opt.sw))
 
     def test_round_with_bundles_tied_at_zero_cost_slope_reaches_full_precision(self):
@@ -106,7 +115,7 @@ class TestOptimalityCertificates:
         assert (len(inst.goods), len(inst.buyer_types)) == (4, 2)
         program = _FlowProgram(inst, inst.cost_batch)
         z = _run_newton(program, np.zeros(program.caps.size), SolverConfig().max_iters)
-        assert program.projected_gradient(z) <= 1e-12
+        assert _residual(program, z) <= 1e-12
 
     def test_multi_minded_instances_certify(self):
         rng = np.random.default_rng(71)
@@ -197,6 +206,59 @@ class TestPriceScale:
                 assert abs(got / scale - want) <= 1e-6 * (1.0 + abs(want))
 
 
+def _tabulated_draw(k):
+    """1-3 goods, 2-7 types of 1-2 single-good bundles on tabulated curves.
+
+    Each curve falls from (0, 1) through 2-5 nodes to an end price drawn
+    from U[0.05, 0.6], or to 0 on every fourth draw.
+    """
+    rng = np.random.default_rng(1000 + k)
+    n_goods = int(rng.integers(1, 4))
+    goods = [(f"g{j}", random_cost(rng)) for j in range(n_goods)]
+    end = 0.0 if k % 4 == 3 else float(rng.uniform(0.05, 0.6))
+    types = []
+    for i in range(int(rng.integers(2, 8))):
+        chosen = rng.choice(n_goods, size=int(rng.integers(1, min(2, n_goods) + 1)), replace=False)
+        n = int(rng.integers(2, 6))
+        xs = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, n - 1))])
+        ls = 1.0 - (1.0 - end) * np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]])
+        curve = InverseDemand.tabulated(list(zip(xs.tolist(), ls.tolist())), 0.0)
+        types.append((f"b{i}", [[f"g{int(j)}"] for j in sorted(chosen)], curve))
+    return MarketInstance.create(goods, types)
+
+
+class TestSupportCeiling:
+    """A tabulated curve that ends at a positive price reads 0 at its ceiling.
+
+    A type whose optimum is the ceiling then has a projected gradient of
+    c(y) there and a rising SW just below it; the run fixes it at the cap
+    instead of stepping back and forth.
+    """
+
+    def test_runs_at_the_ceiling_stop_in_few_steps(self, monkeypatch):
+        steps = []
+
+        def counted(self, *args):
+            steps.append(1)
+            return newton_step(self, *args)
+
+        newton_step = FlowProgram.newton_step
+        monkeypatch.setattr(FlowProgram, "newton_step", counted)
+        cfg = SolverConfig(max_iters=200)
+        one = MarketInstance.create(
+            [("g0", CostFunction.power(0.1, 1.0))],
+            [("t0", [["g0"]], InverseDemand.tabulated([(0.0, 1.0), (1.0, 0.5)], 0.0))],
+        )
+        opt = solve_welfare(one, cfg)
+        assert len(steps) <= 30
+        # lambda stays above c(y) = 0.1 y up to the ceiling x = 1.
+        assert [opt.demand["t0"], opt.prices["g0"], opt.sw] == pytest.approx([1.0, 0.1, 0.7], abs=1e-12)
+        for k in range(24):
+            steps.clear()
+            solve_welfare(_tabulated_draw(k), cfg)
+            assert len(steps) <= 30, k
+
+
 def _zero_price_allocation(inst, demand):
     """Cheapest allocation serving demand over every bundle: zero prices tie them all."""
     return min_cost_allocation(inst, {g: 0.0 for g in inst.good_ids}, demand)[1]
@@ -260,13 +322,13 @@ class TestDualGap:
         for reserve, z_opt in ((None, (1 / 3, 1 / 3)), (0.5, (0.25, 0.25))):
             costs = inst.cost_batch if reserve is None else _ReserveFloored(inst, reserve)
             program = _FlowProgram(inst, costs)
-            f_opt = program.objective(np.array(z_opt))
+            f_opt = _objective(program, np.array(z_opt))
             for tol in (np.inf, 0.0):
                 for z in (z_opt, (0.0, 0.0), (0.5, 0.1), (0.2, 0.2), (0.6, 0.3)):
                     z = np.array(z)
                     gap, target = program.certificate(z, tol)
-                    assert target == tol * (1.0 + abs(program.objective(z)))
-                    assert f_opt - program.objective(z) <= gap + 1e-12
+                    assert target == tol * (1.0 + abs(_objective(program, z)))
+                    assert f_opt - _objective(program, z) <= gap + 1e-12
                     assert gap <= program.certificate(z, np.inf)[0]
                 assert program.certificate(np.array(z_opt), tol)[0] <= 1e-12
 
@@ -286,7 +348,7 @@ class TestDualGap:
         q = np.minimum.reduceat(program.stacked @ p, program.offsets[:-1])
         t = program.demand.demand_at_price(q)
         dual = conjugate.sum() + (program.demand.utility_integral(t) - q * t).sum()
-        return dual - program.objective(z)
+        return dual - _objective(program, z)
 
     @pytest.mark.parametrize("reserve", [None, 0.2, 0.6])
     def test_matches_the_conjugate_form_of_the_gap(self, reserve):
@@ -307,7 +369,7 @@ class TestDualGap:
             points += [rng.uniform(0.0, 1.0, size=n) * rng.random(n).round() for _ in range(4)]
             for z in points:
                 gap, _ = program.certificate(z, 1.0)
-                f = program.objective(z)
+                f = _objective(program, z)
                 assert abs(gap - self._conjugate_gap(program, inst, reserve, z)) <= 1e-12 * (1.0 + abs(f))
 
 
@@ -315,7 +377,7 @@ class TestValueAndGradient:
     """The fused evaluation the Newton run uses, on instance and reserve-floored costs."""
 
     @pytest.mark.parametrize("reserve", [None, 0.3])
-    def test_equals_objective_and_gradient_and_finite_differences(self, reserve):
+    def test_gradient_matches_finite_differences(self, reserve):
         rng = np.random.default_rng(41)
         for ratio in (1, 2, 4):
             inst = random_multi_minded_instance(rng, alpha=0.4, size_ratio=ratio)
@@ -323,14 +385,12 @@ class TestValueAndGradient:
             program = _FlowProgram(inst, costs)
             z = rng.uniform(0.05, 1.0, size=program.caps.size)
             assert np.all(program.totals(z) < program.type_caps)
-            f, g = program.value_and_gradient(z)
-            assert f == program.objective(z)
-            assert np.array_equal(g, program.gradient(z))
+            g = program.value_and_gradient(z)[1]
             h = 1e-6
             for j in range(z.size):
                 step = np.zeros_like(z)
                 step[j] = h
-                fd = (program.objective(z + step) - program.objective(z - step)) / (2.0 * h)
+                fd = (_objective(program, z + step) - _objective(program, z - step)) / (2.0 * h)
                 assert fd == pytest.approx(g[j], rel=1e-6, abs=1e-7)
 
 
@@ -362,7 +422,7 @@ class TestNewtonStep:
                     curvature = -inst.demand_batch.derivative(x)[owner][:, None] * types
                 y = program.allocation(z)
                 hessian = curvature + (inst.stacked_masks * costs.slope(y)) @ inst.stacked_masks.T
-                grad = program.gradient(z)
+                grad = program.value_and_gradient(z)[1]
                 # Within a type, B^-1 is 1 / damping across the 1 direction, so
                 # rounding in the goods-space correction grows like 1 / damping.
                 for damping in (1.0, 1e-3, 1e-6):
@@ -388,16 +448,15 @@ class TestProjectedGradient:
         inst = random_multi_minded_instance(rng, alpha=0.4, size_ratio=2)
         program = _FlowProgram(inst, inst.cost_batch)
         z = rng.uniform(0.0, 0.5, size=program.caps.size) * (rng.random(program.caps.size) < 0.6)
-        g = program.gradient(z)
+        g = program.value_and_gradient(z)[1]
         want = np.max(np.abs(z - np.clip(z + g, 0.0, program.caps)))
-        assert program.projected_gradient(z) == want
         assert program.projected_gradient(z, g) == want
-        assert _FlowProgram(inst, inst.cost_batch).projected_gradient(z) == want
+        assert _residual(_FlowProgram(inst, inst.cost_batch), z) == want
 
     def test_vanishes_at_the_analytic_optimum(self, twin_goods_instance):
         # lambda(x) = 1 - x and c(y) = y on both goods: the optimum splits 2/3 evenly.
         program = _FlowProgram(twin_goods_instance, twin_goods_instance.cost_batch)
-        assert program.projected_gradient(np.array([1 / 3, 1 / 3])) <= 1e-15
-        assert program.projected_gradient(np.array([0.5, 0.1])) > 0.1
+        assert _residual(program, np.array([1 / 3, 1 / 3])) <= 1e-15
+        assert _residual(program, np.array([0.5, 0.1])) > 0.1
         # At zero every bundle is worth entering: the residual is the full gradient.
-        assert program.projected_gradient(np.zeros(2)) == pytest.approx(1.0)
+        assert _residual(program, np.zeros(2)) == pytest.approx(1.0)
