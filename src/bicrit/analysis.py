@@ -54,7 +54,10 @@ def threshold_price(alpha: float, lambda_max: float) -> float:
 
 
 def resolve_alpha(inst: MarketInstance, alpha: float | None) -> float:
-    """The regularity parameter to price with; overrides may only enlarge it."""
+    """The regularity parameter to price with; overrides may only enlarge it.
+
+    The CLI calls it once per pricing command; the pricers take its result.
+    """
     if alpha is None:
         return inst.alpha
     if alpha < inst.alpha - BOUNDARY_SLACK:

@@ -111,12 +111,9 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_price_ud(args) -> int:
-    inst = _load(args)
-    opt = solve_welfare(inst, _solver_config(args))
-    tp, sol = unit_demand.price_unit_demand(inst, opt, alpha=args.alpha)
-    alpha = analysis.resolve_alpha(inst, args.alpha)
-    cert = analysis.certificate(alpha, opt.sw, sol)
+def _price_ud(inst, opt, alpha: float, diagnostics: bool) -> dict:
+    """The price-ud record: thresholded prices above the optimum opt, certified at alpha."""
+    tp, sol = unit_demand.price_unit_demand(inst, opt, alpha)
     record = {
         "command": "price-ud",
         "alpha": alpha,
@@ -125,14 +122,20 @@ def _cmd_price_ud(args) -> int:
         "clusters": {"goods": tp.good_cluster, "types": tp.type_cluster},
         "solution": _solution_record(sol),
         "optimum": _solution_record(opt),
-        "certificate": cert.to_dict(),
+        "certificate": analysis.certificate(alpha, opt.sw, sol).to_dict(),
     }
-    if args.diagnostics:
+    if diagnostics:
         record["cluster_violations"] = unit_demand.cluster_diagnostics(inst, tp, sol, opt)
-        record["hazard_violations"] = unit_demand.low_cluster_hazard_condition(
-            inst, tp, sol
-        )
-    _emit(record, args.out)
+        record["hazard_violations"] = unit_demand.low_cluster_hazard_condition(inst, tp, sol)
+    return record
+
+
+def _cmd_price_ud(args) -> int:
+    inst = _load(args)
+    opt = solve_welfare(inst, _solver_config(args))
+    # The pricer refuses a multi-good instance before any --alpha is checked.
+    alpha = analysis.resolve_alpha(inst, args.alpha) if inst.is_unit_demand() else inst.alpha
+    _emit(_price_ud(inst, opt, alpha, args.diagnostics), args.out)
     return EXIT_OK
 
 
@@ -150,29 +153,34 @@ def _rung_record(rung, dump_solutions: bool) -> dict:
     return rec
 
 
-def _cmd_price_mm(args) -> int:
-    inst = _load(args)
-    cfg = _solver_config(args)
-    alpha = analysis.resolve_alpha(inst, args.alpha)
-    opt = solve_welfare(inst, cfg)
-    rungs = multi_minded.ladder(inst, opt, cfg, alpha=alpha)
-    selected = multi_minded.select_index(inst, rungs, opt, alpha=alpha)
+def _price_mm(inst, opt, cfg, alpha: float, dump: bool) -> tuple[dict, list]:
+    """The price-mm record and its rungs: the reserve ladder above the optimum opt at alpha."""
+    rungs = multi_minded.ladder(inst, opt, cfg, alpha)
+    selected = multi_minded.select_index(inst, rungs, opt, alpha)
     cert = analysis.certificate(alpha, opt.sw, selected.solution, inst.bundle_size_ratio)
-    checks = multi_minded.certify_ladder(inst, opt, rungs, alpha=alpha)
-    checks += multi_minded.certify_selection(inst, opt, selected, alpha=alpha)
+    checks = multi_minded.certify_ladder(inst, opt, rungs, alpha)
+    checks += multi_minded.certify_selection(inst, opt, selected, alpha)
     record = {
         "command": "price-mm",
         "alpha": alpha,
         "bundle_size_ratio": inst.bundle_size_ratio,
-        "selection_threshold": multi_minded.selection_threshold(inst, alpha),
-        "rungs": [_rung_record(r, args.dummy_ladder_dump) for r in rungs],
+        "selection_threshold": cert.mm_profit_factor,
+        "rungs": [_rung_record(r, dump) for r in rungs],
         "selected_index": selected.index,
         "solution": _solution_record(selected.solution),
         "optimum": _solution_record(opt),
         "certificate": cert.to_dict(),
         "bound_checks": [c.to_dict() for c in checks],
     }
-    _emit(record, args.out)
+    return record, rungs
+
+
+def _cmd_price_mm(args) -> int:
+    inst = _load(args)
+    cfg = _solver_config(args)
+    alpha = analysis.resolve_alpha(inst, args.alpha)
+    opt = solve_welfare(inst, cfg)
+    _emit(_price_mm(inst, opt, cfg, alpha, args.dummy_ladder_dump)[0], args.out)
     return EXIT_OK
 
 
@@ -263,22 +271,16 @@ def _verify_checks(inst, args) -> list[dict]:
     add("profit_covers_cost", opt.profit >= cost - tol, "")
 
     if inst.is_unit_demand():
-        tp, sol = unit_demand.price_unit_demand(inst, opt)
-        cert = analysis.certificate(inst.alpha, sw_star, sol)
-        for name, verdict in cert.verdicts.items():
+        record = _price_ud(inst, opt, inst.alpha, diagnostics=True)
+        for name, verdict in record["certificate"]["verdicts"].items():
             add(f"thresholded_{name}", verdict != "FAIL", verdict)
-        violations = unit_demand.cluster_diagnostics(inst, tp, sol, opt)
+        violations, hazards = record["cluster_violations"], record["hazard_violations"]
         add("cluster_structure", not violations, "; ".join(violations))
-        hazards = unit_demand.low_cluster_hazard_condition(inst, tp, sol)
         add("low_cluster_hazard", not hazards, "; ".join(hazards))
     else:
-        rungs = multi_minded.ladder(inst, opt, cfg)
-        selected = multi_minded.select_index(inst, rungs, opt)
-        for check in [
-            *multi_minded.certify_ladder(inst, opt, rungs),
-            *multi_minded.certify_selection(inst, opt, selected),
-        ]:
-            add(f"ladder_{check.name}", check.ok, f"{_fixed9(check.lhs)} <= {_fixed9(check.rhs)}")
+        record, rungs = _price_mm(inst, opt, cfg, inst.alpha, dump=False)
+        for check in record["bound_checks"]:
+            add(f"ladder_{check['name']}", check["ok"], f"{_fixed9(check['lhs'])} <= {_fixed9(check['rhs'])}")
         for rung in rungs:
             problems = multi_minded.deviation_violations(inst, opt, rung)
             add(f"saturation_charging[{rung.index}]", not problems, "; ".join(problems))
@@ -326,7 +328,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("price-mm", help="reserve-price ladder for multi-good bundles")
     common(p)
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha", type=float, default=None,
+                   help="regularity parameter (defaults to the instance's; an override may "
+                        "only raise it, and the ladder needs alpha < 1)")
     p.add_argument("--dummy-ladder-dump", action="store_true",
                    help="include full per-rung solutions in the result")
     p.set_defaults(func=_cmd_price_mm)

@@ -25,7 +25,6 @@ import numpy as np
 from .analysis import (
     mm_profit_factor,
     mm_welfare_factor,
-    resolve_alpha,
     selection_base_factor,
     threshold_coefficients,
     threshold_price,
@@ -39,10 +38,12 @@ __all__ = [
     "LadderSolution",
     "augmented_we",
     "certify_ladder",
+    "certify_selection",
+    "deviation_violations",
+    "dummy_price_at",
     "ladder",
     "rung_count",
     "select_index",
-    "selection_threshold",
 ]
 
 
@@ -89,7 +90,7 @@ class _ReserveFloored:
 
 
 def augmented_we(
-    inst: MarketInstance, dummy_price: float, cfg: SolverConfig | None = None, start=None
+    inst: MarketInstance, dummy_price: float, cfg: SolverConfig, start=None
 ) -> LadderSolution:
     """Welfare optimum with a flat-valuation dummy buyer per good, dummies stripped.
 
@@ -103,7 +104,6 @@ def augmented_we(
     """
     if not dummy_price > 0:
         raise ValueError("dummy price must be positive")
-    cfg = cfg or SolverConfig()
     floored = _ReserveFloored(inst, dummy_price)
     z, y = _solve_flow(inst, floored, cfg, start)
     solution = _marginal_solution(inst, z, y, floored)
@@ -124,16 +124,13 @@ def rung_count(inst: MarketInstance) -> int:
     return int(math.ceil(math.log2(inst.bundle_size_ratio) - BOUNDARY_SLACK))
 
 
-def dummy_price_at(inst: MarketInstance, j: int, alpha: float | None = None) -> float:
-    primary = threshold_price(resolve_alpha(inst, alpha), inst.lambda_max)
+def dummy_price_at(inst: MarketInstance, j: int, alpha: float) -> float:
+    primary = threshold_price(alpha, inst.lambda_max)
     return 2.0**j * primary / (2.0 * inst.max_bundle_size)
 
 
 def ladder(
-    inst: MarketInstance,
-    opt: PricingSolution,
-    cfg: SolverConfig | None = None,
-    alpha: float | None = None,
+    inst: MarketInstance, opt: PricingSolution, cfg: SolverConfig, alpha: float
 ) -> list[LadderSolution]:
     """All augmented equilibria at dummy prices 2^j * threshold / (2 * max size).
 
@@ -142,7 +139,6 @@ def ladder(
     to certify raises SolverError naming its index and reserve price.
     alpha = 1 puts the threshold, and so every reserve, at 0: ValueError.
     """
-    alpha = resolve_alpha(inst, alpha)
     if not alpha < 1.0:
         raise ValueError(f"alpha={alpha}: the reserve-price ladder needs alpha < 1")
     start = np.zeros(int(inst.bundle_offsets[-1]))
@@ -160,11 +156,6 @@ def ladder(
     return rungs
 
 
-def selection_threshold(inst: MarketInstance, alpha: float | None = None) -> float:
-    """Largest acceptable SW*/profit ratio when scanning the ladder."""
-    return mm_profit_factor(resolve_alpha(inst, alpha), inst.bundle_size_ratio)
-
-
 def _optimum_rung(opt: PricingSolution) -> LadderSolution:
     return LadderSolution(index=-1, dummy_price=None, solution=opt)
 
@@ -173,14 +164,14 @@ def select_index(
     inst: MarketInstance,
     rungs: list[LadderSolution],
     opt: PricingSolution,
-    alpha: float | None = None,
+    alpha: float,
 ) -> LadderSolution:
     """Smallest index (optimum first, then the rungs) meeting the profit threshold.
 
     At least one index qualifies for exact solutions; a numerical miss raises
     with every rung's profit attached.
     """
-    threshold = selection_threshold(inst, alpha)
+    threshold = mm_profit_factor(alpha, inst.bundle_size_ratio)
     sw_star = opt.sw
     candidates = [_optimum_rung(opt)] + sorted(rungs, key=lambda r: r.index)
     if sw_star <= BOUND_TOL:
@@ -223,10 +214,9 @@ def certify_ladder(
     inst: MarketInstance,
     opt: PricingSolution,
     rungs: list[LadderSolution],
-    alpha: float | None = None,
+    alpha: float,
 ) -> list[BoundCheck]:
     """Evaluate every structural inequality the ladder construction promises."""
-    alpha = resolve_alpha(inst, alpha)
     sw_star = opt.sw
     tol = BOUND_TOL * (1.0 + abs(sw_star))
     c1, c2 = threshold_coefficients(alpha)
@@ -283,17 +273,16 @@ def certify_selection(
     inst: MarketInstance,
     opt: PricingSolution,
     selected: LadderSolution,
-    alpha: float | None = None,
+    alpha: float,
 ) -> list[BoundCheck]:
     """The two guarantees of the selected rung: profit and welfare factors."""
-    alpha = resolve_alpha(inst, alpha)
     sw_star = opt.sw
     tol = BOUND_TOL * (1.0 + abs(sw_star))
     return [
         BoundCheck(
             "selected_profit",
             sw_star,
-            selection_threshold(inst, alpha) * selected.solution.profit,
+            mm_profit_factor(alpha, inst.bundle_size_ratio) * selected.solution.profit,
             tol,
         ),
         BoundCheck(

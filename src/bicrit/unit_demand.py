@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import resolve_alpha, threshold_price
+from .analysis import threshold_price
 from .market import (
     MarketInstance,
     PricingSolution,
@@ -26,6 +26,7 @@ __all__ = [
     "ThresholdedPrices",
     "UnitDemandError",
     "cluster_diagnostics",
+    "low_cluster_hazard_condition",
     "price_unit_demand",
 ]
 
@@ -48,14 +49,13 @@ class ThresholdedPrices:
     type_cluster: dict[str, str]
 
 
-def price_unit_demand(inst: MarketInstance, opt: PricingSolution, alpha: float | None = None):
+def price_unit_demand(inst: MarketInstance, opt: PricingSolution, alpha: float):
     """Thresholded prices above the welfare optimum opt, and the evaluated market outcome.
 
     Returns (ThresholdedPrices, PricingSolution).
     """
     if not inst.is_unit_demand():
         raise UnitDemandError("instance has multi-good bundles; use the ladder pricer")
-    alpha = resolve_alpha(inst, alpha)
     primary = threshold_price(alpha, inst.lambda_max)
     prices = {g: max(primary, opt.prices[g]) for g in inst.good_ids}
     sol = evaluate(inst, prices)

@@ -373,3 +373,39 @@ def test_ladder_at_alpha_one_names_alpha(command, tmp_path, capsys):
 def test_price_mm_refuses_an_alpha_override_of_one(tmp_path, capsys):
     argv = ["price-mm", "--in", os.path.join(GOLDEN, "mm-00.json"), "--alpha", "1", "--out", str(tmp_path / "o.json")]
     assert "alpha < 1" in _refused(argv, capsys)
+
+
+@pytest.mark.parametrize("alpha", [[], ["--alpha", "-1"]], ids=["default", "alpha-below"])
+def test_price_ud_refuses_multi_good_bundles_before_checking_alpha(alpha, capsys):
+    argv = ["price-ud", "--in", os.path.join(GOLDEN, "mm-00.json"), *alpha]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == "error: instance has multi-good bundles; use the ladder pricer\n"
+    assert captured.out == ""
+
+
+def test_price_ud_refuses_an_alpha_below_the_instances(capsys):
+    err = _refused(["price-ud", "--in", os.path.join(GOLDEN, "ud-00.json"), "--alpha", "-1"], capsys)
+    assert err.count("\n") == 1
+    assert "alpha=-1.0" in err and "regularity 0.0" in err
+
+
+def _run_json(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_OK
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("case", ["ud-00", "mm-00"])
+def test_verify_reads_the_pricing_commands_records(case, capsys):
+    infile = os.path.join(GOLDEN, case + ".json")
+    checks = {c["name"]: c["ok"] for c in _run_json(["verify", "--in", infile], capsys)["checks"]}
+    if case.startswith("ud"):
+        priced = _run_json(["price-ud", "--in", infile, "--diagnostics"], capsys)
+        for name, verdict in priced["certificate"]["verdicts"].items():
+            assert checks[f"thresholded_{name}"] == (verdict != "FAIL")
+        assert checks["cluster_structure"] == (priced["cluster_violations"] == [])
+        assert checks["low_cluster_hazard"] == (priced["hazard_violations"] == [])
+    else:
+        priced = _run_json(["price-mm", "--in", infile], capsys)
+        ladder_checks = [(name[len("ladder_"):], ok) for name, ok in checks.items() if name.startswith("ladder_")]
+        assert ladder_checks == [(c["name"], c["ok"]) for c in priced["bound_checks"]]

@@ -16,7 +16,7 @@ from bicrit.multi_minded import (
     ladder,
     select_index,
 )
-from bicrit.solver import SolverError
+from bicrit.solver import SolverConfig, SolverError
 from bicrit.tolerances import BOUND_TOL
 
 from conftest import random_multi_minded_instance
@@ -65,14 +65,14 @@ class TestAugmentedWelfareClosedForm:
     # and the dummy buyer takes c^-1(r) - x whenever the reserve binds.
 
     def test_binding_reserve(self, single_good_instance):
-        rung = augmented_we(single_good_instance, 0.7)
+        rung = augmented_we(single_good_instance, 0.7, SolverConfig())
         assert rung.solution.prices["g1"] == 0.7
         assert rung.solution.demand["b1"] == pytest.approx(0.3, abs=1e-6)
         assert rung.dummy_allocation["g1"] == pytest.approx(0.4, abs=1e-6)
         assert rung.saturated == frozenset()
 
     def test_slack_reserve(self, single_good_instance):
-        rung = augmented_we(single_good_instance, 0.2)
+        rung = augmented_we(single_good_instance, 0.2, SolverConfig())
         assert rung.solution.prices["g1"] == pytest.approx(0.5, abs=1e-6)
         assert rung.solution.demand["b1"] == pytest.approx(0.5, abs=1e-6)
         assert rung.dummy_allocation["g1"] == 0.0
@@ -80,7 +80,7 @@ class TestAugmentedWelfareClosedForm:
 
     def test_nonpositive_reserve_rejected(self, single_good_instance):
         with pytest.raises(ValueError):
-            augmented_we(single_good_instance, 0.0)
+            augmented_we(single_good_instance, 0.0, SolverConfig())
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +98,7 @@ def _ladder(k):
     """(instance, optimum, rungs) of the k-th seeded market."""
     inst = _instances()[k]
     opt = solve_welfare(inst)
-    return inst, opt, ladder(inst, opt)
+    return inst, opt, ladder(inst, opt, SolverConfig(), inst.alpha)
 
 
 @lru_cache(maxsize=None)
@@ -107,7 +107,7 @@ def _cold_rungs(k):
     inst, _, rungs = _ladder(k)
     cold_rungs = []
     for rung in rungs:
-        cold = augmented_we(inst, rung.dummy_price)
+        cold = augmented_we(inst, rung.dummy_price, SolverConfig())
         cold.index = rung.index
         cold_rungs.append(cold)
     return cold_rungs
@@ -124,8 +124,9 @@ class TestRandomLadders:
 
     def test_every_bound_check_holds(self, k):
         inst, opt, rungs = _ladder(k)
-        selected = select_index(inst, rungs, opt)
-        checks = certify_ladder(inst, opt, rungs) + certify_selection(inst, opt, selected)
+        selected = select_index(inst, rungs, opt, inst.alpha)
+        checks = certify_ladder(inst, opt, rungs, inst.alpha)
+        checks += certify_selection(inst, opt, selected, inst.alpha)
         assert [c.name for c in checks if not c.ok] == []
 
     def test_no_deviation_violations(self, k):
@@ -142,7 +143,7 @@ class TestRandomLadders:
             for index, sol in [(-1, opt)] + [(r.index, r.solution) for r in rungs]
             if sol.profit > 0 and opt.sw <= factor * sol.profit + slack
         ]
-        assert select_index(inst, rungs, opt).index == qualifying[0]
+        assert select_index(inst, rungs, opt, inst.alpha).index == qualifying[0]
 
     def test_warm_rungs_agree_with_cold_where_unique(self, k):
         """Each rung, started from the optimum's split, against a cold solve from zero.
@@ -163,9 +164,10 @@ class TestRandomLadders:
                 for key, v in cold_v.items():
                     assert abs(warm_v[key] - v) <= 1e-7 * (1.0 + abs(v))
             assert rung.saturated == cold.saturated
-        selected = select_index(inst, cold_rungs, opt)
-        assert selected.index == select_index(inst, rungs, opt).index
-        checks = certify_ladder(inst, opt, cold_rungs) + certify_selection(inst, opt, selected)
+        selected = select_index(inst, cold_rungs, opt, inst.alpha)
+        assert selected.index == select_index(inst, rungs, opt, inst.alpha).index
+        checks = certify_ladder(inst, opt, cold_rungs, inst.alpha)
+        checks += certify_selection(inst, opt, selected, inst.alpha)
         assert [c.name for c in checks if not c.ok] == []
 
     def test_warm_and_cold_rungs_agree_to_solver_precision(self, k):
@@ -199,10 +201,10 @@ def test_failing_rung_names_its_index_and_reserve_price(monkeypatch):
 
     monkeypatch.setattr(multi_minded, "_solve_flow", fail_on_second_rung)
     with pytest.raises(SolverError) as exc:
-        ladder(inst, opt)
+        ladder(inst, opt, SolverConfig(), inst.alpha)
     message = str(exc.value)
     assert "rung 1" in message
-    assert f"{multi_minded.dummy_price_at(inst, 1):.12g}" in message
+    assert f"{multi_minded.dummy_price_at(inst, 1, inst.alpha):.12g}" in message
     assert "welfare solver gap above tolerance" in message
     assert exc.value.best_splits is best
     assert exc.value.residual == 0.5

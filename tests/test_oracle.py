@@ -89,7 +89,7 @@ class TestCrossChecks:
         for _ in range(5):
             inst = random_unit_demand_instance(rng, alpha=0.0, max_goods=2, max_types=3)
             opt = solve_welfare(inst)
-            _, sol = price_unit_demand(inst, opt)
+            _, sol = price_unit_demand(inst, opt, inst.alpha)
             sw_oracle, _ = oracle_max_welfare(inst)
             assert sol.profit >= sw_oracle / zeta(inst.alpha) - 5e-3
 

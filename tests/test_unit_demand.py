@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bicrit import CostFunction, InverseDemand, MarketInstance, solve_welfare
-from bicrit.analysis import threshold_coefficients, threshold_price, welfare_factor, zeta
+from bicrit.analysis import resolve_alpha, threshold_coefficients, threshold_price, welfare_factor, zeta
 from bicrit.unit_demand import (
     UnitDemandError,
     cluster_diagnostics,
@@ -34,7 +34,7 @@ class TestThresholdPrice:
 class TestPricing:
     def test_high_marginal_keeps_optimum(self, single_good_instance):
         opt = solve_welfare(single_good_instance)
-        tp, sol = price_unit_demand(single_good_instance, opt)
+        tp, sol = price_unit_demand(single_good_instance, opt, single_good_instance.alpha)
         assert tp.prices["g1"] == pytest.approx(0.5, abs=1e-9)
         assert sol.sw == pytest.approx(0.25, abs=1e-8)
         assert sol.profit == pytest.approx(0.125, abs=1e-8)
@@ -42,7 +42,7 @@ class TestPricing:
 
     def test_threshold_binds_on_light_costs(self, light_cost_instance):
         opt = solve_welfare(light_cost_instance)
-        tp, sol = price_unit_demand(light_cost_instance, opt)
+        tp, sol = price_unit_demand(light_cost_instance, opt, light_cost_instance.alpha)
         assert tp.prices["g1"] == pytest.approx(math.exp(-1.0))
         assert sol.demand["b1"] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-9)
         assert sol.profit == pytest.approx(0.230546, abs=1e-6)
@@ -52,7 +52,7 @@ class TestPricing:
 
     def test_identity_when_all_prices_clear_threshold(self, single_good_instance):
         opt = solve_welfare(single_good_instance)
-        _, sol = price_unit_demand(single_good_instance, opt)
+        _, sol = price_unit_demand(single_good_instance, opt, single_good_instance.alpha)
         assert sol.prices == {g: pytest.approx(v) for g, v in opt.prices.items()}
         assert sol.sw == pytest.approx(opt.sw, abs=1e-9)
 
@@ -62,7 +62,7 @@ class TestPricing:
             [("b1", [["g1", "g2"]], linear_demand)],
         )
         with pytest.raises(UnitDemandError):
-            price_unit_demand(inst, solve_welfare(inst))
+            price_unit_demand(inst, solve_welfare(inst), inst.alpha)
 
     def test_alpha_override_must_dominate(self, single_good_instance):
         gp = InverseDemand.generalized_pareto(1.0, 0.5, 1.0)
@@ -70,7 +70,7 @@ class TestPricing:
             [("g1", CostFunction.power(1.0, 1.0))], [("b1", [["g1"]], gp)]
         )
         with pytest.raises(ValueError):
-            price_unit_demand(inst, solve_welfare(inst), alpha=0.25)
+            resolve_alpha(inst, 0.25)
 
 
 @pytest.fixture
@@ -86,14 +86,14 @@ def mixed_cluster_instance(linear_demand):
 class TestClusters:
     def test_all_high(self, single_good_instance):
         opt = solve_welfare(single_good_instance)
-        tp, sol = price_unit_demand(single_good_instance, opt)
+        tp, sol = price_unit_demand(single_good_instance, opt, single_good_instance.alpha)
         assert tp.good_cluster == {"g1": "H"}
         assert tp.type_cluster == {"b1": "H"}
         assert cluster_diagnostics(single_good_instance, tp, sol, opt) == []
 
     def test_all_low(self, light_cost_instance):
         opt = solve_welfare(light_cost_instance)
-        tp, sol = price_unit_demand(light_cost_instance, opt)
+        tp, sol = price_unit_demand(light_cost_instance, opt, light_cost_instance.alpha)
         assert tp.good_cluster == {"g1": "L"}
         assert sol.demand["b1"] <= opt.demand["b1"] + 1e-9
         assert cluster_diagnostics(light_cost_instance, tp, sol, opt) == []
@@ -101,7 +101,7 @@ class TestClusters:
     def test_mixed_clusters_have_no_cross_purchases(self, mixed_cluster_instance):
         inst = mixed_cluster_instance
         opt = solve_welfare(inst)
-        tp, sol = price_unit_demand(inst, opt)
+        tp, sol = price_unit_demand(inst, opt, inst.alpha)
         assert tp.good_cluster["g1"] == "L"
         assert tp.good_cluster["g2"] == "H"
         assert tp.type_cluster == {"b1": "L", "b2": "H"}
@@ -114,7 +114,7 @@ class TestClusters:
             for _ in range(8):
                 inst = random_unit_demand_instance(rng, alpha=alpha)
                 opt = solve_welfare(inst)
-                tp, sol = price_unit_demand(inst, opt)
+                tp, sol = price_unit_demand(inst, opt, inst.alpha)
                 assert low_cluster_hazard_condition(inst, tp, sol) == []
 
     def test_high_cluster_allocation_is_the_welfare_optimum(self):
@@ -125,7 +125,7 @@ class TestClusters:
         for k in range(120):
             inst = random_unit_demand_instance(rng, (0.0, 0.3, 0.6)[k % 3], max_goods=6, max_types=40)
             opt = solve_welfare(inst)
-            tp, sol = price_unit_demand(inst, opt)
+            tp, sol = price_unit_demand(inst, opt, inst.alpha)
             for g in inst.good_ids:
                 if tp.good_cluster[g] == "H":
                     y = opt.allocation[g]
@@ -140,7 +140,7 @@ class TestTheoremBounds:
         for _ in range(12):
             inst = random_unit_demand_instance(rng, alpha=alpha)
             opt = solve_welfare(inst)
-            tp, sol = price_unit_demand(inst, opt, alpha=alpha)
+            tp, sol = price_unit_demand(inst, opt, alpha)
             tol = 1e-6 * (1.0 + opt.sw)
             assert sol.sw <= c1 * sol.profit + tol
             assert opt.sw - sol.sw <= c2 * sol.profit + tol
