@@ -3,9 +3,10 @@
 Instance files are JSON-syntax documents with a versioned schema: goods carry
 their cost parameters, buyer types their bundles and demand curve.  Loading
 re-validates every market invariant and reports all violations at once, not
-just the first.  Serialization is deterministic: floats are rounded to 12
-significant digits and keys are sorted, so identical inputs produce
-byte-identical files.
+just the first.  Serialization is deterministic: the text is that of
+``json.dumps(record, sort_keys=True, indent=2)`` with every float first rounded
+to 12 significant digits, written in one pass, so identical inputs produce
+byte-identical files.  ``-0.0`` keeps its sign.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ _TYPE_KEYS = {"id", "bundles", "demand"}
 _DEMAND_KEYS = {"family", "lambda_max", "alpha", "scale", "support_ceiling", "points"}
 # The types JSON numbers decode to; true and false decode to bool, not a number here.
 _NUMBER_TYPES = (int, float)
+# json's string encoder (its C version when available), ASCII-only like json.dumps.
+_escape = json.encoder.encode_basestring_ascii
 
 
 class InstanceFormatError(ValueError):
@@ -48,21 +51,59 @@ class InstanceFormatError(ValueError):
         super().__init__("\n".join(self.problems))
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        if math.isinf(obj) or math.isnan(obj):
-            return obj
-        return float(f"{obj:.{FLOAT_DIGITS}g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
-
-
 def dump_record(obj) -> str:
-    """Deterministic JSON for result records: sorted keys, 12 significant digits."""
-    return json.dumps(_round_floats(obj), sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON for result records, ending in a newline.
+
+    The text equals ``json.dumps(r, sort_keys=True, indent=2) + "\\n"``, where r
+    is obj with every float rounded to 12 significant digits (NaN and the
+    infinities as json spells them, ``-0.0`` with its sign) and tuples as
+    lists; it is written in one pass.  Keys must be strings: any other key,
+    and any value json refuses (an ``np.int64``, say), raises TypeError.
+    """
+    # Records repeat most of their floats (prices appear in several places),
+    # so each float's text is kept for the call.
+    return _text(obj, "\n", {}) + "\n"
+
+
+def _text(value, newline: str, floats: dict) -> str:
+    """value as dump_record writes it; newline is "\\n" plus the indent of the
+    line value starts on, and floats maps each float seen to its text."""
+    if isinstance(value, float):
+        known = floats.get(value)
+        if known is not None:
+            return known
+        if value != value:
+            known = "NaN"
+        elif math.isinf(value):
+            known = "Infinity" if value > 0 else "-Infinity"
+        else:
+            known = float.__repr__(float(f"{value:.{FLOAT_DIGITS}g}"))
+        if value:  # 0.0 == -0.0 and both hash alike: zero is never kept
+            floats[value] = known
+        return known
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_text(v, inner, floats) for v in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        # _escape raises TypeError on a key that is not a string.
+        items = [_escape(k) + ": " + _text(value[k], inner, floats) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _check_unknown(problems, mapping, allowed, where):

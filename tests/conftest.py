@@ -1,6 +1,10 @@
-"""Shared fixtures: analytic micro-instances and seeded random market generators."""
+"""Shared fixtures: analytic micro-instances, seeded random market generators
+and the reference writer of result records."""
 
 from __future__ import annotations
+
+import json
+import math
 
 import numpy as np
 import pytest
@@ -119,3 +123,21 @@ def random_multi_minded_instance(
 def random_prices(rng: np.random.Generator, inst: MarketInstance, low=0.05, high=1.0):
     lam = inst.lambda_max
     return {g: float(rng.uniform(low * lam, high * lam)) for g in inst.good_ids}
+
+
+def _round_floats(obj):
+    if isinstance(obj, float):
+        if math.isinf(obj) or math.isnan(obj):
+            return obj
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
+
+
+def reference_dump_record(obj) -> str:
+    """instances.dump_record's reference: json's own writer on a copy of obj
+    with every float rounded to 12 significant digits."""
+    return json.dumps(_round_floats(obj), sort_keys=True, indent=2) + "\n"

@@ -253,6 +253,14 @@ def test_negative_zero_price_evaluates(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["solution"]["prices"]["g0"] == 0.0
 
 
+def test_negative_zero_price_is_written_with_its_sign_after_a_zero(capsys):
+    golden = os.path.join(GOLDEN, "tiny-00.json")
+    prices = '{"g0": -0.0, "g1": 5.0, "g2": 5.0}'
+    assert cli.main(["evaluate", "--in", golden, "--prices", prices]) == cli.EXIT_OK
+    text = capsys.readouterr().out
+    assert -1 < text.find(": 0.0") < text.find('"g0": -0.0')
+
+
 def test_every_bad_price_is_named_from_a_prices_file(tmp_path, capsys):
     infile = _write_instance(tmp_path / "instance.json")
     prices = tmp_path / "prices.json"

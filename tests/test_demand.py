@@ -13,9 +13,11 @@ from bicrit.demand import (
     DemandBatch,
     DemandDomainError,
     InverseDemand,
+    _hazard,
+    _regularity_grid,
     verify_regularity,
 )
-from bicrit.tolerances import ALPHA_LIMIT
+from bicrit.tolerances import ALPHA_LIMIT, BOUNDARY_SLACK, REGULARITY_TOL, TINY
 
 
 def make_tabulated_concave(rng, n_segments=8, lambda_max=1.0):
@@ -48,6 +50,34 @@ def sample_family(family, rng):
 
 
 FAMILIES = ["linear", "exponential", "generalized-pareto", "tabulated"]
+
+
+def make_tabulated_with_flats(rng, n_segments=6):
+    """Random non-increasing piecewise-linear curve, neither concave nor convex,
+    with some segments flat (an infinite hazard ratio at positive price)."""
+    drops = rng.uniform(0.0, 0.3, size=n_segments) * (rng.random(n_segments) > 0.2)
+    drops *= min(1.0, 0.9 / max(drops.sum(), TINY))
+    xs = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.5, size=n_segments))])
+    ls = 1.0 - np.concatenate([[0.0], np.cumsum(drops)])
+    return InverseDemand.tabulated(list(zip(xs, ls)), alpha=0.0)
+
+
+def pairwise_regularity(d, alpha, grid_n, shift=0.0, tol=REGULARITY_TOL):
+    """verify_regularity's reference: h(x2) - h(x1) <= alpha (x2 - x1) + tol
+    tested on every node pair x1 < x2 of the same grid, an n x n matrix."""
+    xs = _regularity_grid(d, grid_n)
+    lam = np.asarray(d.eval(xs)) - shift
+    der = np.abs(np.asarray(d.derivative(xs)))
+    keep = (lam >= -BOUNDARY_SLACK) & ~((lam <= 0.0) & (der < TINY))
+    xs, lam, der = xs[keep], np.maximum(lam[keep], 0.0), der[keep]
+    if xs.size < 2:
+        return True
+    h = _hazard(lam, der)
+    upper = np.triu_indices(xs.size, k=1)
+    with np.errstate(invalid="ignore"):
+        # inf - inf pairs compare as NaN, so False.
+        ok = (h[None, :] - h[:, None])[upper] <= alpha * (xs[None, :] - xs[:, None])[upper] + tol
+    return bool(np.all(ok))
 
 
 class TestPointwiseExamples:
@@ -139,6 +169,32 @@ class TestRegularityCheck:
         for _ in range(5):
             d, alpha = sample_family(family, rng)
             assert verify_regularity(d, alpha, grid_n=200)
+
+    @pytest.mark.parametrize("family", [*FAMILIES, "tabulated-with-flats"])
+    def test_running_minimum_matches_every_pair(self, family):
+        rng = np.random.default_rng(31)
+        verdicts = set()
+        for _ in range(12):
+            if family == "tabulated-with-flats":
+                d, own = make_tabulated_with_flats(rng), 0.0
+            else:
+                d, own = sample_family(family, rng)
+            for alpha in (own - 1.5, own - 0.25, 0.5 * own, own, own + 0.5):
+                for shift in (0.0, float(rng.uniform(0.05, 0.8)) * d.lambda_max):
+                    want = pairwise_regularity(d, alpha, 120, shift)
+                    assert verify_regularity(d, alpha, grid_n=120, shift=shift) == want, (d, alpha, shift)
+                    verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_flat_stretch_fails_after_the_first_node_only(self):
+        # The pairwise form compares an infinite h(x2) with every earlier node,
+        # infinite ones too (inf - inf), and an infinite h(x1) with no later one.
+        flat_first = InverseDemand.tabulated([(0.0, 1.0), (1.0, 1.0), (2.0, 0.5), (3.0, 0.0)], 1.0)
+        flat_twice = InverseDemand.tabulated([(0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (3.0, 0.0)], 1.0)
+        flat_inside = InverseDemand.tabulated([(0.0, 1.0), (1.0, 0.5), (2.0, 0.5), (3.0, 0.0)], 1.0)
+        for d, want in ((flat_first, True), (flat_twice, False), (flat_inside, False)):
+            assert pairwise_regularity(d, 1.0, 2) is want
+            assert verify_regularity(d, 1.0) is want
 
 
 class TestInvariants:

@@ -11,6 +11,10 @@ each through bicrit.cli.main and compares the record it writes:
 * each type's total split mass always, and its individual split entries
   only where a single bundle of the type lies in the tie band at the
   record's prices, so that the split is unique.
+
+It also checks the bytes: the text written is what the reference writer
+(conftest.reference_dump_record) writes for that text's own parse, since
+rounding to 12 significant digits leaves a rounded number as it is.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import pytest
 
 from bicrit import cli
 from bicrit.tolerances import PRICE_TIE_REL
+from conftest import reference_dump_record
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 GOLDEN_REL = 1e-9
@@ -91,7 +96,9 @@ def test_golden_output(case, entry, tmp_path, capsys):
     out = tmp_path / "out.json"
     code = cli.main([*entry["argv"], "--in", infile, "--out", str(out)])
     assert code == entry["exit"], capsys.readouterr().err
-    actual = json.loads(out.read_text(encoding="utf-8"))
+    text = out.read_text(encoding="utf-8")
+    actual = json.loads(text)
+    assert text == reference_dump_record(actual)
     _compare(entry["output"], actual, entry["argv"][0], instance)
 
 
