@@ -40,6 +40,23 @@ once backtracking fails or max_iters steps are taken.
 
 Each objective, gradient or curvature evaluation is one kernel call per
 family of the program's DemandBatch and batched costs.
+
+solve runs the loop once and certifies its last iterate z by the
+weak-duality gap at the posted prices p = c(y(z)).  The welfare program's
+dual D(p) = sum_g C*_g(p_g) + sum_i max_t [U_i(t) - q_i t], q_i = min_S p(S),
+bounds SW from above at every p >= 0, and at p = c(y) Fenchel's equality
+C*(p) = p y - C(y) (Rockafellar, Convex Analysis, 1970, Thm 23.5) cancels
+the cost terms:
+
+    D(c(y)) - SW(z) = sum_r z_r (p(S_r) - q_i) + sum_i [U_i(t_i) - U_i(x_i) - q_i (t_i - x_i)]
+
+over the rows r (type i, bundle S_r), t_i the demand at q_i.  With fixed
+masses m_i the utility sum drops out, and the first sum bounds C(y) - min C:
+for a split z* of the same masses convexity gives C(y*) - C(y) >= p (y* - y)
+= sum_r (z*_r - z_r) p(S_r), and sum_r z*_r p(S_r) >= sum_i m_i q_i =
+sum_r z_r q_i.  Both gaps' terms are non-negative and vanish exactly at the
+KKT point: each used bundle's sum is its type's cheapest, and x_i = t_i.  A
+gap above tol * (1 + |value|), value = SW(z) or -C(y), raises SolverError.
 """
 
 from __future__ import annotations
@@ -47,6 +64,19 @@ from __future__ import annotations
 import numpy as np
 
 from .tolerances import ACTIVE_EPS, ARMIJO, DAMPING_FLOOR, MAX_HALVINGS, PG_STOP, ROUNDING_REL
+
+
+class SolverError(RuntimeError):
+    """A Newton run of either program missed its gap's target (see solve).
+
+    best_splits is the run's last iterate, the free types' rows in order for
+    a min-cost split, and residual its gap.
+    """
+
+    def __init__(self, message, best_splits=None, residual=None):
+        super().__init__(message)
+        self.best_splits = best_splits
+        self.residual = residual
 
 
 class FlowProgram:
@@ -124,6 +154,18 @@ class FlowProgram:
             z *= np.repeat(self.masses / self.totals(z), self.sizes)
         return z
 
+    def certificate(self, z, tol):
+        """(gap, target): the module docstring's gap at p = c(y(z)), and tol * (1 + |value|)."""
+        x, y = self.totals(z), self.allocation(z)
+        sums = self.stacked @ self.costs.marginal(y)
+        q = np.minimum.reduceat(sums, self.offsets[:-1])
+        gap = z @ (sums - np.repeat(q, self.sizes))
+        if self.masses is None:
+            t = self.demand.demand_at_price(q)
+            utility = self.demand.utility_integral
+            gap += (utility(t) - utility(x) - q * (t - x)).sum()
+        return float(gap), tol * (1.0 + abs(self._value(x, y)))
+
     def newton_step(self, z, gradient, free, damping):
         """The d solving (H + damping I) d = gradient on the free coordinates, 0 elsewhere.
 
@@ -169,10 +211,20 @@ class FlowProgram:
         return u - solve_b(np.bincount(self._rows, t[self._goods], minlength=len(z)))
 
 
+def solve(program, z, max_iters, tol):
+    """The optimum from z: one run of at most max_iters Newton steps, its gap certified at tol."""
+    z = _run_newton(program, z, max_iters)
+    gap, target = program.certificate(z, tol)
+    if gap > target:
+        name = "min-cost split" if program.masses is not None else "welfare solver"
+        raise SolverError(f"{name} gap {gap:.3e} above tolerance {target:.3e}", best_splits=z, residual=gap)
+    return z
+
+
 def _run_newton(program, z, max_iters):
     """Damped projected Newton on F = -SW(z) from z (see the module docstring).
 
-    Returns the last iterate; the caller certifies it.
+    Returns the last iterate, uncertified: solve is the one caller in bicrit.
     """
     z = program.project(z)
     f, grad = program.value_and_gradient(z)

@@ -15,8 +15,8 @@ allocation into a PricingSolution: for evaluate and for the solver's
 welfare and ladder solves alike.
 
 The min-cost split is the welfare program's fixed-mass limit: one
-flow.FlowProgram over all goods, run once by the same Newton loop as the
-welfare solve, for at most tolerances.NEWTON_STEPS steps.
+flow.FlowProgram over all goods, run and certified by flow.solve as the
+welfare solve is; a split that misses its target raises SolverError.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import numpy as np
 
 from .costs import CostBatch, CostFunction
 from .demand import DemandBatch, InverseDemand
-from .flow import FlowProgram, _run_newton
-from .tolerances import NEWTON_STEPS, PRICE_TIE_REL, SPLIT_DUST, STATED_REL
+from .flow import FlowProgram, solve
+from .tolerances import NEWTON_STEPS, PRICE_TIE_REL, SOLVER_TOL, SPLIT_DUST, STATED_REL
 
 __all__ = [
     "BuyerType",
@@ -255,7 +255,8 @@ def split_min_cost(cost_fns, masks, totals):
     masks is one (m_i, n_goods) incidence matrix per type and totals the mass
     each type must route.  Types with a single allowed bundle are folded
     into the fixed base allocation.  The others, the free types, form one
-    fixed-mass FlowProgram over all goods, started from even splits.
+    fixed-mass FlowProgram over all goods, started from even splits and
+    certified at SOLVER_TOL within NEWTON_STEPS steps; a miss raises SolverError.
 
     Returns (list of per-type split vectors, allocation vector y).
     """
@@ -278,7 +279,7 @@ def split_min_cost(cost_fns, masks, totals):
     masses = np.array([totals[i] for i in free], dtype=float)
     stacked = np.vstack([masks[i] for i in free])
     program = FlowProgram(stacked, sizes, _cost_batch(tuple(cost_fns)), masses=masses, base=base)
-    z = _run_newton(program, np.repeat(masses / sizes, sizes), NEWTON_STEPS)
+    z = solve(program, np.repeat(masses / sizes, sizes), NEWTON_STEPS, SOLVER_TOL)
     for i, part in zip(free, np.split(z, program.offsets[1:-1])):
         splits[i] = part
     return splits, program.allocation(z)
@@ -343,6 +344,15 @@ def evaluate(inst: MarketInstance, prices: dict[str, float]) -> PricingSolution:
     return _solution(inst, pvec, cheapest, xvec, *_min_cost_split(inst, tied, xvec.tolist()))
 
 
+def _marginal_sums(inst: MarketInstance, allocation, split):
+    """Each stacked_masks row's marginal-cost sum at allocation, and the rows split uses."""
+    yvec = np.array([allocation[g] for g in inst.good_ids])
+    sums = inst.stacked_masks @ inst.cost_batch.marginal(yvec)
+    used = np.zeros(len(sums), dtype=bool)
+    used[[inst.bundle_rows[key] for key, v in split.items() if v > SPLIT_DUST]] = True
+    return sums, used
+
+
 def buyer_marginal_costs(inst: MarketInstance, allocation: dict[str, float], split) -> dict[str, float]:
     """Per-type marginal cost of one extra unit at the given allocation and split.
 
@@ -352,11 +362,8 @@ def buyer_marginal_costs(inst: MarketInstance, allocation: dict[str, float], spl
     type, for an empty split) fall back to the cheapest bundle by marginal
     cost.
     """
-    yvec = np.array([allocation[g] for g in inst.good_ids])
-    sums = inst.stacked_masks @ inst.cost_batch.marginal(yvec)
+    sums, used = _marginal_sums(inst, allocation, split)
     starts = inst.bundle_offsets[:-1]
-    used = np.zeros(len(sums), dtype=bool)
-    used[[inst.bundle_rows[key] for key, v in split.items() if v > SPLIT_DUST]] = True
     best_used = np.minimum.reduceat(np.where(used, sums, np.inf), starts)
     best = np.where(np.logical_or.reduceat(used, starts), best_used, np.minimum.reduceat(sums, starts))
     return dict(zip(inst.type_ids, best.tolist()))
@@ -368,10 +375,7 @@ def split_kkt_violation(inst: MarketInstance, allocation, split) -> float:
     Zero (up to KKT_TOL) certifies the split is cost minimal over all of each
     type's bundles.
     """
-    yvec = np.array([allocation[g] for g in inst.good_ids])
-    sums = inst.stacked_masks @ inst.cost_batch.marginal(yvec)
-    used = np.zeros(len(sums), dtype=bool)
-    used[[inst.bundle_rows[key] for key, v in split.items() if v > SPLIT_DUST]] = True
+    sums, used = _marginal_sums(inst, allocation, split)
     best = np.minimum.reduceat(sums, inst.bundle_offsets[:-1])
     gaps = sums - np.repeat(best, inst.bundle_sizes)
     return float(np.max(gaps, where=used, initial=0.0))

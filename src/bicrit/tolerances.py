@@ -39,10 +39,10 @@ TINY = 1e-300
 REGULARITY_TOL = 1e-8
 
 # -- the Newton core (flow.py) ------------------------------------------------
-# SolverConfig's default relative target for the weak-duality gap.
+# The certificate's relative gap target: every min-cost split's, and SolverConfig's default.
 SOLVER_TOL = 1e-8
 # Newton steps of a min-cost split, and SolverConfig's default cap on those
-# of a welfare solve: a safety cap, far above the steps runs take.
+# of a welfare solve: a safety cap, far above the steps either run takes.
 NEWTON_STEPS = 500
 # Armijo backtracking gives up, and ends the run, after this many halvings.
 MAX_HALVINGS = 60

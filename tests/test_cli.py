@@ -6,8 +6,8 @@ import os
 
 import pytest
 
-from bicrit import CostFunction, InverseDemand, MarketInstance, cli, instances
-from bicrit.solver import SolverConfig
+from bicrit import CostFunction, InverseDemand, MarketInstance, cli, instances, market
+from bicrit.solver import SolverConfig, solve_welfare
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -238,6 +238,19 @@ def test_uncertified_solve_exits_with_solver_code(capsys):
     err = capsys.readouterr().err
     assert err.startswith("solver error: welfare solver gap")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_uncertified_split_exits_with_solver_code(monkeypatch, capsys):
+    # evaluate at ud-00's welfare prices, where 47 types tie on two goods,
+    # with the split cut to one Newton step: its gap misses the target.
+    golden = os.path.join(GOLDEN, "ud-00.json")
+    prices = json.dumps(solve_welfare(instances.load(golden)).prices)
+    monkeypatch.setattr(market, "NEWTON_STEPS", 1)
+    assert cli.main(["evaluate", "--in", golden, "--prices", prices]) == cli.EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err.startswith("solver error: min-cost split gap ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_negative_price_is_a_validation_error(capsys):

@@ -1,5 +1,6 @@
 """Market model: best response, allocation, bookkeeping, and cost lemmas."""
 
+import os
 import time
 
 import numpy as np
@@ -10,11 +11,14 @@ from bicrit import (
     InverseDemand,
     MarketInstance,
     MarketValidationError,
+    SolverError,
     best_response,
     buyer_marginal_costs,
     evaluate,
     min_cost_allocation,
+    solve_welfare,
 )
+from bicrit import instances, market
 from bicrit.market import _bundle_prices, split_kkt_violation
 from bicrit.tolerances import KKT_TOL, SPLIT_DUST
 
@@ -186,6 +190,22 @@ class TestSplitKKT:
         split, y = min_cost_allocation(inst, dict.fromkeys(inst.good_ids, 0.0), demand)
         assert split_kkt_violation(inst, y, split) <= 0.1 * KKT_TOL
         assert split[("b0", ("g0",))] == pytest.approx(1e-8, rel=1e-12)
+
+    def test_split_short_of_its_target_raises(self, monkeypatch):
+        # At ud-00's welfare prices 47 types with positive demand tie on two
+        # goods each; one Newton step leaves their split's gap far above
+        # SOLVER_TOL * (1 + C(y)).
+        inst = instances.load(os.path.join(os.path.dirname(__file__), "golden", "ud-00.json"))
+        prices = solve_welfare(inst).prices
+        _, cheapest, tied = _bundle_prices(inst, inst.price_vector(prices))
+        tied_per_type = np.add.reduceat(tied, inst.bundle_offsets[:-1])
+        free = (tied_per_type > 1) & (inst.demand_batch.demand_at_price(cheapest) > 0.0)
+        monkeypatch.setattr(market, "NEWTON_STEPS", 1)
+        with pytest.raises(SolverError) as err:
+            evaluate(inst, prices)
+        assert str(err.value).startswith("min-cost split gap ")
+        assert err.value.best_splits.shape == (tied_per_type[free].sum(),) == (94,)
+        assert err.value.residual > 0.1
 
     def test_violation_matches_per_type_loop(self):
         # Random splits over random bundles.

@@ -16,13 +16,17 @@ from bicrit import (
     min_cost_allocation,
     solve_welfare,
 )
-from bicrit import solver
-from bicrit.flow import FlowProgram
+from bicrit import flow, solver
+from bicrit.flow import FlowProgram, _run_newton
 from bicrit.multi_minded import _ReserveFloored
-from bicrit.solver import _FlowProgram, _run_newton
+from bicrit.tolerances import NEWTON_STEPS, SOLVER_TOL
 
 from conftest import random_cost, random_unit_demand_instance, random_multi_minded_instance
 from split_oracle import oracle_min_split_cost
+
+
+def _welfare_program(inst, costs):
+    return FlowProgram(inst.stacked_masks, inst.bundle_sizes, costs, demand=inst.demand_batch)
 
 
 def _objective(program, z):
@@ -82,7 +86,7 @@ class TestOptimalityCertificates:
                 splits.append(
                     np.array([opt.split.get((t.type_id, b), 0.0) for b in t.bundles])
                 )
-            norm = _residual(_FlowProgram(inst, inst.cost_batch), np.concatenate(splits))
+            norm = _residual(_welfare_program(inst, inst.cost_batch), np.concatenate(splits))
             assert norm <= 1e-6 * (1.0 + abs(opt.sw))
 
     def test_solutions_meet_kkt_to_solver_precision(self):
@@ -97,7 +101,7 @@ class TestOptimalityCertificates:
                 np.array([opt.split.get((t.type_id, b), 0.0) for b in t.bundles])
                 for t in inst.buyer_types
             ]
-            norm = _residual(_FlowProgram(inst, inst.cost_batch), np.concatenate(splits))
+            norm = _residual(_welfare_program(inst, inst.cost_batch), np.concatenate(splits))
             assert norm <= 1e-10 * (1.0 + abs(opt.sw))
 
     def test_round_with_bundles_tied_at_zero_cost_slope_reaches_full_precision(self):
@@ -113,7 +117,7 @@ class TestOptimalityCertificates:
         for k in range(25):
             inst = random_multi_minded_instance(rng, *draws[k % 6])
         assert (len(inst.goods), len(inst.buyer_types)) == (4, 2)
-        program = _FlowProgram(inst, inst.cost_batch)
+        program = _welfare_program(inst, inst.cost_batch)
         z = _run_newton(program, np.zeros(program.caps.size), SolverConfig().max_iters)
         assert _residual(program, z) <= 1e-12
 
@@ -321,7 +325,7 @@ class TestDualGap:
         inst = twin_goods_instance
         for reserve, z_opt in ((None, (1 / 3, 1 / 3)), (0.5, (0.25, 0.25))):
             costs = inst.cost_batch if reserve is None else _ReserveFloored(inst, reserve)
-            program = _FlowProgram(inst, costs)
+            program = _welfare_program(inst, costs)
             f_opt = _objective(program, np.array(z_opt))
             for tol in (np.inf, 0.0):
                 for z in (z_opt, (0.0, 0.0), (0.5, 0.1), (0.2, 0.2), (0.6, 0.3)):
@@ -331,6 +335,47 @@ class TestDualGap:
                     assert f_opt - _objective(program, z) <= gap + 1e-12
                     assert gap <= program.certificate(z, np.inf)[0]
                 assert program.certificate(np.array(z_opt), tol)[0] <= 1e-12
+
+    # The same market with the type's mass held fixed: C(y) = y^2 / 2 per
+    # good, so a mass m on top of base b splits to equal allocations.
+    def test_fixed_mass_gap_bounds_true_suboptimality(self, twin_goods_instance):
+        inst = twin_goods_instance
+        cases = [
+            (None, 2 / 3, 0.0, (1 / 3, 1 / 3)),
+            (0.5, 2 / 3, 0.0, (1 / 3, 1 / 3)),
+            (None, 1.0, np.array([0.2, 0.0]), (0.4, 0.6)),
+        ]
+        for reserve, mass, base, z_opt in cases:
+            costs = inst.cost_batch if reserve is None else _ReserveFloored(inst, reserve)
+            program = FlowProgram(inst.stacked_masks, inst.bundle_sizes, costs, masses=np.array([mass]), base=base)
+            cost_opt = -_objective(program, np.array(z_opt))
+            for tol in (np.inf, 0.0):
+                for share in (0.0, 0.1, 0.3, 0.75, 1.0):
+                    z = mass * np.array([share, 1.0 - share])
+                    gap, target = program.certificate(z, tol)
+                    cost = -_objective(program, z)
+                    assert program.certificate(z, 0.5)[1] == 0.5 * (1.0 + abs(cost))
+                    assert cost - cost_opt <= gap + 1e-12
+                assert program.certificate(np.array(z_opt), tol)[0] <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fixed_mass_gap_bounds_the_excess_over_the_split_oracle(self, seed):
+        # At zero prices every bundle ties, so the oracle enumerates all splits
+        # of the fixed masses; its least cost is at least min C.  The 1e-12 is
+        # rounding in C at a certified optimum, whose gap is near zero.
+        rng = np.random.default_rng(seed)
+        inst = random_unit_demand_instance(rng, 0.0, max_goods=3, max_types=3)
+        masses = rng.uniform(0.2, 1.0, size=len(inst.buyer_types))
+        program = FlowProgram(inst.stacked_masks, inst.bundle_sizes, inst.cost_batch, masses=masses)
+        reference = oracle_min_split_cost(
+            inst, dict.fromkeys(inst.good_ids, 0.0), dict(zip(inst.type_ids, masses)), levels=10
+        )
+        n = program.caps.size
+        z_opt = flow.solve(program, np.repeat(masses / program.sizes, program.sizes), NEWTON_STEPS, SOLVER_TOL)
+        points = [program.project(rng.uniform(0.0, 1.0, size=n) * rng.random(n).round() + 1e-3) for _ in range(4)]
+        for z in [z_opt, *points]:
+            gap, _ = program.certificate(z, 1.0)
+            assert -_objective(program, z) - reference <= gap + 1e-12
 
     @staticmethod
     def _conjugate_gap(program, inst, reserve, z):
@@ -362,7 +407,7 @@ class TestDualGap:
                 tuple((g, CostFunction.power(c.a, c.beta)) for g, c in drawn.goods), drawn.buyer_types
             )
             costs = inst.cost_batch if reserve is None else _ReserveFloored(inst, reserve)
-            program = _FlowProgram(inst, costs)
+            program = _welfare_program(inst, costs)
             n = program.caps.size
             z_opt = _run_newton(program, np.zeros(n), SolverConfig().max_iters)
             points = [np.zeros(n), z_opt, program.project(z_opt * rng.uniform(0.9, 1.1, size=n))]
@@ -382,7 +427,7 @@ class TestValueAndGradient:
         for ratio in (1, 2, 4):
             inst = random_multi_minded_instance(rng, alpha=0.4, size_ratio=ratio)
             costs = inst.cost_batch if reserve is None else _ReserveFloored(inst, reserve)
-            program = _FlowProgram(inst, costs)
+            program = _welfare_program(inst, costs)
             z = rng.uniform(0.05, 1.0, size=program.caps.size)
             assert np.all(program.totals(z) < program.type_caps)
             g = program.value_and_gradient(z)[1]
@@ -406,7 +451,7 @@ class TestNewtonStep:
             for ratio in (1, 2, 4):
                 inst = random_multi_minded_instance(rng, alpha=0.4, size_ratio=ratio)
                 costs = inst.cost_batch if reserve is None else _ReserveFloored(inst, reserve)
-                program = _FlowProgram(inst, costs)
+                program = _welfare_program(inst, costs)
                 n = program.caps.size
                 # Some coordinates at zero, so that a reserve binds on some goods.
                 z = rng.uniform(0.0, 0.6, size=n) * (rng.random(n) < 0.7)
@@ -446,16 +491,16 @@ class TestProjectedGradient:
     def test_is_the_clipped_gradient_residual(self):
         rng = np.random.default_rng(53)
         inst = random_multi_minded_instance(rng, alpha=0.4, size_ratio=2)
-        program = _FlowProgram(inst, inst.cost_batch)
+        program = _welfare_program(inst, inst.cost_batch)
         z = rng.uniform(0.0, 0.5, size=program.caps.size) * (rng.random(program.caps.size) < 0.6)
         g = program.value_and_gradient(z)[1]
         want = np.max(np.abs(z - np.clip(z + g, 0.0, program.caps)))
         assert program.projected_gradient(z, g) == want
-        assert _residual(_FlowProgram(inst, inst.cost_batch), z) == want
+        assert _residual(_welfare_program(inst, inst.cost_batch), z) == want
 
     def test_vanishes_at_the_analytic_optimum(self, twin_goods_instance):
         # lambda(x) = 1 - x and c(y) = y on both goods: the optimum splits 2/3 evenly.
-        program = _FlowProgram(twin_goods_instance, twin_goods_instance.cost_batch)
+        program = _welfare_program(twin_goods_instance, twin_goods_instance.cost_batch)
         assert _residual(program, np.array([1 / 3, 1 / 3])) <= 1e-15
         assert _residual(program, np.array([0.5, 0.1])) > 0.1
         # At zero every bundle is worth entering: the residual is the full gradient.
