@@ -17,6 +17,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import analysis, instances, multi_minded, oracle, unit_demand
 from .market import MarketInstance, PricingSolution, evaluate
 from .solver import SolverConfig, SolverError, solve_welfare
@@ -39,15 +41,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _solution_record(sol: PricingSolution) -> dict:
+def _solution_record(inst: MarketInstance, sol: PricingSolution) -> dict:
+    """sol's record: its vectors keyed by good and type id, the split sorted by (type, bundle)."""
+    used = np.flatnonzero(sol.split).tolist()
+    split = sorted(zip([inst.bundle_keys[r] for r in used], sol.split[used].tolist()))
     return {
-        "prices": sol.prices,
-        "demand": sol.demand,
-        "allocation": sol.allocation,
-        "paid": sol.paid,
+        "prices": inst.prices_dict(sol.prices),
+        "demand": dict(zip(inst.type_ids, sol.demand.tolist())),
+        "allocation": inst.prices_dict(sol.allocation),
+        "paid": dict(zip(inst.type_ids, sol.paid.tolist())),
         "split": [
             {"type": tid, "bundle": list(bundle), "quantity": v}
-            for (tid, bundle), v in sorted(sol.split.items())
+            for (tid, bundle), v in split
         ],
         "sw": sol.sw,
         "profit": sol.profit,
@@ -78,7 +83,7 @@ def _load(args) -> MarketInstance:
 def _cmd_solve_welfare(args) -> int:
     inst = _load(args)
     opt = solve_welfare(inst, _solver_config(args))
-    _emit({"command": "solve-welfare", "solution": _solution_record(opt)}, args.out)
+    _emit({"command": "solve-welfare", "solution": _solution_record(inst, opt)}, args.out)
     return EXIT_OK
 
 
@@ -106,8 +111,8 @@ def _cmd_evaluate(args) -> int:
             problems.append(f"prices: good {g!r} has negative price {json.dumps(price)}")
     if problems:
         raise instances.InstanceFormatError(problems)
-    sol = evaluate(inst, prices)
-    _emit({"command": "evaluate", "solution": _solution_record(sol)}, args.out)
+    sol = evaluate(inst, inst.price_vector(prices))
+    _emit({"command": "evaluate", "solution": _solution_record(inst, sol)}, args.out)
     return EXIT_OK
 
 
@@ -118,10 +123,13 @@ def _price_ud(inst, opt, alpha: float, diagnostics: bool) -> dict:
         "command": "price-ud",
         "alpha": alpha,
         "primary_price": tp.primary_price,
-        "prices": tp.prices,
-        "clusters": {"goods": tp.good_cluster, "types": tp.type_cluster},
-        "solution": _solution_record(sol),
-        "optimum": _solution_record(opt),
+        "prices": inst.prices_dict(tp.prices),
+        "clusters": {
+            "goods": dict(zip(inst.good_ids, tp.good_cluster.tolist())),
+            "types": dict(zip(inst.type_ids, tp.type_cluster.tolist())),
+        },
+        "solution": _solution_record(inst, sol),
+        "optimum": _solution_record(inst, opt),
         "certificate": analysis.certificate(alpha, opt.sw, sol).to_dict(),
     }
     if diagnostics:
@@ -139,17 +147,17 @@ def _cmd_price_ud(args) -> int:
     return EXIT_OK
 
 
-def _rung_record(rung, dump_solutions: bool) -> dict:
+def _rung_record(inst, rung, dump_solutions: bool) -> dict:
     rec = {
         "index": rung.index,
         "dummy_price": rung.dummy_price,
         "sw": rung.solution.sw,
         "profit": rung.solution.profit,
-        "saturated": sorted(rung.saturated),
+        "saturated": sorted(g for g, s in zip(inst.good_ids, rung.saturated.tolist()) if s),
     }
     if dump_solutions:
-        rec["solution"] = _solution_record(rung.solution)
-        rec["dummy_allocation"] = rung.dummy_allocation
+        rec["solution"] = _solution_record(inst, rung.solution)
+        rec["dummy_allocation"] = inst.prices_dict(rung.dummy_allocation)
     return rec
 
 
@@ -165,10 +173,10 @@ def _price_mm(inst, opt, cfg, alpha: float, dump: bool) -> tuple[dict, list]:
         "alpha": alpha,
         "bundle_size_ratio": inst.bundle_size_ratio,
         "selection_threshold": cert.mm_profit_factor,
-        "rungs": [_rung_record(r, dump) for r in rungs],
+        "rungs": [_rung_record(inst, r, dump) for r in rungs],
         "selected_index": selected.index,
-        "solution": _solution_record(selected.solution),
-        "optimum": _solution_record(opt),
+        "solution": _solution_record(inst, selected.solution),
+        "optimum": _solution_record(inst, opt),
         "certificate": cert.to_dict(),
         "bound_checks": [c.to_dict() for c in checks],
     }
@@ -240,10 +248,7 @@ def _verify_checks(inst, args) -> list[dict]:
     sw_star = opt.sw
     tol = BOUND_TOL * (1.0 + abs(sw_star))
 
-    marg = inst.cost_batch.marginal(opt.allocation_vector(inst))
-    identity = max(
-        abs(opt.prices[g] - m) for g, m in zip(inst.good_ids, marg)
-    )
+    identity = float(np.max(np.abs(opt.prices - inst.cost_batch.marginal(opt.allocation))))
     add("optimum_prices_at_marginal_cost", identity <= MARGINAL_PRICE_TOL, f"residual {identity:.2e}")
 
     grid = oracle.GridSpec(price_step=args.grid_step)
@@ -264,9 +269,8 @@ def _verify_checks(inst, args) -> list[dict]:
     except oracle.OracleCapError:
         log.info("instance beyond oracle caps; skipping grid cross-check")
 
-    x = [opt.demand[tid] for tid in inst.type_ids]
-    income = sum((inst.demand_batch.eval(x) * x).tolist())
-    cost = inst.total_cost(opt.allocation_vector(inst))
+    income = sum((inst.demand_batch.eval(opt.demand) * opt.demand).tolist())
+    cost = inst.total_cost(opt.allocation)
     add("income_covers_twice_cost", income >= 2.0 * cost - tol, f"{income:.6f} vs {2 * cost:.6f}")
     add("profit_covers_cost", opt.profit >= cost - tol, "")
 

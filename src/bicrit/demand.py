@@ -14,7 +14,7 @@ curve, and its methods evaluate through a one-curve DemandBatch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np

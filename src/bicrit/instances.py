@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from .costs import CostDomainError, CostFunction
 from .demand import InverseDemand
-from .market import BuyerType, MarketInstance, MarketValidationError
+from .market import MarketInstance, MarketValidationError
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -14,6 +14,12 @@ and _solution is the one place that turns prices, demand, split and
 allocation into a PricingSolution: for evaluate and for the solver's
 welfare and ladder solves alike.
 
+Every value is a vector in the instance's own order: prices and allocations
+one entry per good of good_ids, demand and paid prices one per type of
+type_ids, splits one per stacked_masks row.  Good and type ids are read only
+where text comes in or goes out (instances.py and cli.py), in messages that
+name a type or good, and to look up a bundle's goods.
+
 The min-cost split is the welfare program's fixed-mass limit: one
 flow.FlowProgram over all goods, run and certified by flow.solve as the
 welfare solve is; a split that misses its target raises SolverError.
@@ -153,11 +159,6 @@ class MarketInstance:
         return masks
 
     @cached_property
-    def bundle_rows(self) -> dict[tuple[str, tuple[str, ...]], int]:
-        """(type id, bundle) -> its row of stacked_masks."""
-        return {key: row for row, key in enumerate(self.bundle_keys)}
-
-    @cached_property
     def demand_batch(self) -> DemandBatch:
         return DemandBatch(t.demand for t in self.buyer_types)
 
@@ -200,39 +201,38 @@ class MarketInstance:
 
 @dataclass
 class PricingSolution:
-    """Evaluated outcome of posting a price vector.
+    """Evaluated outcome of posting a price vector, in the instance's orders.
 
-    demand maps type id -> purchased mass, split maps (type id, bundle) ->
-    mass routed through that bundle, allocation maps good id -> produced
-    quantity, and paid maps type id -> the bundle price that type faces.
+    prices and allocation (the produced quantities) hold one entry per good
+    of good_ids; demand (the purchased masses) and paid (the bundle price
+    each type faces) one per type of type_ids; split the mass routed through
+    each stacked_masks row, entries up to SPLIT_DUST zeroed.  No field is
+    keyed by id: cli.py maps the vectors to good and type ids when it writes
+    a record.
     """
 
-    prices: dict[str, float]
-    demand: dict[str, float]
-    split: dict[tuple[str, tuple[str, ...]], float]
-    allocation: dict[str, float]
+    prices: np.ndarray
+    demand: np.ndarray
+    split: np.ndarray
+    allocation: np.ndarray
     sw: float
     profit: float
-    paid: dict[str, float]
-
-    def allocation_vector(self, inst: MarketInstance) -> np.ndarray:
-        return np.array([self.allocation[g] for g in inst.good_ids])
+    paid: np.ndarray
 
 
-def best_response(inst: MarketInstance, prices: dict[str, float]) -> dict[str, float]:
+def best_response(inst: MarketInstance, pvec) -> np.ndarray:
     """Envy-free demand: each type buys its cheapest bundle up to its valuation."""
-    _, cheapest, _ = _bundle_prices(inst, inst.price_vector(prices))
-    demand = inst.demand_batch.demand_at_price(cheapest)
-    return {t.type_id: float(x) for t, x in zip(inst.buyer_types, demand)}
+    cheapest, _ = _bundle_prices(inst, pvec)
+    return inst.demand_batch.demand_at_price(cheapest)
 
 
 def _bundle_prices(inst: MarketInstance, pvec):
     """One pass over the stacked incidence at price vector pvec: the one tie rule.
 
     pvec is one price vector or a stack of them (one per row).  Returns, over
-    the last axis, every bundle's price (in stacked_masks row order), each
-    type's cheapest bundle price, and the mask of bundles tied with their
-    type's cheapest: within PRICE_TIE_REL * (1 + lambda_max) of it.
+    the last axis, each type's cheapest bundle price (in type_ids order) and
+    the mask of stacked_masks rows whose bundle ties with its type's
+    cheapest: priced within PRICE_TIE_REL * (1 + lambda_max) of it.
     min_cost_allocation and evaluate split over this mask, and oracle._sweep
     reads it too, so the oracle audits exactly the bundle sets the code
     splits over.
@@ -240,7 +240,7 @@ def _bundle_prices(inst: MarketInstance, pvec):
     sums = pvec @ inst.stacked_masks.T
     cheapest = np.minimum.reduceat(sums, inst.bundle_offsets[:-1], axis=-1)
     band = np.repeat(cheapest, inst.bundle_sizes, axis=-1) + PRICE_TIE_REL * (1.0 + inst.lambda_max)
-    return sums, cheapest, sums <= band
+    return cheapest, sums <= band
 
 
 @lru_cache(maxsize=16)
@@ -285,21 +285,19 @@ def split_min_cost(cost_fns, masks, totals):
     return splits, program.allocation(z)
 
 
-def min_cost_allocation(inst: MarketInstance, prices: dict[str, float], demand):
+def min_cost_allocation(inst: MarketInstance, pvec, demand):
     """Cheapest way to serve the given demand using only argmin-priced bundles.
 
-    demand maps type id -> mass and is expected to be a best response to the
-    prices.  Returns (split dict, allocation dict).
+    demand holds each type's mass and is expected to be a best response to
+    the prices pvec.  Returns (split, allocation) as a PricingSolution holds them.
     """
-    pvec = inst.price_vector(prices)
-    _, cheapest, tied = _bundle_prices(inst, pvec)
-    xvec = np.array([float(demand[tid]) for tid in inst.type_ids])
-    sol = _solution(inst, pvec, cheapest, xvec, *_min_cost_split(inst, tied, xvec))
+    cheapest, tied = _bundle_prices(inst, pvec)
+    sol = _solution(inst, pvec, cheapest, demand, *_min_cost_split(inst, tied, demand))
     return sol.split, sol.allocation
 
 
-def _min_cost_split(inst: MarketInstance, tied, totals):
-    """min_cost_allocation over the stacked tie mask tied, one mass per type.
+def _min_cost_split(inst: MarketInstance, tied, xvec):
+    """min_cost_allocation over the stacked tie mask tied, the types' masses xvec.
 
     Returns (z, y): the split in stacked_masks row order, zero off the tied
     rows, and the allocation vector.
@@ -308,7 +306,7 @@ def _min_cost_split(inst: MarketInstance, tied, totals):
     # A type's tied rows end at the running count of tied rows on its last row.
     ends = np.cumsum(tied)[inst.bundle_offsets[1:] - 1].tolist()
     masks = [rows[start:end] for start, end in zip([0, *ends], ends)]
-    splits, y = split_min_cost(inst.cost_functions, masks, totals)
+    splits, y = split_min_cost(inst.cost_functions, masks, xvec.tolist())
     z = np.zeros(len(tied))
     z[tied] = np.concatenate(splits)
     return z, y
@@ -319,54 +317,47 @@ def _solution(inst: MarketInstance, pvec, cheapest, xvec, z, yvec) -> PricingSol
 
     cheapest is each type's cheapest bundle price at pvec, xvec the types'
     demand, z the split in stacked_masks row order (entries up to SPLIT_DUST
-    are dropped) and yvec the allocation.  Welfare and profit are measured
+    are zeroed) and yvec the allocation.  Welfare and profit are measured
     with the instance's own costs.
     """
     cost = inst.total_cost(yvec)
     utility = float(np.sum(inst.demand_batch.utility_integral(xvec)))
-    used = np.flatnonzero(z > SPLIT_DUST)
     return PricingSolution(
-        prices=inst.prices_dict(pvec),
-        demand=dict(zip(inst.type_ids, xvec.tolist())),
-        split=dict(zip([inst.bundle_keys[r] for r in used], z[used].tolist())),
-        allocation=inst.prices_dict(yvec),
+        prices=pvec,
+        demand=xvec,
+        split=np.where(z > SPLIT_DUST, z, 0.0),
+        allocation=yvec,
         sw=float(utility - cost),
         profit=float(pvec @ yvec) - cost,
-        paid=dict(zip(inst.type_ids, cheapest.tolist())),
+        paid=cheapest,
     )
 
 
-def evaluate(inst: MarketInstance, prices: dict[str, float]) -> PricingSolution:
-    """Full market outcome at the posted prices."""
-    pvec = inst.price_vector(prices)
-    _, cheapest, tied = _bundle_prices(inst, pvec)
+def evaluate(inst: MarketInstance, pvec) -> PricingSolution:
+    """Full market outcome at the posted price vector pvec."""
+    cheapest, tied = _bundle_prices(inst, pvec)
     xvec = inst.demand_batch.demand_at_price(cheapest)
-    return _solution(inst, pvec, cheapest, xvec, *_min_cost_split(inst, tied, xvec.tolist()))
+    return _solution(inst, pvec, cheapest, xvec, *_min_cost_split(inst, tied, xvec))
 
 
 def _marginal_sums(inst: MarketInstance, allocation, split):
     """Each stacked_masks row's marginal-cost sum at allocation, and the rows split uses."""
-    yvec = np.array([allocation[g] for g in inst.good_ids])
-    sums = inst.stacked_masks @ inst.cost_batch.marginal(yvec)
-    used = np.zeros(len(sums), dtype=bool)
-    used[[inst.bundle_rows[key] for key, v in split.items() if v > SPLIT_DUST]] = True
-    return sums, used
+    return inst.stacked_masks @ inst.cost_batch.marginal(allocation), split > SPLIT_DUST
 
 
-def buyer_marginal_costs(inst: MarketInstance, allocation: dict[str, float], split) -> dict[str, float]:
+def buyer_marginal_costs(inst: MarketInstance, allocation, split) -> np.ndarray:
     """Per-type marginal cost of one extra unit at the given allocation and split.
 
     In a cost-minimal solution every bundle a type actually uses carries the
     same marginal-cost sum, so this is well defined up to solver tolerance;
     the minimum over used bundles is reported.  Types using nothing (every
-    type, for an empty split) fall back to the cheapest bundle by marginal
+    type, for a zero split) fall back to the cheapest bundle by marginal
     cost.
     """
     sums, used = _marginal_sums(inst, allocation, split)
     starts = inst.bundle_offsets[:-1]
     best_used = np.minimum.reduceat(np.where(used, sums, np.inf), starts)
-    best = np.where(np.logical_or.reduceat(used, starts), best_used, np.minimum.reduceat(sums, starts))
-    return dict(zip(inst.type_ids, best.tolist()))
+    return np.where(np.logical_or.reduceat(used, starts), best_used, np.minimum.reduceat(sums, starts))
 
 
 def split_kkt_violation(inst: MarketInstance, allocation, split) -> float:

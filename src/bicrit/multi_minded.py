@@ -18,7 +18,7 @@ provably also keeps a constant fraction of the welfare.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,16 +51,19 @@ __all__ = [
 class LadderSolution:
     """One rung: the stripped equilibrium at a given dummy (reserve) price.
 
-    index -1 denotes the plain welfare optimum.  saturated lists goods priced
-    strictly above the dummy price (their price equals marginal cost);
-    dummy_allocation is what each good's dummy buyer would take.
+    index -1 denotes the plain welfare optimum, which has no dummies: its
+    saturated and dummy_allocation are None.  On a rung, both hold one entry
+    per good of good_ids: saturated marks goods priced strictly above the
+    dummy price (their price equals marginal cost), and dummy_allocation is
+    what each good's dummy buyer would take.  Like PricingSolution's, these
+    are keyed by id only in cli.py's records.
     """
 
     index: int
     dummy_price: float | None
     solution: PricingSolution
-    saturated: frozenset[str] = frozenset()
-    dummy_allocation: dict[str, float] = field(default_factory=dict)
+    saturated: np.ndarray | None = None
+    dummy_allocation: np.ndarray | None = None
 
 
 class _ReserveFloored:
@@ -112,10 +115,8 @@ def augmented_we(
         index=0,
         dummy_price=dummy_price,
         solution=solution,
-        saturated=frozenset(
-            g for g, p in solution.prices.items() if p > dummy_price + margin
-        ),
-        dummy_allocation=inst.prices_dict(np.maximum(floored.y0 - y, 0.0)),
+        saturated=solution.prices > dummy_price + margin,
+        dummy_allocation=np.maximum(floored.y0 - y, 0.0),
     )
 
 
@@ -141,13 +142,11 @@ def ladder(
     """
     if not alpha < 1.0:
         raise ValueError(f"alpha={alpha}: the reserve-price ladder needs alpha < 1")
-    start = np.zeros(int(inst.bundle_offsets[-1]))
-    start[[inst.bundle_rows[key] for key in opt.split]] = list(opt.split.values())
     rungs = []
     for j in range(rung_count(inst) + 2):
         price = dummy_price_at(inst, j, alpha)
         try:
-            rung = augmented_we(inst, price, cfg, start)
+            rung = augmented_we(inst, price, cfg, opt.split)
         except SolverError as e:
             message = f"ladder rung {j} at reserve price {price:.12g}: {e}"
             raise SolverError(message, e.best_splits, e.residual) from e
@@ -226,7 +225,7 @@ def certify_ladder(
 
     for r in rungs:
         sol = r.solution
-        cost = inst.total_cost(sol.allocation_vector(inst))
+        cost = inst.total_cost(sol.allocation)
         checks.append(BoundCheck(f"profit_covers_cost[{r.index}]", cost, sol.profit, tol))
 
     start = by_index[0].solution
@@ -309,21 +308,20 @@ def deviation_violations(
         return []
     # The benchmark: the optimum's demand, capped at what each type buys at the floor.
     x_a = np.minimum(
-        [opt.demand[tid] for tid in inst.type_ids],
-        inst.demand_batch.demand_at_price(np.full(len(inst.buyer_types), floor)),
+        opt.demand, inst.demand_batch.demand_at_price(np.full(len(inst.buyer_types), floor))
     )
-    x_now = np.array([rung.solution.demand[tid] for tid in inst.type_ids])
+    prices, saturated = rung.solution.prices.tolist(), rung.saturated.tolist()
     problems = []
     margin = BOUND_TOL * (1.0 + inst.lambda_max)
     for t, lam_now, lam_bench in zip(
         inst.buyer_types,
-        inst.demand_batch.eval(x_now).tolist(),
+        inst.demand_batch.eval(rung.solution.demand).tolist(),
         inst.demand_batch.eval(x_a).tolist(),
     ):
         if lam_now <= lam_bench + margin:
             continue
         for b in t.bundles:
-            sat_part = sum(rung.solution.prices[g] for g in b if g in rung.saturated)
+            sat_part = sum(prices[k] for k in (inst.good_index[g] for g in b) if saturated[k])
             if sat_part == 0.0:
                 problems.append(
                     f"type {t.type_id} deviated but bundle {list(b)} has no saturated good"

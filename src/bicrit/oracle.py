@@ -103,9 +103,7 @@ def _sweep(inst: MarketInstance, grid: GridSpec):
     """
     grid.check_caps(inst)
     P = _price_grid(inst, grid)
-    # Keep only the cheapest prices and the tie mask: holding the combos x
-    # bundles price sums through the loop raised the peak resident memory.
-    cheapest, tied = _bundle_prices(inst, P)[1:]
+    cheapest, tied = _bundle_prices(inst, P)
     # Types and goods first in memory, so that the kernels' broadcasts run
     # long inner loops (see CostBatch).
     cheapest = np.asfortranarray(cheapest)
@@ -147,7 +145,7 @@ def _top_indices(values, k: int):
 
 
 def _refine(inst: MarketInstance, P, values, split, objective: str):
-    """The best of the top grid candidates: (value, prices).
+    """The best of the top grid candidates: (value, price vector).
 
     Only candidates on split rows are re-evaluated with evaluate; on the rest
     the sweep's value is already exact.  The first of equal values wins.
@@ -156,22 +154,22 @@ def _refine(inst: MarketInstance, P, values, split, objective: str):
     for idx in _top_indices(values, _REFINE_TOP):
         value = values[idx]
         if split[idx]:
-            sol = evaluate(inst, inst.prices_dict(P[idx]))
+            sol = evaluate(inst, P[idx])
             value = sol.sw if objective == "sw" else sol.profit
         if value > best_value + GRID_TIE:
             best_value, best_row = value, idx
-    return float(best_value), None if best_row is None else inst.prices_dict(P[best_row])
+    return float(best_value), None if best_row is None else P[best_row]
 
 
 def oracle_max_welfare(inst: MarketInstance, grid: GridSpec | None = None):
-    """Best social welfare over the price grid: (welfare, prices)."""
+    """Best social welfare over the price grid: (welfare, price vector)."""
     grid = grid or GridSpec()
     P, sw, _, split = _sweep(inst, grid)
     return _refine(inst, P, sw, split, "sw")
 
 
 def oracle_max_profit(inst: MarketInstance, grid: GridSpec | None = None):
-    """Best profit over the price grid: (profit, prices)."""
+    """Best profit over the price grid: (profit, price vector)."""
     grid = grid or GridSpec()
     P, _, profit, split = _sweep(inst, grid)
     return _refine(inst, P, profit, split, "profit")

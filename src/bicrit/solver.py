@@ -77,7 +77,7 @@ def _solve_flow(inst: MarketInstance, costs, cfg: SolverConfig, start=None):
 def _marginal_solution(inst: MarketInstance, z, y, costs) -> PricingSolution:
     """The solution of a solved program (z, y), posted at the marginals of its costs."""
     prices = costs.marginal(y)
-    _, cheapest, _ = _bundle_prices(inst, prices)
+    cheapest, _ = _bundle_prices(inst, prices)
     return _solution(inst, prices, cheapest, np.add.reduceat(z, inst.bundle_offsets[:-1]), z, y)
 
 

@@ -41,12 +41,15 @@ class ThresholdedPrices:
 
     Goods strictly above the primary price keep their welfare-optimal price
     (cluster H); the rest sit exactly at the primary price (cluster L).
+    prices and good_cluster hold one entry per good of good_ids, and
+    type_cluster one per type of type_ids; the clusters are "H"/"L" arrays.
+    Like PricingSolution's, these are keyed by id only in cli.py's records.
     """
 
     primary_price: float
-    prices: dict[str, float]
-    good_cluster: dict[str, str]
-    type_cluster: dict[str, str]
+    prices: np.ndarray
+    good_cluster: np.ndarray
+    type_cluster: np.ndarray
 
 
 def price_unit_demand(inst: MarketInstance, opt: PricingSolution, alpha: float):
@@ -57,16 +60,11 @@ def price_unit_demand(inst: MarketInstance, opt: PricingSolution, alpha: float):
     if not inst.is_unit_demand():
         raise UnitDemandError("instance has multi-good bundles; use the ladder pricer")
     primary = threshold_price(alpha, inst.lambda_max)
-    prices = {g: max(primary, opt.prices[g]) for g in inst.good_ids}
+    prices = np.maximum(primary, opt.prices)
     sol = evaluate(inst, prices)
     margin = FLOOR_MARGIN * (1.0 + inst.lambda_max)
-    good_cluster = {
-        g: "H" if prices[g] > primary + margin else "L" for g in inst.good_ids
-    }
-    type_cluster = {
-        t.type_id: "H" if sol.paid[t.type_id] > primary + margin else "L"
-        for t in inst.buyer_types
-    }
+    good_cluster = np.where(prices > primary + margin, "H", "L")
+    type_cluster = np.where(sol.paid > primary + margin, "H", "L")
     tp = ThresholdedPrices(primary, prices, good_cluster, type_cluster)
     return tp, sol
 
@@ -86,22 +84,23 @@ def cluster_diagnostics(
     """
     violations = []
     scale = 1.0 + inst.lambda_max
-    for t in inst.buyer_types:
-        cl = tp.type_cluster[t.type_id]
-        x_new, x_opt = sol.demand[t.type_id], opt.demand[t.type_id]
+    for tid, cl, x_new, x_opt in zip(
+        inst.type_ids, tp.type_cluster.tolist(), sol.demand.tolist(), opt.demand.tolist()
+    ):
         if cl == "H" and abs(x_new - x_opt) > DIAG_TOL * scale:
             violations.append(
-                f"H type {t.type_id}: demand {x_new} differs from optimal {x_opt}"
+                f"H type {tid}: demand {x_new} differs from optimal {x_opt}"
             )
         if cl == "L" and x_new > x_opt + DIAG_TOL * scale:
             violations.append(
-                f"L type {t.type_id}: demand {x_new} above optimal {x_opt}"
+                f"L type {tid}: demand {x_new} above optimal {x_opt}"
             )
-    marg_new = inst.cost_batch.marginal(sol.allocation_vector(inst)).tolist()
-    marg_opt = inst.cost_batch.marginal(opt.allocation_vector(inst)).tolist()
-    for g, c_new, c_opt in zip(inst.good_ids, marg_new, marg_opt):
-        cl = tp.good_cluster[g]
-        y_new, y_opt = sol.allocation[g], opt.allocation[g]
+    marg_new = inst.cost_batch.marginal(sol.allocation).tolist()
+    marg_opt = inst.cost_batch.marginal(opt.allocation).tolist()
+    for g, cl, y_new, y_opt, c_new, c_opt in zip(
+        inst.good_ids, tp.good_cluster.tolist(), sol.allocation.tolist(),
+        opt.allocation.tolist(), marg_new, marg_opt,
+    ):
         if cl == "H" and abs(y_new - y_opt) > DIAG_TOL * scale:
             violations.append(
                 f"H good {g}: allocation {y_new} differs from optimal {y_opt}"
@@ -110,15 +109,15 @@ def cluster_diagnostics(
             violations.append(
                 f"L good {g}: marginal cost rose above the optimum's"
             )
-    for (tid, bundle), v in sol.split.items():
+    good_cluster = tp.good_cluster.tolist()
+    row_cluster = np.repeat(tp.type_cluster, inst.bundle_sizes).tolist()
+    for (tid, bundle), cl, v in zip(inst.bundle_keys, row_cluster, sol.split.tolist()):
         if v <= SPLIT_DUST:
             continue
         for g in bundle:
-            if tp.good_cluster[g] != tp.type_cluster[tid]:
-                violations.append(
-                    f"type {tid} ({tp.type_cluster[tid]}) buys good {g} "
-                    f"({tp.good_cluster[g]}) across clusters"
-                )
+            good_cl = good_cluster[inst.good_index[g]]
+            if good_cl != cl:
+                violations.append(f"type {tid} ({cl}) buys good {g} ({good_cl}) across clusters")
     kkt = split_kkt_violation(inst, sol.allocation, sol.split)
     if kkt > KKT_TOL:
         violations.append(
@@ -138,17 +137,18 @@ def low_cluster_hazard_condition(
     hazard ratio at most the realized demand:
     (lambda_i(x) - r_i) / |lambda_i'(x)| <= x.
     """
-    rates = buyer_marginal_costs(inst, sol.allocation, sol.split)
-    xvec = np.array([sol.demand[tid] for tid in inst.type_ids])
-    lam = inst.demand_batch.eval(xvec).tolist()
-    slopes = np.abs(inst.demand_batch.derivative(xvec)).tolist()
+    rates = buyer_marginal_costs(inst, sol.allocation, sol.split).tolist()
+    lam = inst.demand_batch.eval(sol.demand).tolist()
+    slopes = np.abs(inst.demand_batch.derivative(sol.demand)).tolist()
     problems = []
-    for t, x, lam_x, slope in zip(inst.buyer_types, xvec.tolist(), lam, slopes):
-        if tp.type_cluster[t.type_id] != "L" or x <= SPLIT_DUST or slope < TINY:
+    for tid, cl, x, lam_x, slope, rate in zip(
+        inst.type_ids, tp.type_cluster.tolist(), sol.demand.tolist(), lam, slopes, rates
+    ):
+        if cl != "L" or x <= SPLIT_DUST or slope < TINY:
             continue
-        shifted = lam_x - rates[t.type_id]
+        shifted = lam_x - rate
         if shifted / slope > x + DIAG_TOL * (1.0 + x):
             problems.append(
-                f"type {t.type_id}: shifted hazard {shifted / slope:.6f} exceeds demand {x:.6f}"
+                f"type {tid}: shifted hazard {shifted / slope:.6f} exceeds demand {x:.6f}"
             )
     return problems

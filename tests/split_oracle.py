@@ -31,24 +31,24 @@ def _compositions(total_levels: int, parts: int):
 
 def oracle_min_split_cost(
     inst: MarketInstance,
-    prices: dict[str, float],
-    demand: dict[str, float],
+    pvec,
+    demand,
     levels: int = 100,
 ) -> float:
     """Cheapest total cost over a fraction grid of argmin-bundle splits.
 
-    Each type's demand is distributed over its cheapest-priced bundles (tied
-    by the same rule min_cost_allocation uses) in multiples of demand/levels;
+    Each type's demand (one entry per type) is distributed over its
+    cheapest-priced bundles at the price vector pvec (tied by the same rule
+    min_cost_allocation uses) in multiples of demand/levels;
     all combinations across types are enumerated.
     An upper bound on the true minimum cost within O(levels^-2).
     """
-    _, _, tied = _bundle_prices(inst, inst.price_vector(prices))
+    _, tied = _bundle_prices(inst, pvec)
     per_type = []
     n = len(inst.good_ids)
     offsets = inst.bundle_offsets
-    for t, lo, hi in zip(inst.buyer_types, offsets[:-1], offsets[1:]):
+    for x, lo, hi in zip(demand.tolist(), offsets[:-1], offsets[1:]):
         rows = inst.stacked_masks[lo:hi][tied[lo:hi]]
-        x = float(demand[t.type_id])
         if x <= 0.0:
             per_type.append(np.zeros((1, n)))
             continue

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from bicrit import CostFunction, InverseDemand, MarketInstance, cli, instances, market
+from bicrit import CostFunction, InverseDemand, MarketInstance, cli, instances, market, unit_demand
 from bicrit.solver import SolverConfig, solve_welfare
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -244,7 +244,8 @@ def test_uncertified_split_exits_with_solver_code(monkeypatch, capsys):
     # evaluate at ud-00's welfare prices, where 47 types tie on two goods,
     # with the split cut to one Newton step: its gap misses the target.
     golden = os.path.join(GOLDEN, "ud-00.json")
-    prices = json.dumps(solve_welfare(instances.load(golden)).prices)
+    inst = instances.load(golden)
+    prices = json.dumps(inst.prices_dict(solve_welfare(inst).prices))
     monkeypatch.setattr(market, "NEWTON_STEPS", 1)
     assert cli.main(["evaluate", "--in", golden, "--prices", prices]) == cli.EXIT_SOLVER
     captured = capsys.readouterr()
@@ -430,3 +431,63 @@ def test_verify_reads_the_pricing_commands_records(case, capsys):
         priced = _run_json(["price-mm", "--in", infile], capsys)
         ladder_checks = [(name[len("ladder_"):], ok) for name, ok in checks.items() if name.startswith("ladder_")]
         assert ladder_checks == [(c["name"], c["ok"]) for c in priced["bound_checks"]]
+
+
+def _twelve_digits(v):
+    """v as a record writes it: rounded to 12 significant digits."""
+    return float(f"{v:.12g}")
+
+
+def _assert_solution_record_maps_ids(inst, sol, rec):
+    """Every value of the record rec is sol's vector entry at the id's position."""
+    for field, vector, ids in (("prices", sol.prices, inst.good_ids), ("allocation", sol.allocation, inst.good_ids),
+                               ("demand", sol.demand, inst.type_ids), ("paid", sol.paid, inst.type_ids)):
+        assert set(rec[field]) == set(ids), field
+        for k, key in enumerate(ids):
+            assert rec[field][key] == _twelve_digits(vector[k]), (field, key)
+    keys = [(e["type"], tuple(e["bundle"])) for e in rec["split"]]
+    assert keys == sorted(keys)
+    assert {e["type"] for e in rec["split"]} == set(inst.type_ids)
+    for key, entry in zip(keys, rec["split"]):
+        assert entry["quantity"] == _twelve_digits(sol.split[inst.bundle_keys.index(key)]), key
+    assert len(keys) == int((sol.split > 0).sum())
+
+
+@pytest.fixture
+def unsorted_ids_instance():
+    # Goods and types listed out of sorted id order ("g10" < "g9"), and each
+    # type may buy either good: at equal prices both types split over both.
+    return MarketInstance.create(
+        [("g9", CostFunction.power(1.0, 1.0)), ("g10", CostFunction.power(2.0, 1.0))],
+        [("t9", [["g9"], ["g10"]], InverseDemand.linear(1.0, 1.0)),
+         ("t10", [["g10"], ["g9"]], InverseDemand.linear(1.0, 0.5))],
+    )
+
+
+def test_evaluate_record_maps_vectors_to_ids_out_of_sorted_order(unsorted_ids_instance, tmp_path, capsys):
+    inst = unsorted_ids_instance
+    assert list(inst.good_ids) != sorted(inst.good_ids) and list(inst.type_ids) != sorted(inst.type_ids)
+    infile = tmp_path / "instance.json"
+    instances.save(inst, infile)
+    prices = {"g9": 0.2, "g10": 0.2}
+    rec = _run_json(["evaluate", "--in", str(infile), "--prices", json.dumps(prices)], capsys)["solution"]
+    sol = market.evaluate(inst, inst.price_vector(prices))
+    assert (sol.split > 0).all()
+    _assert_solution_record_maps_ids(inst, sol, rec)
+
+
+def test_price_ud_record_maps_vectors_to_ids_out_of_sorted_order(unsorted_ids_instance, tmp_path, capsys):
+    inst = unsorted_ids_instance
+    infile = tmp_path / "instance.json"
+    instances.save(inst, infile)
+    rec = _run_json(["price-ud", "--in", str(infile), "--diagnostics"], capsys)
+    opt = solve_welfare(inst)
+    tp, sol = unit_demand.price_unit_demand(inst, opt, inst.alpha)
+    assert (sol.split > 0).all()
+    for k, g in enumerate(inst.good_ids):
+        assert rec["prices"][g] == _twelve_digits(tp.prices[k])
+        assert rec["clusters"]["goods"][g] == tp.good_cluster[k]
+    for i, tid in enumerate(inst.type_ids):
+        assert rec["clusters"]["types"][tid] == tp.type_cluster[i]
+    _assert_solution_record_maps_ids(inst, sol, rec["solution"])
+    _assert_solution_record_maps_ids(inst, opt, rec["optimum"])

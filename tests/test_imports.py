@@ -1,9 +1,11 @@
-"""Every bicrit submodule imports on its own, and no command loads SciPy.
+"""Every bicrit submodule imports on its own, imports nothing it leaves
+unread, and no command loads SciPy.
 
 A module that names something another module does not define then fails one
 named test here, not the collection of whichever test files import it.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -29,6 +31,29 @@ def _module_names():
 @pytest.mark.parametrize("name", _module_names())
 def test_module_imports(name):
     importlib.import_module(name)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names bound by path's module-level imports (not __future__) that the
+    module never reads as a Name and does not list in __all__."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = []
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [name for name in bound if name not in read and name not in exported]
+
+
+def test_no_unused_imports():
+    package = Path(importlib.util.find_spec("bicrit").origin).parent
+    unused = [f"{path.stem}.{name}" for path in sorted(package.glob("*.py")) for name in _unused_imports(path)]
+    assert unused == []
 
 
 # Run in a fresh interpreter: builds a tied unit-demand and a two-good bundle

@@ -42,7 +42,7 @@ def substitutes(linear_demand, quadratic_cost):
 
 class TestBundlePrices:
     def test_cheapest_is_the_cheaper_singleton(self, substitutes):
-        _, cheapest, tied = _bundle_prices(substitutes, np.array([0.3, 0.5]))
+        cheapest, tied = _bundle_prices(substitutes, np.array([0.3, 0.5]))
         assert cheapest[0] == pytest.approx(0.3)
         np.testing.assert_array_equal(tied, [True, False])
 
@@ -51,13 +51,13 @@ class TestBundlePrices:
             [("g1", quadratic_cost), ("g2", quadratic_cost)],
             [("b1", [["g1", "g2"]], linear_demand)],
         )
-        _, cheapest, _ = _bundle_prices(inst, np.array([0.3, 0.5]))
+        cheapest, _ = _bundle_prices(inst, np.array([0.3, 0.5]))
         assert cheapest[0] == pytest.approx(0.8)
 
     @pytest.mark.parametrize("g1_price", [0.4, 0.4 + 5e-8], ids=["exact-tie", "near-tie"])
     def test_ties_within_the_band_are_both_cheapest(self, substitutes, g1_price):
         # 5e-8 lies inside the tie band, so both bundles tie at the cheaper price.
-        _, cheapest, tied = _bundle_prices(substitutes, np.array([g1_price, 0.4]))
+        cheapest, tied = _bundle_prices(substitutes, np.array([g1_price, 0.4]))
         assert cheapest[0] == pytest.approx(0.4)
         np.testing.assert_array_equal(tied, [True, True])
 
@@ -77,41 +77,43 @@ class TestBundlePrices:
         for k, pvec in enumerate(prices):
             for whole, row in zip(stacked, _bundle_prices(inst, pvec)):
                 np.testing.assert_array_equal(whole[k], row)
-        np.testing.assert_array_equal(stacked[2][0], [True, True, False, True, True])
+        np.testing.assert_array_equal(stacked[1][0], [True, True, False, True, True])
 
 
 class TestBestResponse:
     def test_single_good(self, single_good_instance):
-        assert best_response(single_good_instance, {"g1": 0.25})["b1"] == pytest.approx(0.75)
+        assert best_response(single_good_instance, np.array([0.25]))[0] == pytest.approx(0.75)
 
     def test_peak_price_kills_demand(self, single_good_instance):
-        assert best_response(single_good_instance, {"g1": 1.0})["b1"] == 0.0
+        assert best_response(single_good_instance, np.array([1.0]))[0] == 0.0
 
     def test_only_cheapest_substitute_matters(self, substitutes):
-        x = best_response(substitutes, {"g1": 0.5, "g2": 0.9})
-        assert x["b1"] == pytest.approx(0.5)
+        x = best_response(substitutes, np.array([0.5, 0.9]))
+        assert x[0] == pytest.approx(0.5)
 
 
 def _assert_matches_enumeration_oracle(inst, prices):
-    x = best_response(inst, prices)
-    _, y = min_cost_allocation(inst, prices, x)
-    cost = inst.total_cost([y[g] for g in inst.good_ids])
-    reference = oracle_min_split_cost(inst, prices, x, levels=100)
+    pvec = inst.price_vector(prices)
+    x = best_response(inst, pvec)
+    _, y = min_cost_allocation(inst, pvec, x)
+    cost = inst.total_cost(y)
+    reference = oracle_min_split_cost(inst, pvec, x, levels=100)
     assert cost <= reference + 1e-9
     assert cost >= reference - 1e-3
 
 
 class TestMinCostAllocation:
     def test_symmetric_tie_splits_evenly(self, substitutes):
-        x = {"b1": 1.0}
-        split, y = min_cost_allocation(substitutes, {"g1": 0.4, "g2": 0.4}, x)
-        assert y["g1"] == pytest.approx(0.5, abs=1e-9)
-        assert y["g2"] == pytest.approx(0.5, abs=1e-9)
+        x = np.array([1.0])
+        split, y = min_cost_allocation(substitutes, np.array([0.4, 0.4]), x)
+        assert y[0] == pytest.approx(0.5, abs=1e-9)
+        assert y[1] == pytest.approx(0.5, abs=1e-9)
 
     def test_unique_argmin_takes_everything(self, substitutes):
-        split, y = min_cost_allocation(substitutes, {"g1": 0.3, "g2": 0.4}, {"b1": 0.7})
-        assert y == {"g1": 0.7, "g2": 0.0}
-        assert split == {("b1", ("g1",)): 0.7}
+        split, y = min_cost_allocation(substitutes, np.array([0.3, 0.4]), np.array([0.7]))
+        np.testing.assert_array_equal(y, [0.7, 0.0])
+        # Rows: b1 buying g1, then b1 buying g2.
+        np.testing.assert_array_equal(split, [0.7, 0.0])
 
     def test_shared_good_matches_enumeration_oracle(self, linear_demand):
         inst = MarketInstance.create(
@@ -141,11 +143,11 @@ class TestSplitKKT:
         # is free to split; the split must end on its KKT test.
         rng = np.random.default_rng(seed)
         inst = random_unit_demand_instance(rng, 0.0, max_goods=6, max_types=40)
-        demand = {t.type_id: float(rng.uniform(0.1, 1.0)) for t in inst.buyer_types}
-        split, y = min_cost_allocation(inst, dict.fromkeys(inst.good_ids, 0.0), demand)
+        demand = np.array([float(rng.uniform(0.1, 1.0)) for t in inst.buyer_types])
+        split, y = min_cost_allocation(inst, np.zeros(len(inst.goods)), demand)
         assert split_kkt_violation(inst, y, split) <= 0.1 * KKT_TOL
-        for tid, mass in demand.items():
-            routed = sum(v for (t, _), v in split.items() if t == tid)
+        for tid, mass in zip(inst.type_ids, demand):
+            routed = sum(v for (t, _), v in zip(inst.bundle_keys, split) if t == tid)
             assert routed == pytest.approx(mass, rel=1e-12)
 
     def test_chain_of_four_hundred_goods_splits_exactly_within_two_seconds(self):
@@ -162,13 +164,13 @@ class TestSplitKKT:
         ]
         inst = MarketInstance.create(goods, types)
         start = time.perf_counter()
-        sol = evaluate(inst, dict.fromkeys(inst.good_ids, 0.5))
+        sol = evaluate(inst, np.full(n_goods, 0.5))
         assert time.perf_counter() - start < 2.0
         assert split_kkt_violation(inst, sol.allocation, sol.split) <= 0.1 * KKT_TOL
-        routed = dict.fromkeys(sol.demand, 0.0)
-        for (tid, _), v in sol.split.items():
+        routed = dict.fromkeys(inst.type_ids, 0.0)
+        for (tid, _), v in zip(inst.bundle_keys, sol.split):
             routed[tid] += v
-        for tid, mass in sol.demand.items():
+        for tid, mass in zip(inst.type_ids, sol.demand):
             assert routed[tid] == pytest.approx(mass, rel=1e-12)
 
     @pytest.mark.filterwarnings("error")
@@ -186,10 +188,11 @@ class TestSplitKKT:
                 ("b2", [["g1"], ["g3"]], linear_demand),
             ],
         )
-        demand = {"b0": 1e-8, "b1": 1.0, "b2": 1.0}
-        split, y = min_cost_allocation(inst, dict.fromkeys(inst.good_ids, 0.0), demand)
+        demand = np.array([1e-8, 1.0, 1.0])
+        split, y = min_cost_allocation(inst, np.zeros(len(inst.goods)), demand)
         assert split_kkt_violation(inst, y, split) <= 0.1 * KKT_TOL
-        assert split[("b0", ("g0",))] == pytest.approx(1e-8, rel=1e-12)
+        # Row 0: b0 buying g0.
+        assert split[0] == pytest.approx(1e-8, rel=1e-12)
 
     def test_split_short_of_its_target_raises(self, monkeypatch):
         # At ud-00's welfare prices 47 types with positive demand tie on two
@@ -197,7 +200,7 @@ class TestSplitKKT:
         # SOLVER_TOL * (1 + C(y)).
         inst = instances.load(os.path.join(os.path.dirname(__file__), "golden", "ud-00.json"))
         prices = solve_welfare(inst).prices
-        _, cheapest, tied = _bundle_prices(inst, inst.price_vector(prices))
+        cheapest, tied = _bundle_prices(inst, prices)
         tied_per_type = np.add.reduceat(tied, inst.bundle_offsets[:-1])
         free = (tied_per_type > 1) & (inst.demand_batch.demand_at_price(cheapest) > 0.0)
         monkeypatch.setattr(market, "NEWTON_STEPS", 1)
@@ -212,12 +215,12 @@ class TestSplitKKT:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             inst = random_multi_minded_instance(rng, 0.3, 1 + seed % 3)
-            allocation = {g: float(rng.uniform(0.0, 2.0)) for g in inst.good_ids}
-            split = {
-                (t.type_id, b): float(rng.choice([0.0, 1e-13, rng.uniform(0.1, 1.0)]))
+            allocation = np.array([float(rng.uniform(0.0, 2.0)) for g in inst.good_ids])
+            split = np.array([
+                float(rng.choice([0.0, 1e-13, rng.uniform(0.1, 1.0)]))
                 for t in inst.buyer_types
                 for b in t.bundles
-            }
+            ])
             assert split_kkt_violation(inst, allocation, split) == pytest.approx(
                 _violation_by_type(inst, allocation, split, None), rel=1e-12, abs=1e-15
             )
@@ -228,56 +231,56 @@ class TestSplitKKT:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             inst = random_multi_minded_instance(rng, 0.3, 1 + seed % 3)
-            allocation = {g: float(rng.uniform(0.0, 2.0)) for g in inst.good_ids}
-            split = {
-                (t.type_id, b): float(rng.choice([0.0, 1e-13, rng.uniform(0.1, 1.0)]))
+            allocation = np.array([float(rng.uniform(0.0, 2.0)) for g in inst.good_ids])
+            split = np.array([
+                float(rng.choice([0.0, 1e-13, rng.uniform(0.1, 1.0)]))
                 for t in inst.buyer_types
                 for b in t.bundles
-            }
-            marg = inst.cost_batch.marginal(np.array([allocation[g] for g in inst.good_ids]))
-            for given in ({}, split):
-                expected = {}
-                for t in inst.buyer_types:
+            ])
+            marg = inst.cost_batch.marginal(allocation)
+            for given in (np.zeros(len(split)), split):
+                expected = []
+                for t, lo in zip(inst.buyer_types, inst.bundle_offsets):
                     sums = {b: sum(float(marg[inst.good_index[g]]) for g in b) for b in t.bundles}
-                    used = [b for b in t.bundles if given.get((t.type_id, b), 0.0) > SPLIT_DUST]
-                    expected[t.type_id] = min(sums[b] for b in used or t.bundles)
+                    used = [b for j, b in enumerate(t.bundles) if given[lo + j] > SPLIT_DUST]
+                    expected.append(min(sums[b] for b in used or t.bundles))
                 assert buyer_marginal_costs(inst, allocation, given) == pytest.approx(expected, rel=1e-12)
 
 
 def _violation_by_type(inst, allocation, split, admissible):
     """The largest used bundle's marginal-cost sum above its type's best.
 
-    admissible maps type id -> the bundles that compete for the best (every
-    bundle of the type if None).
+    admissible marks the stacked_masks rows whose bundles compete for their
+    type's best (every row if None).
     """
-    marg = inst.cost_batch.marginal(np.array([allocation[g] for g in inst.good_ids]))
+    marg = inst.cost_batch.marginal(allocation)
     worst = 0.0
-    for t in inst.buyer_types:
+    for t, lo in zip(inst.buyer_types, inst.bundle_offsets):
+        rows = range(lo, lo + len(t.bundles))
         sums = [sum(float(marg[inst.good_index[g]]) for g in b) for b in t.bundles]
-        allowed = t.bundles if admissible is None else admissible[t.type_id]
-        best = min(float(s) for s, b in zip(sums, t.bundles) if b in allowed)
-        for s, b in zip(sums, t.bundles):
-            if split.get((t.type_id, b), 0.0) > SPLIT_DUST:
+        best = min(float(s) for s, r in zip(sums, rows) if admissible is None or admissible[r])
+        for s, r in zip(sums, rows):
+            if split[r] > SPLIT_DUST:
                 worst = max(worst, float(s) - best)
     return worst
 
 
 class TestEvaluate:
     def test_analytic_midpoint(self, single_good_instance):
-        sol = evaluate(single_good_instance, {"g1": 0.5})
-        assert sol.demand["b1"] == pytest.approx(0.5)
-        assert sol.allocation["g1"] == pytest.approx(0.5)
+        sol = evaluate(single_good_instance, np.array([0.5]))
+        assert sol.demand[0] == pytest.approx(0.5)
+        assert sol.allocation[0] == pytest.approx(0.5)
         assert sol.sw == pytest.approx(0.25)
         assert sol.profit == pytest.approx(0.125)
 
     def test_peak_price_is_inert(self, single_good_instance):
-        sol = evaluate(single_good_instance, {"g1": 1.0})
+        sol = evaluate(single_good_instance, np.array([1.0]))
         assert sol.sw == 0.0
         assert sol.profit == 0.0
 
     def test_analytic_high_price(self, single_good_instance):
-        sol = evaluate(single_good_instance, {"g1": 0.75})
-        assert sol.demand["b1"] == pytest.approx(0.25)
+        sol = evaluate(single_good_instance, np.array([0.75]))
+        assert sol.demand[0] == pytest.approx(0.25)
         assert sol.sw == pytest.approx(0.1875)
         assert sol.profit == pytest.approx(0.15625)
 
@@ -326,15 +329,15 @@ class TestSolutionIdentities:
         rng = np.random.default_rng(43)
         for _ in range(20):
             inst = random_unit_demand_instance(rng, alpha=0.0)
-            sol = evaluate(inst, random_prices(rng, inst))
-            income_goods = sum(sol.prices[g] * sol.allocation[g] for g in inst.good_ids)
+            sol = evaluate(inst, inst.price_vector(random_prices(rng, inst)))
+            income_goods = sum(sol.prices[k] * sol.allocation[k] for k in range(len(inst.goods)))
             income_buyers = sum(
-                sol.paid[t.type_id] * sol.demand[t.type_id] for t in inst.buyer_types
+                sol.paid[i] * sol.demand[i] for i in range(len(inst.buyer_types))
             )
             assert income_goods == pytest.approx(income_buyers, abs=1e-9)
             lam_income = sum(
-                t.demand.eval(sol.demand[t.type_id]) * sol.demand[t.type_id]
-                for t in inst.buyer_types
+                t.demand.eval(sol.demand[i]) * sol.demand[i]
+                for i, t in enumerate(inst.buyer_types)
             )
             assert income_goods == pytest.approx(lam_income, abs=1e-6)
 
@@ -342,31 +345,27 @@ class TestSolutionIdentities:
         rng = np.random.default_rng(47)
         for _ in range(10):
             inst = random_unit_demand_instance(rng, alpha=0.25)
-            sol = evaluate(inst, random_prices(rng, inst))
-            for t in inst.buyer_types:
+            sol = evaluate(inst, inst.price_vector(random_prices(rng, inst)))
+            for i, t in enumerate(inst.buyer_types):
                 routed = sum(
-                    v for (tid, _), v in sol.split.items() if tid == t.type_id
+                    v for (tid, _), v in zip(inst.bundle_keys, sol.split) if tid == t.type_id
                 )
-                assert routed == pytest.approx(sol.demand[t.type_id], abs=1e-9)
+                assert routed == pytest.approx(sol.demand[i], abs=1e-9)
             per_good = {g: 0.0 for g in inst.good_ids}
-            for (tid, bundle), v in sol.split.items():
+            for (tid, bundle), v in zip(inst.bundle_keys, sol.split):
                 for g in bundle:
                     per_good[g] += v
-            for g in inst.good_ids:
-                assert per_good[g] == pytest.approx(sol.allocation[g], abs=1e-9)
+            for k, g in enumerate(inst.good_ids):
+                assert per_good[g] == pytest.approx(sol.allocation[k], abs=1e-9)
             # Cost minimality holds within the argmin-priced bundles the
             # envy-free response is allowed to use.
-            _, _, tied = _bundle_prices(inst, inst.price_vector(sol.prices))
-            admissible = {
-                t.type_id: [b for b in t.bundles if tied[inst.bundle_rows[(t.type_id, b)]]]
-                for t in inst.buyer_types
-            }
-            assert _violation_by_type(inst, sol.allocation, sol.split, admissible) <= 1e-6
+            _, tied = _bundle_prices(inst, sol.prices)
+            assert _violation_by_type(inst, sol.allocation, sol.split, tied) <= 1e-6
 
 
 def _constrained(inst, demand):
-    y = min_cost_allocation(inst, {g: 0.0 for g in inst.good_ids}, demand)[1]
-    rates = buyer_marginal_costs(inst, y, {})
+    y = min_cost_allocation(inst, np.zeros(len(inst.goods)), demand)[1]
+    rates = buyer_marginal_costs(inst, y, np.zeros(len(inst.bundle_keys)))
     return y, rates
 
 
@@ -381,37 +380,37 @@ class TestCostLemmas:
             p_high = {
                 g: v + float(rng.uniform(0.0, 0.3)) for g, v in p_low.items()
             }
-            x_high = best_response(inst, p_high)
-            x_low = best_response(inst, p_low)
-            for t in inst.buyer_types:
-                assert x_low[t.type_id] >= x_high[t.type_id] - 1e-12
+            x_high = best_response(inst, inst.price_vector(p_high))
+            x_low = best_response(inst, inst.price_vector(p_low))
+            for i in range(len(inst.buyer_types)):
+                assert x_low[i] >= x_high[i] - 1e-12
             y_high, _ = _constrained(inst, x_high)
             y_low, _ = _constrained(inst, x_low)
-            for g, cost in inst.goods:
-                assert cost.marginal(y_high[g]) <= cost.marginal(y_low[g]) + 1e-6
-            r_high = buyer_marginal_costs(inst, y_high, {})
-            r_low = buyer_marginal_costs(inst, y_low, {})
-            for t in inst.buyer_types:
-                assert r_high[t.type_id] <= r_low[t.type_id] + 1e-6
+            for k, cost in enumerate(inst.cost_functions):
+                assert cost.marginal(y_high[k]) <= cost.marginal(y_low[k]) + 1e-6
+            r_high = buyer_marginal_costs(inst, y_high, np.zeros(len(inst.bundle_keys)))
+            r_low = buyer_marginal_costs(inst, y_low, np.zeros(len(inst.bundle_keys)))
+            for i in range(len(inst.buyer_types)):
+                assert r_high[i] <= r_low[i] + 1e-6
 
     def test_cost_difference_bounded_by_marginal_rates(self):
         # Raising demand costs at least the current marginal rate per buyer.
         rng = np.random.default_rng(59)
         for _ in range(20):
             inst = random_unit_demand_instance(rng, alpha=0.5)
-            x1 = {
-                t.type_id: float(rng.uniform(0.0, 0.8)) for t in inst.buyer_types
-            }
-            x2 = {
-                tid: v + float(rng.uniform(0.0, 0.8)) for tid, v in x1.items()
-            }
+            x1 = np.array([
+                float(rng.uniform(0.0, 0.8)) for t in inst.buyer_types
+            ])
+            x2 = np.array([
+                v + float(rng.uniform(0.0, 0.8)) for v in x1
+            ])
             y1, rates1 = _constrained(inst, x1)
             y2, _ = _constrained(inst, x2)
-            c1 = inst.total_cost([y1[g] for g in inst.good_ids])
-            c2 = inst.total_cost([y2[g] for g in inst.good_ids])
+            c1 = inst.total_cost(y1)
+            c2 = inst.total_cost(y2)
             lower = sum(
-                rates1[t.type_id] * (x2[t.type_id] - x1[t.type_id])
-                for t in inst.buyer_types
+                rates1[i] * (x2[i] - x1[i])
+                for i in range(len(inst.buyer_types))
             )
             assert c2 - c1 >= lower - 1e-6
 
@@ -425,9 +424,9 @@ class TestCostLemmas:
             inst = random_unit_demand_instance(rng, alpha=0.25)
             prices = random_prices(rng, inst, low=0.2, high=1.0)
             for _ in range(50):
-                sol = evaluate(inst, prices)
+                sol = evaluate(inst, inst.price_vector(prices))
                 marg = {
-                    g: cost.marginal(sol.allocation[g]) for g, cost in inst.goods
+                    g: cost.marginal(sol.allocation[k]) for k, (g, cost) in enumerate(inst.goods)
                 }
                 if all(prices[g] >= marg[g] - 1e-12 for g in inst.good_ids):
                     break
@@ -435,10 +434,10 @@ class TestCostLemmas:
             else:
                 pytest.fail("price raising did not reach the marginal-cost premise")
             income = sum(
-                t.demand.eval(sol.demand[t.type_id]) * sol.demand[t.type_id]
-                for t in inst.buyer_types
+                t.demand.eval(sol.demand[i]) * sol.demand[i]
+                for i, t in enumerate(inst.buyer_types)
             )
-            cost_total = inst.total_cost([sol.allocation[g] for g in inst.good_ids])
+            cost_total = inst.total_cost(sol.allocation)
             assert income >= 2.0 * cost_total - 1e-8
             assert sol.profit >= cost_total - 1e-8
             assert income <= 2.0 * sol.profit + 1e-6

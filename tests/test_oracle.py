@@ -34,7 +34,7 @@ class TestWelfareOracle:
     def test_single_good_target(self, single_good_instance):
         sw, prices = oracle_max_welfare(single_good_instance)
         assert sw == pytest.approx(0.25, abs=0.003)
-        assert prices["g1"] == pytest.approx(0.5, abs=0.01)
+        assert prices[0] == pytest.approx(0.5, abs=0.01)
 
     def test_twin_goods_target(self, twin_goods_instance):
         sw, _ = oracle_max_welfare(twin_goods_instance)
@@ -57,7 +57,8 @@ class TestWelfareOracle:
     def test_determinism(self, twin_goods_instance):
         a = oracle_max_welfare(twin_goods_instance)
         b = oracle_max_welfare(twin_goods_instance)
-        assert a == b
+        assert a[0] == b[0]
+        np.testing.assert_array_equal(a[1], b[1])
 
 
 class TestProfitOracle:
@@ -69,7 +70,7 @@ class TestProfitOracle:
         )
         profit, prices = oracle_max_profit(inst)
         assert profit == pytest.approx(0.25, abs=1e-3)
-        assert prices["g1"] == pytest.approx(0.5, abs=0.01)
+        assert prices[0] == pytest.approx(0.5, abs=0.01)
 
     def test_welfare_prices_earn_almost_nothing(self, linear_demand):
         inst = MarketInstance.create(
@@ -79,7 +80,7 @@ class TestProfitOracle:
         assert evaluate(inst, opt.prices).profit < 0.01
 
     def test_peak_price_grid_point_is_profitless(self, single_good_instance):
-        sol = evaluate(single_good_instance, {"g1": 1.0})
+        sol = evaluate(single_good_instance, np.array([1.0]))
         assert sol.profit == 0.0
 
 
@@ -138,7 +139,7 @@ def _refine_all(inst, grid, objective):
     values = sw if objective == "sw" else profit
     best_value, best_prices = -np.inf, None
     for idx in np.argsort(-values, kind="stable")[: oracle._REFINE_TOP]:
-        prices = inst.prices_dict(P[idx])
+        prices = P[idx]
         sol = evaluate(inst, prices)
         value = sol.sw if objective == "sw" else sol.profit
         if value > best_value + 1e-15:
@@ -203,7 +204,9 @@ class TestRefineOnlySplitRows:
         assert oracle._sweep(twin_goods_instance, grid)[0].shape == (4, 2)
         for objective, find in (("sw", oracle_max_welfare), ("profit", oracle_max_profit)):
             expected = _refine_all(twin_goods_instance, grid, objective)
-            assert find(twin_goods_instance, grid) == expected
+            value, prices = find(twin_goods_instance, grid)
+            assert value == expected[0]
+            np.testing.assert_array_equal(prices, expected[1])
 
     def test_evaluate_runs_only_on_split_top_rows(self, monkeypatch):
         expected = 0
@@ -228,7 +231,7 @@ class TestRefineOnlySplitRows:
             for find, (ref_value, ref_prices) in zip((oracle_max_welfare, oracle_max_profit), refs):
                 value, prices = find(inst, GridSpec())
                 assert value == pytest.approx(ref_value, rel=0, abs=1e-12 * (1.0 + abs(ref_value)))
-                assert prices == ref_prices
+                np.testing.assert_array_equal(prices, ref_prices)
         assert calls == []
 
 
@@ -243,7 +246,7 @@ def test_sweep_welfare_equals_evaluate_on_rows_without_a_split(beta, alpha):
     inst = MarketInstance.create(goods, types)
     P, sw, _, split = oracle._sweep(inst, GridSpec(price_step=1.0 / 60.0))
     assert split.any() and not split.all()
-    want = [evaluate(inst, inst.prices_dict(p)).sw for p in P[~split]]
+    want = [evaluate(inst, p).sw for p in P[~split]]
     np.testing.assert_array_equal(sw[~split], want)
 
 

@@ -41,22 +41,22 @@ def _residual(program, z):
 class TestAnalyticFixtures:
     def test_balanced_quadratic(self, single_good_instance):
         opt = solve_welfare(single_good_instance)
-        assert opt.demand["b1"] == pytest.approx(0.5, abs=1e-6)
-        assert opt.prices["g1"] == pytest.approx(0.5, abs=1e-6)
+        assert opt.demand[0] == pytest.approx(0.5, abs=1e-6)
+        assert opt.prices[0] == pytest.approx(0.5, abs=1e-6)
         assert opt.sw == pytest.approx(0.25, abs=1e-6)
 
     def test_near_flat_marginal(self, light_cost_instance):
         opt = solve_welfare(light_cost_instance)
-        assert opt.demand["b1"] == pytest.approx(1.0 / 1.01, abs=1e-6)
-        assert opt.prices["g1"] == pytest.approx(0.01 / 1.01, abs=1e-6)
+        assert opt.demand[0] == pytest.approx(1.0 / 1.01, abs=1e-6)
+        assert opt.prices[0] == pytest.approx(0.01 / 1.01, abs=1e-6)
         assert opt.sw == pytest.approx(0.5 / 1.01, abs=1e-6)
 
     def test_twin_goods_split(self, twin_goods_instance):
         opt = solve_welfare(twin_goods_instance)
-        assert opt.demand["b1"] == pytest.approx(2.0 / 3.0, abs=1e-6)
-        assert opt.allocation["g1"] == pytest.approx(1.0 / 3.0, abs=1e-6)
-        assert opt.allocation["g2"] == pytest.approx(1.0 / 3.0, abs=1e-6)
-        assert opt.prices["g1"] == pytest.approx(1.0 / 3.0, abs=1e-6)
+        assert opt.demand[0] == pytest.approx(2.0 / 3.0, abs=1e-6)
+        assert opt.allocation[0] == pytest.approx(1.0 / 3.0, abs=1e-6)
+        assert opt.allocation[1] == pytest.approx(1.0 / 3.0, abs=1e-6)
+        assert opt.prices[0] == pytest.approx(1.0 / 3.0, abs=1e-6)
         assert opt.sw == pytest.approx(1.0 / 3.0, abs=1e-6)
 
     def test_prices_equal_marginal_costs_exactly(self):
@@ -64,14 +64,14 @@ class TestAnalyticFixtures:
         for _ in range(5):
             inst = random_unit_demand_instance(rng, alpha=0.25)
             opt = solve_welfare(inst)
-            for g, cost in inst.goods:
-                assert opt.prices[g] == cost.marginal(opt.allocation[g])
+            for k, cost in enumerate(inst.cost_functions):
+                assert opt.prices[k] == cost.marginal(opt.allocation[k])
 
     def test_reevaluation_reproduces_optimum(self, twin_goods_instance):
         opt = solve_welfare(twin_goods_instance)
         sol = evaluate(twin_goods_instance, opt.prices)
         assert sol.sw == pytest.approx(opt.sw, abs=1e-8)
-        assert sol.demand["b1"] == pytest.approx(opt.demand["b1"], abs=1e-6)
+        assert sol.demand[0] == pytest.approx(opt.demand[0], abs=1e-6)
 
 
 class TestOptimalityCertificates:
@@ -81,12 +81,7 @@ class TestOptimalityCertificates:
         for _ in range(8):
             inst = random_unit_demand_instance(rng, alpha=alpha)
             opt = solve_welfare(inst)
-            splits = []
-            for t in inst.buyer_types:
-                splits.append(
-                    np.array([opt.split.get((t.type_id, b), 0.0) for b in t.bundles])
-                )
-            norm = _residual(_welfare_program(inst, inst.cost_batch), np.concatenate(splits))
+            norm = _residual(_welfare_program(inst, inst.cost_batch), opt.split)
             assert norm <= 1e-6 * (1.0 + abs(opt.sw))
 
     def test_solutions_meet_kkt_to_solver_precision(self):
@@ -97,11 +92,7 @@ class TestOptimalityCertificates:
             else:
                 inst = random_multi_minded_instance(rng, alpha=0.4, size_ratio=1 + k % 4)
             opt = solve_welfare(inst)
-            splits = [
-                np.array([opt.split.get((t.type_id, b), 0.0) for b in t.bundles])
-                for t in inst.buyer_types
-            ]
-            norm = _residual(_welfare_program(inst, inst.cost_batch), np.concatenate(splits))
+            norm = _residual(_welfare_program(inst, inst.cost_batch), opt.split)
             assert norm <= 1e-10 * (1.0 + abs(opt.sw))
 
     def test_round_with_bundles_tied_at_zero_cost_slope_reaches_full_precision(self):
@@ -148,8 +139,8 @@ class TestOptimalityCertificates:
             solve_welfare(inst, SolverConfig(max_iters=4))
         assert err.value.best_splits.shape == (int(inst.bundle_offsets[-1]),)
         opt = solve_welfare(inst)
-        for g, cost in inst.goods:
-            assert opt.prices[g] == cost.marginal(opt.allocation[g])
+        for k, cost in enumerate(inst.cost_functions):
+            assert opt.prices[k] == cost.marginal(opt.allocation[k])
 
     # Unit-demand draws on which L-BFGS-B primal rounds never certified at
     # the marginal-cost prices, so that only a better dual price did; the
@@ -164,8 +155,8 @@ class TestOptimalityCertificates:
             inst = random_unit_demand_instance(rng, alpha, max_goods=6, max_types=40)
         assert (len(inst.goods), len(inst.buyer_types)) == shape
         opt = solve_welfare(inst)
-        for g, cost in inst.goods:
-            assert opt.prices[g] == cost.marginal(opt.allocation[g])
+        for k, cost in enumerate(inst.cost_functions):
+            assert opt.prices[k] == cost.marginal(opt.allocation[k])
 
 
 def _scaled(inst, scale):
@@ -206,7 +197,7 @@ class TestPriceScale:
             steps.clear()
             big = solve_welfare(_scaled(inst, scale), cfg)
             assert len(steps) <= 60
-            for want, got in [(opt.sw, big.sw), *((opt.prices[g], big.prices[g]) for g in inst.good_ids)]:
+            for want, got in [(opt.sw, big.sw), *((opt.prices[k], big.prices[k]) for k in range(len(inst.goods)))]:
                 assert abs(got / scale - want) <= 1e-6 * (1.0 + abs(want))
 
 
@@ -256,7 +247,7 @@ class TestSupportCeiling:
         opt = solve_welfare(one, cfg)
         assert len(steps) <= 30
         # lambda stays above c(y) = 0.1 y up to the ceiling x = 1.
-        assert [opt.demand["t0"], opt.prices["g0"], opt.sw] == pytest.approx([1.0, 0.1, 0.7], abs=1e-12)
+        assert [opt.demand[0], opt.prices[0], opt.sw] == pytest.approx([1.0, 0.1, 0.7], abs=1e-12)
         for k in range(24):
             steps.clear()
             solve_welfare(_tabulated_draw(k), cfg)
@@ -265,22 +256,22 @@ class TestSupportCeiling:
 
 def _zero_price_allocation(inst, demand):
     """Cheapest allocation serving demand over every bundle: zero prices tie them all."""
-    return min_cost_allocation(inst, {g: 0.0 for g in inst.good_ids}, demand)[1]
+    return min_cost_allocation(inst, np.zeros(len(inst.goods)), demand)[1]
 
 
 class TestConstrainedWelfare:
     def test_zero_demand_costs_nothing(self, twin_goods_instance):
-        y = _zero_price_allocation(twin_goods_instance, {"b1": 0.0})
-        assert y == {"g1": 0.0, "g2": 0.0}
+        y = _zero_price_allocation(twin_goods_instance, np.array([0.0]))
+        np.testing.assert_array_equal(y, [0.0, 0.0])
 
     def test_single_bundle_is_forced(self, linear_demand):
         inst = MarketInstance.create(
             [("g1", CostFunction.power(1.0, 1.0)), ("g2", CostFunction.power(1.0, 1.0))],
             [("b1", [["g1", "g2"]], linear_demand)],
         )
-        y = _zero_price_allocation(inst, {"b1": 0.4})
-        assert y["g1"] == pytest.approx(0.4)
-        assert y["g2"] == pytest.approx(0.4)
+        y = _zero_price_allocation(inst, np.array([0.4]))
+        assert y[0] == pytest.approx(0.4)
+        assert y[1] == pytest.approx(0.4)
 
     def test_shared_goods_match_enumeration(self, linear_demand):
         inst = MarketInstance.create(
@@ -295,12 +286,12 @@ class TestConstrainedWelfare:
                 ("b3", [["g1"], ["g3"]], linear_demand),
             ],
         )
-        demand = {"b1": 0.7, "b2": 0.5, "b3": 0.6}
+        demand = np.array([0.7, 0.5, 0.6])
         y = _zero_price_allocation(inst, demand)
-        cost = inst.total_cost([y[g] for g in inst.good_ids])
+        cost = inst.total_cost(y)
         # Free prices let every bundle compete, which zero prices replicate.
         reference = oracle_min_split_cost(
-            inst, {g: 0.0 for g in inst.good_ids}, demand, levels=60
+            inst, np.zeros(len(inst.goods)), demand, levels=60
         )
         assert cost <= reference + 1e-9
         assert cost >= reference - 1e-3
@@ -368,7 +359,7 @@ class TestDualGap:
         masses = rng.uniform(0.2, 1.0, size=len(inst.buyer_types))
         program = FlowProgram(inst.stacked_masks, inst.bundle_sizes, inst.cost_batch, masses=masses)
         reference = oracle_min_split_cost(
-            inst, dict.fromkeys(inst.good_ids, 0.0), dict(zip(inst.type_ids, masses)), levels=10
+            inst, np.zeros(len(inst.goods)), masses, levels=10
         )
         n = program.caps.size
         z_opt = flow.solve(program, np.repeat(masses / program.sizes, program.sizes), NEWTON_STEPS, SOLVER_TOL)

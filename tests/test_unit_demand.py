@@ -35,7 +35,7 @@ class TestPricing:
     def test_high_marginal_keeps_optimum(self, single_good_instance):
         opt = solve_welfare(single_good_instance)
         tp, sol = price_unit_demand(single_good_instance, opt, single_good_instance.alpha)
-        assert tp.prices["g1"] == pytest.approx(0.5, abs=1e-9)
+        assert tp.prices[0] == pytest.approx(0.5, abs=1e-9)
         assert sol.sw == pytest.approx(0.25, abs=1e-8)
         assert sol.profit == pytest.approx(0.125, abs=1e-8)
         assert opt.sw / sol.profit <= 2.0 * math.e
@@ -43,8 +43,8 @@ class TestPricing:
     def test_threshold_binds_on_light_costs(self, light_cost_instance):
         opt = solve_welfare(light_cost_instance)
         tp, sol = price_unit_demand(light_cost_instance, opt, light_cost_instance.alpha)
-        assert tp.prices["g1"] == pytest.approx(math.exp(-1.0))
-        assert sol.demand["b1"] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-9)
+        assert tp.prices[0] == pytest.approx(math.exp(-1.0))
+        assert sol.demand[0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-9)
         assert sol.profit == pytest.approx(0.230546, abs=1e-6)
         assert sol.sw == pytest.approx(0.430334, abs=1e-6)
         assert opt.sw / sol.profit == pytest.approx(2.1473, abs=1e-3)
@@ -53,7 +53,7 @@ class TestPricing:
     def test_identity_when_all_prices_clear_threshold(self, single_good_instance):
         opt = solve_welfare(single_good_instance)
         _, sol = price_unit_demand(single_good_instance, opt, single_good_instance.alpha)
-        assert sol.prices == {g: pytest.approx(v) for g, v in opt.prices.items()}
+        assert sol.prices == pytest.approx(opt.prices)
         assert sol.sw == pytest.approx(opt.sw, abs=1e-9)
 
     def test_rejects_multi_good_bundles(self, linear_demand, quadratic_cost):
@@ -87,24 +87,24 @@ class TestClusters:
     def test_all_high(self, single_good_instance):
         opt = solve_welfare(single_good_instance)
         tp, sol = price_unit_demand(single_good_instance, opt, single_good_instance.alpha)
-        assert tp.good_cluster == {"g1": "H"}
-        assert tp.type_cluster == {"b1": "H"}
+        np.testing.assert_array_equal(tp.good_cluster, ["H"])
+        np.testing.assert_array_equal(tp.type_cluster, ["H"])
         assert cluster_diagnostics(single_good_instance, tp, sol, opt) == []
 
     def test_all_low(self, light_cost_instance):
         opt = solve_welfare(light_cost_instance)
         tp, sol = price_unit_demand(light_cost_instance, opt, light_cost_instance.alpha)
-        assert tp.good_cluster == {"g1": "L"}
-        assert sol.demand["b1"] <= opt.demand["b1"] + 1e-9
+        np.testing.assert_array_equal(tp.good_cluster, ["L"])
+        assert sol.demand[0] <= opt.demand[0] + 1e-9
         assert cluster_diagnostics(light_cost_instance, tp, sol, opt) == []
 
     def test_mixed_clusters_have_no_cross_purchases(self, mixed_cluster_instance):
         inst = mixed_cluster_instance
         opt = solve_welfare(inst)
         tp, sol = price_unit_demand(inst, opt, inst.alpha)
-        assert tp.good_cluster["g1"] == "L"
-        assert tp.good_cluster["g2"] == "H"
-        assert tp.type_cluster == {"b1": "L", "b2": "H"}
+        assert tp.good_cluster[0] == "L"
+        assert tp.good_cluster[1] == "H"
+        np.testing.assert_array_equal(tp.type_cluster, ["L", "H"])
         violations = cluster_diagnostics(inst, tp, sol, opt)
         assert not violations, violations
 
@@ -126,10 +126,10 @@ class TestClusters:
             inst = random_unit_demand_instance(rng, (0.0, 0.3, 0.6)[k % 3], max_goods=6, max_types=40)
             opt = solve_welfare(inst)
             tp, sol = price_unit_demand(inst, opt, inst.alpha)
-            for g in inst.good_ids:
-                if tp.good_cluster[g] == "H":
-                    y = opt.allocation[g]
-                    assert abs(sol.allocation[g] - y) <= 1e-10 * (1.0 + abs(y)), (k, g)
+            for j, g in enumerate(inst.good_ids):
+                if tp.good_cluster[j] == "H":
+                    y = opt.allocation[j]
+                    assert abs(sol.allocation[j] - y) <= 1e-10 * (1.0 + abs(y)), (k, g)
 
 
 class TestTheoremBounds:
