@@ -44,28 +44,35 @@ def _nonnegative(y):
     return arr
 
 
-# The piece formulas, written once: each takes a piece's (coeff, exponent,
-# total_at_start, start power) and broadcasts over them and its argument, so
-# CostBatch applies it to one piece per good.  A power cost is a single piece
-# starting at 0 with nothing accrued before it.
+# The piece formulas, written once: each takes a piece's parameters (see
+# _piece_parameters) and broadcasts over them and its argument, so CostBatch
+# applies it to one piece per good.  A power cost is a single piece starting
+# at 0 with nothing accrued before it.
 
 
-def _piece_marginal(coeff, exp, total_at_start, start_pow, y):
+def _piece_parameters(coeff, exp, total_at_start, start_pow):
+    """A piece's (coeff, exponent, total_at_start, start power) and the
+    exponent terms its formulas read: exp + 1, exp - 1, coeff * exp and 1 / exp,
+    each computed once here exactly as a formula would compute it."""
+    return coeff, exp, total_at_start, start_pow, exp + 1.0, exp - 1.0, coeff * exp, 1.0 / exp
+
+
+def _piece_marginal(coeff, exp, total_at_start, start_pow, exp_up, exp_down, slope_coeff, inv_exp, y):
     return coeff * y**exp
 
 
-def _piece_slope(coeff, exp, total_at_start, start_pow, y):
+def _piece_slope(coeff, exp, total_at_start, start_pow, exp_up, exp_down, slope_coeff, inv_exp, y):
     # 0.0 ** 0.0 is 1, so at y = 0 this is coeff for exp = 1 and 0 for exp > 1.
-    return coeff * exp * y ** (exp - 1.0)
+    return slope_coeff * y**exp_down
 
 
-def _piece_total(coeff, exp, total_at_start, start_pow, y):
-    return total_at_start + coeff * (y ** (exp + 1.0) - start_pow) / (exp + 1.0)
+def _piece_total(coeff, exp, total_at_start, start_pow, exp_up, exp_down, slope_coeff, inv_exp, y):
+    return total_at_start + coeff * (y**exp_up - start_pow) / exp_up
 
 
-def _piece_inverse(coeff, exp, total_at_start, start_pow, p):
+def _piece_inverse(coeff, exp, total_at_start, start_pow, exp_up, exp_down, slope_coeff, inv_exp, p):
     """The quantity at which the piece's marginal is p."""
-    return (p / coeff) ** (1.0 / exp)
+    return (p / coeff) ** inv_exp
 
 
 @dataclass(frozen=True)
@@ -202,37 +209,52 @@ class CostBatch:
         # A good with fewer pieces repeats its last one: the copy starts
         # where that piece does, so evaluating it changes nothing.
         table = np.array([t.take(range(width), axis=1, mode="clip") for t in tables]).transpose(1, 0, 2)
-        # Where the pieces start, in quantity and in price (the marginal
-        # there), each goods x pieces; then per piece its (coeff, exponent,
-        # total_at_start, start power), one value per good.
-        self._starts, self._start_marginals = table[:2]
-        self._params = [tuple(table[2:, :, j]) for j in range(width)]
+        # Per piece j: its parameters and where it starts, in quantity and in
+        # price (the marginal there), one value per good.  Inputs with rows
+        # (the oracle's grid, a stack of flow programs) read the same values
+        # under a leading axis of length one: NumPy broadcasts operands of
+        # equal rank faster.
+        self._tables = {}
+        for rank, shape in ((1, np.s_[:]), (2, np.s_[None])):
+            columns = [np.ascontiguousarray(table[:, :, j][:, shape]) for j in range(width)]
+            self._tables[rank] = [(_piece_parameters(*c[2:]), c[0], c[1]) for c in columns]
 
-    def _on_pieces(self, formula, starts, v):
-        """formula on the piece each good's v lies on: the one piece lookup.
+    def _on_pieces(self, formulas, v, by_price=False):
+        """Each of formulas on the piece each good's v lies on: the one piece lookup.
 
-        starts is where each good's pieces start, in v's units: _starts for
-        quantities, _start_marginals for prices.  Each piece after the first
-        overwrites the result from its start on.
+        v is a quantity, or a price if by_price.  Each piece after the first
+        overwrites the results from where it starts on.  Returns one array
+        per formula.
         """
-        out = formula(*self._params[0], v)
-        for j in range(1, starts.shape[1]):
-            np.copyto(out, formula(*self._params[j], v), where=v >= starts[:, j])
-        return out
+        pieces = self._tables[2 if v.ndim == 2 else 1]
+        outs = [formula(*pieces[0][0], v) for formula in formulas]
+        for params, start_y, start_p in pieces[1:]:
+            on = v >= (start_p if by_price else start_y)
+            for out, formula in zip(outs, formulas):
+                np.copyto(out, formula(*params, v), where=on)
+        return outs
 
     def marginal(self, y):
-        return self._on_pieces(_piece_marginal, self._starts, _nonnegative(y))
+        return self._on_pieces((_piece_marginal,), _nonnegative(y))[0]
 
     def slope(self, y):
         """Derivative c'(y) of the marginal, the cost's curvature."""
-        return self._on_pieces(_piece_slope, self._starts, _nonnegative(y))
+        return self._on_pieces((_piece_slope,), _nonnegative(y))[0]
 
     def total(self, y):
-        return self._on_pieces(_piece_total, self._starts, _nonnegative(y))
+        return self._on_pieces((_piece_total,), _nonnegative(y))[0]
+
+    def at(self, y):
+        """(c(y), c'(y), C(y)) from one domain check and one piece lookup."""
+        return self._on_pieces((_piece_marginal, _piece_slope, _piece_total), _nonnegative(y))
+
+    def take(self, rows):
+        """These costs on some rows of a stack of flow programs: every row has the same costs."""
+        return self
 
     def marginal_inverse(self, p):
         """Quantities y0 = c^-1(p) with c(y0) = p, for non-negative prices p."""
         p = np.asarray(p, dtype=float)
         if (p < 0).any():
             raise CostDomainError("marginal inverse needs a non-negative price")
-        return self._on_pieces(_piece_inverse, self._start_marginals, p)
+        return self._on_pieces((_piece_inverse,), p, by_price=True)[0]

@@ -279,10 +279,10 @@ def split_min_cost(cost_fns, masks, totals):
     masses = np.array([totals[i] for i in free], dtype=float)
     stacked = np.vstack([masks[i] for i in free])
     program = FlowProgram(stacked, sizes, _cost_batch(tuple(cost_fns)), masses=masses, base=base)
-    z = solve(program, np.repeat(masses / sizes, sizes), NEWTON_STEPS, SOLVER_TOL)
-    for i, part in zip(free, np.split(z, program.offsets[1:-1])):
+    point = solve(program, np.repeat(masses / sizes, sizes)[None], NEWTON_STEPS, SOLVER_TOL)
+    for i, part in zip(free, np.split(point.z[0], program.offsets[1:-1])):
         splits[i] = part
-    return splits, program.allocation(z)
+    return splits, point.y[0]
 
 
 def min_cost_allocation(inst: MarketInstance, pvec, demand):
@@ -318,8 +318,10 @@ def _solution(inst: MarketInstance, pvec, cheapest, xvec, z, yvec) -> PricingSol
     cheapest is each type's cheapest bundle price at pvec, xvec the types'
     demand, z the split in stacked_masks row order (entries up to SPLIT_DUST
     are zeroed) and yvec the allocation.  Welfare and profit are measured
-    with the instance's own costs.
+    with the instance's own costs.  The solution owns its arrays: it keeps
+    copies of pvec, xvec and yvec, never the caller's arrays or views of them.
     """
+    pvec, xvec, yvec = np.array(pvec), np.array(xvec), np.array(yvec)
     cost = inst.total_cost(yvec)
     utility = float(np.sum(inst.demand_batch.utility_integral(xvec)))
     return PricingSolution(

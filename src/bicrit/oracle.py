@@ -149,6 +149,7 @@ def _refine(inst: MarketInstance, P, values, split, objective: str):
 
     Only candidates on split rows are re-evaluated with evaluate; on the rest
     the sweep's value is already exact.  The first of equal values wins.
+    The price vector is a copy of its grid row, so it does not hold the grid.
     """
     best_value, best_row = -np.inf, None
     for idx in _top_indices(values, _REFINE_TOP):
@@ -158,7 +159,7 @@ def _refine(inst: MarketInstance, P, values, split, objective: str):
             value = sol.sw if objective == "sw" else sol.profit
         if value > best_value + GRID_TIE:
             best_value, best_row = value, idx
-    return float(best_value), None if best_row is None else P[best_row]
+    return float(best_value), None if best_row is None else P[best_row].copy()
 
 
 def oracle_max_welfare(inst: MarketInstance, grid: GridSpec | None = None):

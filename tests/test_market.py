@@ -18,6 +18,7 @@ from bicrit import (
     min_cost_allocation,
     solve_welfare,
 )
+from bicrit import flow as market_flow
 from bicrit import instances, market
 from bicrit.market import _bundle_prices, split_kkt_violation
 from bicrit.tolerances import KKT_TOL, SPLIT_DUST
@@ -209,6 +210,29 @@ class TestSplitKKT:
         assert str(err.value).startswith("min-cost split gap ")
         assert err.value.best_splits.shape == (tied_per_type[free].sum(),) == (94,)
         assert err.value.residual > 0.1
+
+    def test_split_miss_carries_its_projected_gradient_history(self, monkeypatch):
+        # The one step's history is the projected gradient at the start: the
+        # even split of ud-00's tied types at its welfare prices.
+        inst = instances.load(os.path.join(os.path.dirname(__file__), "golden", "ud-00.json"))
+        prices = solve_welfare(inst).prices
+        monkeypatch.setattr(market, "NEWTON_STEPS", 1)
+        starts = []
+        run_newton = market_flow._run_newton
+
+        def recorded(program, z, max_iters):
+            point, history = run_newton(program, z, max_iters)
+            starts.append((program, program.project(z)))
+            return point, history
+
+        monkeypatch.setattr(market_flow, "_run_newton", recorded)
+        with pytest.raises(SolverError) as err:
+            evaluate(inst, prices)
+        program, z = starts[-1]
+        _, grad, _ = program.at(z)
+        assert err.value.history == [program.projected_gradient(z, grad)[0]]
+        assert err.value.history[0] > 0.0
+        assert err.value.row == 0
 
     def test_violation_matches_per_type_loop(self):
         # Random splits over random bundles.

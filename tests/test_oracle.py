@@ -283,3 +283,13 @@ def test_top_indices_match_a_stable_argsort(values):
     values = np.array(values)
     got = oracle._top_indices(values, oracle._REFINE_TOP)
     np.testing.assert_array_equal(got, np.argsort(-values, kind="stable")[: oracle._REFINE_TOP])
+
+
+@pytest.mark.parametrize("find", [oracle_max_welfare, oracle_max_profit])
+def test_best_price_vector_is_a_copy_of_its_grid_row(find):
+    # On tiny-00 at step lambda / 20 the grid is (21, 21, 21, 3); a view of
+    # one row would keep all of it alive.
+    inst = instances.load(os.path.join(GOLDEN, "tiny-00.json"))
+    _, prices = find(inst, GridSpec(inst.lambda_max / 20.0))
+    assert prices.shape == (3,)
+    assert prices.base is None

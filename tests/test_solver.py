@@ -1,6 +1,7 @@
 """Welfare solver: analytic optima, optimality certificates, and configs."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from bicrit import (
     min_cost_allocation,
     solve_welfare,
 )
-from bicrit import flow, solver
+from bicrit import flow, instances, solver
 from bicrit.flow import FlowProgram, _run_newton
 from bicrit.multi_minded import _ReserveFloored
 from bicrit.tolerances import NEWTON_STEPS, SOLVER_TOL
@@ -29,13 +30,34 @@ def _welfare_program(inst, costs):
     return FlowProgram(inst.stacked_masks, inst.bundle_sizes, costs, demand=inst.demand_batch)
 
 
+def _at(program, z):
+    """(value, gradient, point) of the program at the one split z, a stack of one row."""
+    return program.at(np.asarray(z, dtype=float)[None])
+
+
 def _objective(program, z):
-    return program.value_and_gradient(z)[0]
+    return _at(program, z)[0][0]
+
+
+def _gradient(program, z):
+    return _at(program, z)[1][0]
+
+
+def _certificate(program, z, tol):
+    """(gap, target) of the program at the one split z."""
+    gap, target = program.certificate(_at(program, z)[2], tol)
+    return gap[0], target[0]
 
 
 def _residual(program, z):
     """The program's projected gradient at z."""
-    return program.projected_gradient(z, program.value_and_gradient(z)[1])
+    z = np.asarray(z, dtype=float)[None]
+    return program.projected_gradient(z, program.at(z)[1])[0]
+
+
+def _newton_run(program, z, max_iters):
+    """The last iterate of one Newton run from the one split z."""
+    return _run_newton(program, np.asarray(z, dtype=float)[None], max_iters)[0].z[0]
 
 
 class TestAnalyticFixtures:
@@ -109,7 +131,7 @@ class TestOptimalityCertificates:
             inst = random_multi_minded_instance(rng, *draws[k % 6])
         assert (len(inst.goods), len(inst.buyer_types)) == (4, 2)
         program = _welfare_program(inst, inst.cost_batch)
-        z = _run_newton(program, np.zeros(program.caps.size), SolverConfig().max_iters)
+        z = _newton_run(program, np.zeros(program.caps.size), SolverConfig().max_iters)
         assert _residual(program, z) <= 1e-12
 
     def test_multi_minded_instances_certify(self):
@@ -125,6 +147,20 @@ class TestOptimalityCertificates:
             solve_welfare(inst, SolverConfig(max_iters=1))
         assert err.value.best_splits.shape == (int(inst.bundle_offsets[-1]),)
         assert err.value.residual > SolverConfig().tol
+
+    def test_nonconvergence_carries_the_projected_gradient_history(self):
+        # ud-00 with one Newton step: the history is the projected gradient
+        # at the start, z = 0, and the step ran no further.
+        inst = instances.load(os.path.join(os.path.dirname(__file__), "golden", "ud-00.json"))
+        with pytest.raises(SolverError) as err:
+            solve_welfare(inst, SolverConfig(max_iters=1))
+        assert err.value.history == [_residual(_welfare_program(inst, inst.cost_batch), np.zeros(int(inst.bundle_offsets[-1])))]
+        assert err.value.row == 0
+        assert err.value.residual > SolverConfig().tol
+        # Every step of a longer run adds its projected gradient.
+        with pytest.raises(SolverError) as err:
+            solve_welfare(inst, SolverConfig(max_iters=3))
+        assert len(err.value.history) == 3
 
     def test_max_iters_caps_the_whole_solve(self, monkeypatch):
         # This draw needs about ten Newton steps: four do not certify, and a
@@ -321,11 +357,11 @@ class TestDualGap:
             for tol in (np.inf, 0.0):
                 for z in (z_opt, (0.0, 0.0), (0.5, 0.1), (0.2, 0.2), (0.6, 0.3)):
                     z = np.array(z)
-                    gap, target = program.certificate(z, tol)
+                    gap, target = _certificate(program, z, tol)
                     assert target == tol * (1.0 + abs(_objective(program, z)))
                     assert f_opt - _objective(program, z) <= gap + 1e-12
-                    assert gap <= program.certificate(z, np.inf)[0]
-                assert program.certificate(np.array(z_opt), tol)[0] <= 1e-12
+                    assert gap <= _certificate(program, z, np.inf)[0]
+                assert _certificate(program, z_opt, tol)[0] <= 1e-12
 
     # The same market with the type's mass held fixed: C(y) = y^2 / 2 per
     # good, so a mass m on top of base b splits to equal allocations.
@@ -343,11 +379,11 @@ class TestDualGap:
             for tol in (np.inf, 0.0):
                 for share in (0.0, 0.1, 0.3, 0.75, 1.0):
                     z = mass * np.array([share, 1.0 - share])
-                    gap, target = program.certificate(z, tol)
+                    gap, target = _certificate(program, z, tol)
                     cost = -_objective(program, z)
-                    assert program.certificate(z, 0.5)[1] == 0.5 * (1.0 + abs(cost))
+                    assert _certificate(program, z, 0.5)[1] == 0.5 * (1.0 + abs(cost))
                     assert cost - cost_opt <= gap + 1e-12
-                assert program.certificate(np.array(z_opt), tol)[0] <= 1e-12
+                assert _certificate(program, z_opt, tol)[0] <= 1e-12
 
     @pytest.mark.parametrize("seed", range(8))
     def test_fixed_mass_gap_bounds_the_excess_over_the_split_oracle(self, seed):
@@ -362,10 +398,10 @@ class TestDualGap:
             inst, np.zeros(len(inst.goods)), masses, levels=10
         )
         n = program.caps.size
-        z_opt = flow.solve(program, np.repeat(masses / program.sizes, program.sizes), NEWTON_STEPS, SOLVER_TOL)
-        points = [program.project(rng.uniform(0.0, 1.0, size=n) * rng.random(n).round() + 1e-3) for _ in range(4)]
+        z_opt = flow.solve(program, np.repeat(masses / program.sizes, program.sizes)[None], NEWTON_STEPS, SOLVER_TOL).z[0]
+        points = [program.project(rng.uniform(0.0, 1.0, size=(1, n)) * rng.random((1, n)).round() + 1e-3)[0] for _ in range(4)]
         for z in [z_opt, *points]:
-            gap, _ = program.certificate(z, 1.0)
+            gap, _ = _certificate(program, z, 1.0)
             assert -_objective(program, z) - reference <= gap + 1e-12
 
     @staticmethod
@@ -377,7 +413,7 @@ class TestDualGap:
         """
         a = np.array([c.a for _, c in inst.goods])
         beta = np.array([c.beta for _, c in inst.goods])
-        p = program.costs.marginal(program.allocation(z))
+        p = program.costs.marginal(program.allocation(z[None]))[0]
         p_c = p if reserve is None else np.maximum(p, reserve)
         y0 = (p_c / a) ** (1.0 / beta)
         conjugate = p_c * y0 - a * y0 ** (beta + 1.0) / (beta + 1.0)
@@ -400,11 +436,11 @@ class TestDualGap:
             costs = inst.cost_batch if reserve is None else _ReserveFloored(inst, reserve)
             program = _welfare_program(inst, costs)
             n = program.caps.size
-            z_opt = _run_newton(program, np.zeros(n), SolverConfig().max_iters)
-            points = [np.zeros(n), z_opt, program.project(z_opt * rng.uniform(0.9, 1.1, size=n))]
+            z_opt = _newton_run(program, np.zeros(n), SolverConfig().max_iters)
+            points = [np.zeros(n), z_opt, program.project(z_opt * rng.uniform(0.9, 1.1, size=n))[0]]
             points += [rng.uniform(0.0, 1.0, size=n) * rng.random(n).round() for _ in range(4)]
             for z in points:
-                gap, _ = program.certificate(z, 1.0)
+                gap, _ = _certificate(program, z, 1.0)
                 f = _objective(program, z)
                 assert abs(gap - self._conjugate_gap(program, inst, reserve, z)) <= 1e-12 * (1.0 + abs(f))
 
@@ -421,7 +457,7 @@ class TestValueAndGradient:
             program = _welfare_program(inst, costs)
             z = rng.uniform(0.05, 1.0, size=program.caps.size)
             assert np.all(program.totals(z) < program.type_caps)
-            g = program.value_and_gradient(z)[1]
+            g = _gradient(program, z)
             h = 1e-6
             for j in range(z.size):
                 step = np.zeros_like(z)
@@ -456,9 +492,10 @@ class TestNewtonStep:
                     curvature = 0.0
                 else:
                     curvature = -inst.demand_batch.derivative(x)[owner][:, None] * types
-                y = program.allocation(z)
-                hessian = curvature + (inst.stacked_masks * costs.slope(y)) @ inst.stacked_masks.T
-                grad = program.value_and_gradient(z)[1]
+                _, gradient, point = _at(program, z)
+                y = point.y[0]
+                hessian = curvature + (inst.stacked_masks * costs.at(y[None])[1][0]) @ inst.stacked_masks.T
+                grad = gradient[0]
                 # Within a type, B^-1 is 1 / damping across the 1 direction, so
                 # rounding in the goods-space correction grows like 1 / damping.
                 for damping in (1.0, 1e-3, 1e-6):
@@ -472,7 +509,7 @@ class TestNewtonStep:
                         want[free] = np.linalg.solve(system, np.concatenate([grad[free], np.zeros(len(e))]))[: free.sum()]
                     else:
                         want[free] = np.linalg.solve(system, grad[free])
-                    got = program.newton_step(z, grad, free, damping)
+                    got = program.newton_step(point, gradient, free[None], [damping])[0]
                     scale = np.abs(want).max()
                     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * (1.0 + 1.0 / damping) * scale)
                     assert np.all(got[~free] == 0.0)
@@ -484,9 +521,9 @@ class TestProjectedGradient:
         inst = random_multi_minded_instance(rng, alpha=0.4, size_ratio=2)
         program = _welfare_program(inst, inst.cost_batch)
         z = rng.uniform(0.0, 0.5, size=program.caps.size) * (rng.random(program.caps.size) < 0.6)
-        g = program.value_and_gradient(z)[1]
-        want = np.max(np.abs(z - np.clip(z + g, 0.0, program.caps)))
-        assert program.projected_gradient(z, g) == want
+        g = _gradient(program, z)
+        want = np.max(np.abs(z - np.clip(z + g, 0.0, program.caps[0])))
+        assert program.projected_gradient(z[None], g[None])[0] == want
         assert _residual(_welfare_program(inst, inst.cost_batch), z) == want
 
     def test_vanishes_at_the_analytic_optimum(self, twin_goods_instance):

@@ -148,3 +148,16 @@ class TestTheoremBounds:
             assert opt.sw <= welfare_factor(alpha) * sol.sw + tol
             violations = cluster_diagnostics(inst, tp, sol, opt)
             assert not violations, violations
+
+
+def test_thresholded_prices_and_solution_do_not_share_arrays():
+    inst = random_unit_demand_instance(np.random.default_rng(5), 0.3)
+    opt = solve_welfare(inst)
+    tp, sol = price_unit_demand(inst, opt, inst.alpha)
+    assert tp.prices is not sol.prices
+    np.testing.assert_array_equal(tp.prices, sol.prices)
+    for field in (sol.prices, sol.demand, sol.split, sol.allocation, opt.prices, opt.allocation):
+        assert field.base is None
+    before = sol.prices.copy()
+    tp.prices += 1.0
+    np.testing.assert_array_equal(sol.prices, before)
