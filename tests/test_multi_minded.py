@@ -250,6 +250,55 @@ def test_blocked_newton_steps_equal_the_stacked_ones(monkeypatch):
             np.testing.assert_array_equal(got, want)
 
 
+def _stack_and_alone(k):
+    """The k-th ladder's rung programs: one stacked run and each rung's run alone, from opt's split."""
+    inst, opt, rungs = _ladder(k)
+    reserves = [r.dummy_price for r in rungs]
+    start = np.tile(opt.split, (len(reserves), 1))
+
+    def run(rows):
+        program = FlowProgram(
+            inst.stacked_masks, inst.bundle_sizes, _ReserveFloored(inst, [reserves[r] for r in rows]),
+            demand=inst.demand_batch,
+        )
+        return multi_minded_flow._run_newton(program, start[rows], SolverConfig().max_iters)
+
+    return run(list(range(len(reserves)))), [run([r]) for r in range(len(reserves))]
+
+
+def _assert_rows_run_alone(stacked, alone):
+    (point, history), points = stacked, [p for p, _ in alone]
+    assert history == [h[0] for _, h in alone]
+    for r, single in enumerate(points):
+        for got, want in zip(point, single):
+            np.testing.assert_array_equal(got[r], want[0])
+
+
+@pytest.mark.parametrize("k", [0, 7, 13])
+def test_rows_whose_backtracking_fails_leave_as_they_would_alone(k, monkeypatch):
+    # With one halving allowed, rows whose first trial step is rejected end
+    # their runs there, at different steps for different rows.
+    _ladder(k)
+    monkeypatch.setattr(multi_minded_flow, "MAX_HALVINGS", 1)
+    _assert_rows_run_alone(*_stack_and_alone(k))
+
+
+@pytest.mark.parametrize("k", [0, 7, 13])
+def test_a_singular_stacked_goods_solve_falls_back_row_by_row(k, monkeypatch):
+    # A stacked LU that meets a zero pivot in one row raises for the whole
+    # stack; each row is then solved alone, with the bits of its own run.
+    _ladder(k)
+    solve = np.linalg.solve
+
+    def singular_stacks(a, b):
+        if a.ndim == 3 and len(a) > 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(multi_minded_flow.np.linalg, "solve", singular_stacks)
+    _assert_rows_run_alone(*_stack_and_alone(k))
+
+
 @pytest.mark.parametrize("missing", [[1], [1, 2]])
 def test_failing_rung_names_its_index_and_reserve_price(monkeypatch, missing):
     """The ladder is one stacked run; where rungs miss their target the lowest is named."""
