@@ -209,52 +209,43 @@ class CostBatch:
         # A good with fewer pieces repeats its last one: the copy starts
         # where that piece does, so evaluating it changes nothing.
         table = np.array([t.take(range(width), axis=1, mode="clip") for t in tables]).transpose(1, 0, 2)
-        # Per piece j: its parameters and where it starts, in quantity and in
-        # price (the marginal there), one value per good.  Inputs with rows
-        # (the oracle's grid, a stack of flow programs) read the same values
-        # under a leading axis of length one: NumPy broadcasts operands of
-        # equal rank faster.
-        self._tables = {}
-        for rank, shape in ((1, np.s_[:]), (2, np.s_[None])):
-            columns = [np.ascontiguousarray(table[:, :, j][:, shape]) for j in range(width)]
-            self._tables[rank] = [(_piece_parameters(*c[2:]), c[0], c[1]) for c in columns]
+        # Where the pieces start, in quantity and in price (the marginal
+        # there), each goods x pieces; then per piece its (coeff, exponent,
+        # total_at_start, start power), one value per good.
+        self._starts, self._start_marginals = table[:2]
+        self._params = [_piece_parameters(*table[2:, :, j]) for j in range(width)]
 
-    def _on_pieces(self, formulas, v, by_price=False):
+    def _on_pieces(self, formulas, starts, v):
         """Each of formulas on the piece each good's v lies on: the one piece lookup.
 
-        v is a quantity, or a price if by_price.  Each piece after the first
-        overwrites the results from where it starts on.  Returns one array
-        per formula.
+        starts is where each good's pieces start, in v's units: _starts for
+        quantities, _start_marginals for prices.  Each piece after the first
+        overwrites the results from its start on.  Returns one array per
+        formula.
         """
-        pieces = self._tables[2 if v.ndim == 2 else 1]
-        outs = [formula(*pieces[0][0], v) for formula in formulas]
-        for params, start_y, start_p in pieces[1:]:
-            on = v >= (start_p if by_price else start_y)
+        outs = [formula(*self._params[0], v) for formula in formulas]
+        for j in range(1, starts.shape[1]):
             for out, formula in zip(outs, formulas):
-                np.copyto(out, formula(*params, v), where=on)
+                np.copyto(out, formula(*self._params[j], v), where=v >= starts[:, j])
         return outs
 
     def marginal(self, y):
-        return self._on_pieces((_piece_marginal,), _nonnegative(y))[0]
+        return self._on_pieces((_piece_marginal,), self._starts, _nonnegative(y))[0]
 
     def slope(self, y):
         """Derivative c'(y) of the marginal, the cost's curvature."""
-        return self._on_pieces((_piece_slope,), _nonnegative(y))[0]
+        return self._on_pieces((_piece_slope,), self._starts, _nonnegative(y))[0]
 
     def total(self, y):
-        return self._on_pieces((_piece_total,), _nonnegative(y))[0]
+        return self._on_pieces((_piece_total,), self._starts, _nonnegative(y))[0]
 
     def at(self, y):
-        """(c(y), c'(y), C(y)) from one domain check and one piece lookup."""
-        return self._on_pieces((_piece_marginal, _piece_slope, _piece_total), _nonnegative(y))
-
-    def take(self, rows):
-        """These costs on some rows of a stack of flow programs: every row has the same costs."""
-        return self
+        """(c(y), c'(y), C(y)) after one domain check."""
+        return self._on_pieces((_piece_marginal, _piece_slope, _piece_total), self._starts, _nonnegative(y))
 
     def marginal_inverse(self, p):
         """Quantities y0 = c^-1(p) with c(y0) = p, for non-negative prices p."""
         p = np.asarray(p, dtype=float)
         if (p < 0).any():
             raise CostDomainError("marginal inverse needs a non-negative price")
-        return self._on_pieces((_piece_inverse,), p, by_price=True)[0]
+        return self._on_pieces((_piece_inverse,), self._start_marginals, p)[0]

@@ -53,89 +53,75 @@ def _nonnegative(x, message):
 
 
 # -- family formulas ---------------------------------------------------------
-# One (core, eval, utility integral, inverse, derivative) tuple per kind of
-# analytic curve.  The core is the one subexpression a kind's eval, utility
-# and derivative share (exp(-x / scale), say), computed once per call; each
-# of those three formulas takes the quantity and its core, and the inverse
-# takes a price (and no core).  Every formula broadcasts over its
-# parameters and argument, and DemandBatch applies it with one parameter
-# array per kind, so each expression is written once and never sees a
-# scalar exponent (NumPy rounds x ** 2.0, say, differently from an
-# elementwise power).  The kinds are the families, except that a
-# generalized Pareto below ALPHA_LIMIT is "exponential" (its alpha -> 0
-# limit) and one at alpha = 1 is "gp-log" (its utility integral is a log).
+# One (eval, utility integral, inverse, derivative) tuple per kind of analytic
+# curve.  Every formula broadcasts over its parameters and argument, and
+# DemandBatch applies it with one parameter array per kind, so each
+# expression is written once and never sees a scalar exponent (NumPy rounds
+# x ** 2.0, say, differently from an elementwise power).  The kinds are the
+# families, except that a generalized Pareto below ALPHA_LIMIT is
+# "exponential" (its alpha -> 0 limit) and one at alpha = 1 is "gp-log" (its
+# utility integral is a log).
 
 
-def _linear_core(lam, alpha, scale, x):
-    return x
-
-
-def _linear_eval(lam, alpha, scale, x, core):
+def _linear_eval(lam, alpha, scale, x):
     return lam * np.maximum(0.0, 1.0 - x / scale)
 
 
-def _linear_utility(lam, alpha, scale, z, core):
+def _linear_utility(lam, alpha, scale, z):
     return lam * (z - z * z / (2.0 * scale))
 
 
-def _linear_inverse(lam, alpha, scale, p, core):
+def _linear_inverse(lam, alpha, scale, p):
     return scale * (1.0 - p / lam)
 
 
-def _linear_derivative(lam, alpha, scale, x, core):
+def _linear_derivative(lam, alpha, scale, x):
     return np.zeros_like(x) - lam / scale
 
 
-def _exp_core(lam, alpha, scale, x):
-    return np.exp(-x / scale)
+def _exp_eval(lam, alpha, scale, x):
+    return lam * np.exp(-x / scale)
 
 
-def _exp_eval(lam, alpha, scale, x, e):
-    return lam * e
+def _exp_utility(lam, alpha, scale, z):
+    return lam * scale * (1.0 - np.exp(-z / scale))
 
 
-def _exp_utility(lam, alpha, scale, z, e):
-    return lam * scale * (1.0 - e)
-
-
-def _exp_inverse(lam, alpha, scale, p, core):
+def _exp_inverse(lam, alpha, scale, p):
     return scale * np.log(lam / p)
 
 
-def _exp_derivative(lam, alpha, scale, x, e):
-    return -lam / scale * e
+def _exp_derivative(lam, alpha, scale, x):
+    return -lam / scale * np.exp(-x / scale)
 
 
-def _gp_core(lam, alpha, scale, x):
-    return 1.0 + alpha * x / scale
+def _gp_eval(lam, alpha, scale, x):
+    return lam * (1.0 + alpha * x / scale) ** (-1.0 / alpha)
 
 
-def _gp_eval(lam, alpha, scale, x, base):
-    return lam * base ** (-1.0 / alpha)
-
-
-def _gp_utility(lam, alpha, scale, z, base):
+def _gp_utility(lam, alpha, scale, z):
+    base = 1.0 + alpha * z / scale
     return lam * scale / (1.0 - alpha) * (1.0 - base ** (1.0 - 1.0 / alpha))
 
 
-def _gp_log_utility(lam, alpha, scale, z, base):
+def _gp_log_utility(lam, alpha, scale, z):
     return lam * scale * np.log1p(z / scale)
 
 
-def _gp_inverse(lam, alpha, scale, p, core):
+def _gp_inverse(lam, alpha, scale, p):
     return scale / alpha * ((lam / p) ** alpha - 1.0)
 
 
-def _gp_derivative(lam, alpha, scale, x, base):
-    return -lam / scale * base ** (-1.0 / alpha - 1.0)
+def _gp_derivative(lam, alpha, scale, x):
+    return -lam / scale * (1.0 + alpha * x / scale) ** (-1.0 / alpha - 1.0)
 
 
-_CORE, _EVAL, _UTILITY, _INVERSE, _DERIVATIVE = range(5)
+_EVAL, _UTILITY, _INVERSE, _DERIVATIVE = range(4)
 _FORMULAS = {
-    "linear": (_linear_core, _linear_eval, _linear_utility, _linear_inverse, _linear_derivative),
-    "exponential": (_exp_core, _exp_eval, _exp_utility, _exp_inverse, _exp_derivative),
-    "generalized-pareto": (_gp_core, _gp_eval, _gp_utility, _gp_inverse, _gp_derivative),
-    "gp-log": (_gp_core, _gp_eval, _gp_log_utility, _gp_inverse, _gp_derivative),
+    "linear": (_linear_eval, _linear_utility, _linear_inverse, _linear_derivative),
+    "exponential": (_exp_eval, _exp_utility, _exp_inverse, _exp_derivative),
+    "generalized-pareto": (_gp_eval, _gp_utility, _gp_inverse, _gp_derivative),
+    "gp-log": (_gp_eval, _gp_log_utility, _gp_inverse, _gp_derivative),
 }
 
 
@@ -367,55 +353,51 @@ class DemandBatch:
             np.array([d.scale for d in curves]),
         )
         kinds = [d._kind for d in curves]
-        # (index, formulas, parameters at index) per analytic kind.  Inputs
-        # with rows (the oracle's grid, a stack of flow programs) read the
-        # parameters under a leading axis of length one: NumPy broadcasts
-        # operands of equal rank faster.
-        self._kinds = {1: [], 2: []}
+        self._kinds = []  # (index, formulas, parameters at index) per analytic kind
         for kind in dict.fromkeys(k for k in kinds if k != "tabulated"):
             at = [i for i, k in enumerate(kinds) if k == kind]
             index = slice(None) if len(at) == len(curves) else np.array(at)
-            for rank, shape in ((1, np.s_[:]), (2, np.s_[None])):
-                self._kinds[rank].append((index, _FORMULAS[kind], tuple(a[index][shape] for a in params)))
-        # (index, formulas in _FORMULAS order, no core) per tabulated curve
+            self._kinds.append((index, _FORMULAS[kind], tuple(a[index] for a in params)))
+        # (index, formulas in _FORMULAS order) per tabulated curve
         self._tabulated = [
-            (i, (None, d._tabulated_eval, d._tabulated_utility, d._inverse_tabulated, d._tabulated_derivative))
+            (i, (d._tabulated_eval, d._tabulated_utility, d._inverse_tabulated, d._tabulated_derivative))
             for i, d in enumerate(curves) if d._kind == "tabulated"
         ]
         # The truncation floor: each curve's price at its support ceiling.
-        self._floor = np.maximum(self._apply((_EVAL,), self.support_ceiling)[0], TINY)
+        self._floor = np.maximum(self._apply(_EVAL, self.support_ceiling), TINY)
 
-    def _apply(self, whiches, x):
-        """The formulas whiches (_FORMULAS positions) at x, one result each.
-
-        Each kind's values are gathered from x, and their core computed, once
-        for all of them.
-        """
-        kinds = self._kinds[2 if x.ndim == 2 else 1]
-        on_core = whiches != (_INVERSE,)  # the inverse maps prices: it has no core
-
-        def results(formulas, params, v):
-            core = formulas[_CORE](*params, v) if on_core else None
-            return [formulas[which](*params, v, core) for which in whiches]
-
-        if len(kinds) == 1 and not self._tabulated:
-            # One kind covers every curve: its formulas' results are the answer.
-            return results(*kinds[0][1:], x)
-        outs = [np.empty_like(x) for _ in whiches]
-        for index, formulas, params in kinds:
-            for out, result in zip(outs, results(formulas, params, x.take(index, axis=-1))):
-                out[..., index] = result
+    def _apply(self, which, x):
+        if len(self._kinds) == 1 and not self._tabulated:
+            # One kind covers every curve: its formula's result is the answer.
+            _, formulas, params = self._kinds[0]
+            return formulas[which](*params, x)
+        out = np.empty_like(x)
+        for index, formulas, params in self._kinds:
+            out[..., index] = formulas[which](*params, x[..., index])
         for i, formulas in self._tabulated:
-            for out, which in zip(outs, whiches):
-                out[..., i] = formulas[which](x[..., i])
-        return outs
+            out[..., i] = formulas[which](x[..., i])
+        return out
 
     def _below_ceiling(self, which, x, message):
         """The formula which at x, zero at or beyond each support ceiling."""
         x = _nonnegative(x, message)
-        out = self._apply((which,), x)[0]
+        out = self._apply(which, x)
         np.copyto(out, 0.0, where=x >= self.support_ceiling)
         return out
+
+    def at(self, x):
+        """(lambda(x), lambda'(x), U(x)): eval, derivative and utility_integral after one domain check.
+
+        All three are formulas at z = min(x, ceiling): below the ceiling z is
+        x, and at or beyond it eval and derivative are zero.
+        """
+        x = _nonnegative(x, "demand evaluated at negative quantity")
+        beyond = x >= self.support_ceiling
+        z = np.minimum(x, self.support_ceiling)
+        price, slope, utility = (self._apply(which, z) for which in (_EVAL, _DERIVATIVE, _UTILITY))
+        np.copyto(price, 0.0, where=beyond)
+        np.copyto(slope, 0.0, where=beyond)
+        return price, slope, utility
 
     def eval(self, x):
         """Prices lambda_i(x_i); zero at or beyond each support ceiling."""
@@ -428,20 +410,7 @@ class DemandBatch:
     def utility_integral(self, x):
         """Surplus integrals of lambda_i from 0 to x_i (flat past the ceiling)."""
         x = _nonnegative(x, "utility integral over negative quantity")
-        return self._apply((_UTILITY,), np.minimum(x, self.support_ceiling))[0]
-
-    def at(self, x):
-        """(lambda(x), lambda'(x), U(x)): eval, derivative and utility_integral after one domain check.
-
-        All three are formulas at z = min(x, ceiling) on one core: below the
-        ceiling z is x, and at or beyond it eval and derivative are zero.
-        """
-        x = _nonnegative(x, "demand evaluated at negative quantity")
-        beyond = x >= self.support_ceiling
-        price, slope, utility = self._apply((_EVAL, _DERIVATIVE, _UTILITY), np.minimum(x, self.support_ceiling))
-        np.copyto(price, 0.0, where=beyond)
-        np.copyto(slope, 0.0, where=beyond)
-        return price, slope, utility
+        return self._apply(_UTILITY, np.minimum(x, self.support_ceiling))
 
     def _inverse_clamped(self, p):
         """Largest x_i with lambda_i(x_i) >= p_i, capped at the support ceiling.
@@ -449,7 +418,7 @@ class DemandBatch:
         Prices are clipped into [truncation floor, lambda_max] first, so a
         price below the floor maps to the whole support.
         """
-        x = self._apply((_INVERSE,), np.clip(p, self._floor, self.lambda_max))[0]
+        x = self._apply(_INVERSE, np.clip(p, self._floor, self.lambda_max))
         return np.minimum(x, self.support_ceiling, out=x)
 
     def demand_at_price(self, q):

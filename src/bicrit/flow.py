@@ -38,25 +38,11 @@ that level and the projected gradient is at most PG_STOP or has not halved in
 three steps (at large price scales, rounding in F keeps it above PG_STOP), or
 once backtracking fails or max_iters steps are taken.
 
-A FlowProgram is a stack of R such programs that share the incidence, the
-demand and any fixed masses and base; only the costs may differ from one
-stack row to the next (a reserve-price ladder's rungs).  An iterate z holds
-one split per stack row, shape (R, n), and every stack row keeps its own
-projected gradient, history and damping, active set, Newton step, Armijo
-step and halvings, stop test, max_iters cap and certificate: a stack row's
-run is the run it would have alone, bit for bit.  The stack only shares
-the Python and kernel calls of one step among its rows.  A stack row that
-stops leaves the stack, so a run does the sum of its rows' steps in row
-work, never R times the longest.  (Each row's bits match the one-row run
-because every operation over a row is one of stacked matmul, last-axis
-reduce or reduceat, bincount over row-offset bins, or stacked
-np.linalg.solve; a 2-D GEMM or einsum would sum in another order.)
-
 Each iterate is evaluated once, by FlowProgram.at: one kernel call per
 family of the program's DemandBatch and batched costs gives the value, the
-gradient and the Point that the Newton step and the certificate read.
+gradient and everything the Newton step and the certificate read of it.
 
-solve runs the loop once and certifies each stack row's last iterate z by the
+solve runs the loop once and certifies its last iterate z by the
 weak-duality gap at the posted prices p = c(y(z)).  The welfare program's
 dual D(p) = sum_g C*_g(p_g) + sum_i max_t [U_i(t) - q_i t], q_i = min_S p(S),
 bounds SW from above at every p >= 0, and at p = c(y) Fenchel's equality
@@ -76,91 +62,56 @@ gap above tol * (1 + |value|), value = SW(z) or -C(y), raises SolverError.
 
 from __future__ import annotations
 
-import copy
 from typing import NamedTuple
 
 import numpy as np
 
 from .tolerances import ACTIVE_EPS, ARMIJO, DAMPING_FLOOR, MAX_HALVINGS, PG_STOP, ROUNDING_REL
 
-# A Newton step holds, for each stack row, a goods x goods matrix and a value
-# per pair of incidence entries on one type.  A stack whose rows need more
-# of these cells than this in all is stepped a block of rows at a time, so
-# that its peak memory is that of its largest block, never R times a row's.
-STACK_CELLS = 1 << 18
-
 
 class SolverError(RuntimeError):
     """A Newton run of either program missed its gap's target (see solve).
 
-    row is the first stack row that missed, best_splits its last iterate
-    (the free types' rows in order for a min-cost split), residual its gap
-    and history its projected gradient at the start of each Newton step.
+    best_splits is the run's last iterate, the free types' rows in order for
+    a min-cost split, residual its gap and history the projected gradient at
+    the start of each Newton step.
     """
 
-    def __init__(self, message, best_splits=None, residual=None, history=None, row=None):
+    def __init__(self, message, best_splits=None, residual=None, history=None):
         super().__init__(message)
         self.best_splits = best_splits
         self.residual = residual
         self.history = history
-        self.row = row
 
 
 class Point(NamedTuple):
-    """One evaluation of a stack at its iterates z, one row per stack row.
+    """One evaluation of a program at its iterate z (FlowProgram.at).
 
     x holds the types' totals, y the allocation, sums each bundle row's
-    marginal-cost sum p(S_r) at p = c(y), utility the terms U_i(x_i) (zero
-    for a split), w the curvature -lambda'(x) (inf for a split), slope c'(y)
-    and value SW(z) (-C(y) for a split).  Each type's cheapest sum q_i, which
-    only the split's gradient and the certificate read, is
-    FlowProgram.cheapest(sums).
+    marginal-cost sum p(S_r) at p = c(y), utility the terms U_i(x_i) (None
+    for a split), w the curvature -lambda'(x) (inf for a split), slope c'(y),
+    value SW(z) (-C(y) for a split) and gradient grad SW(z).
     """
 
     z: np.ndarray
     x: np.ndarray
     y: np.ndarray
     sums: np.ndarray
-    utility: np.ndarray
-    w: np.ndarray
+    utility: np.ndarray | None
+    w: np.ndarray | float
     slope: np.ndarray
-    value: np.ndarray
-
-    def take(self, rows):
-        """The point of the stack rows rows."""
-        return Point(*(field[rows] for field in self))
-
-    def put(self, rows, other, other_rows):
-        """Write other's stack rows other_rows over this point's rows rows (index arrays)."""
-        for field, new in zip(self, other):
-            field[rows] = new[other_rows]
-
-
-def _dots(a, b):
-    """Each stack row's dot product a_r . b_r as a list of floats, bit for bit the 1-D a_r @ b_r."""
-    if len(a) == 1:
-        return [float(a[0] @ b[0])]
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0].tolist()
-
-
-def _per_row(values):
-    """A list of one float per stack row as the column it broadcasts from.
-
-    A lone row's is the float itself, NumPy's cheapest broadcast; it gives
-    every element the same bits as the column would.
-    """
-    return values[0] if len(values) == 1 else np.array(values)[:, None]
+    value: float
+    gradient: np.ndarray
 
 
 class FlowProgram:
-    """A stack of flow programs over the bundle incidence stacked, sizes[i] rows per type.
+    """A flow program over the bundle incidence stacked, sizes[i] rows per type.
 
-    costs is a batched cost over the goods: at(y) gives the marginal,
-    slope and total of one value per good, with the stack rows on the
-    leading axis, and take(rows) the costs of some stack rows.  With a
-    DemandBatch demand it is the welfare program, each type's total capped
-    at its demand support; with fixed masses instead it is the min-cost
-    split of those masses on top of the allocation base.
+    costs is a batched cost over the goods: at(y) gives the marginal, slope
+    and total of one value per good.  With a DemandBatch demand it is the
+    welfare program, each type's total capped at its demand support; with
+    fixed masses instead it is the min-cost split of those masses on top of
+    the allocation base.
     """
 
     def __init__(self, stacked, sizes, costs, demand=None, masses=None, base=0.0):
@@ -172,7 +123,7 @@ class FlowProgram:
         self.offsets = np.concatenate([[0], np.cumsum(sizes)])
         self.stacked = stacked
         self.type_caps = np.full(len(sizes), np.inf) if masses is not None else demand.support_ceiling
-        self.caps = np.repeat(self.type_caps, self.sizes)[None]  # shaped like one stack row
+        self.caps = np.repeat(self.type_caps, self.sizes)
         n_types, n_goods = len(self.sizes), self.stacked.shape[1]
         owner = np.repeat(np.arange(n_types), self.sizes)
         # The incidence's nonzeros: entry e puts bundle row _rows[e] on good _goods[e].
@@ -187,75 +138,62 @@ class FlowProgram:
         width = per_type[self._pair_type]
         e1, e2 = first + local // width, first + local % width
         self._pair_rows = self._rows[e1], self._rows[e2]
-        self._pair_same = (self._pair_rows[0] == self._pair_rows[1]).astype(float)[None]
+        self._pair_same = (self._pair_rows[0] == self._pair_rows[1]).astype(float)
         self._pair_cells = self._goods[e1] * n_goods + self._goods[e2]
 
     def totals(self, z):
-        return np.add.reduceat(z, self.offsets[:-1], axis=-1)
+        return np.add.reduceat(z, self.offsets[:-1])
 
     def allocation(self, z):
-        return self.base + (z[:, None, :] @ self.stacked)[:, 0]
-
-    def take(self, rows):
-        """The stack of the rows rows of this one: the same program but for their costs."""
-        part = copy.copy(self)
-        part.costs = self.costs.take(rows)
-        return part
+        return self.base + self.stacked.T @ z
 
     def at(self, z):
-        """(value, gradient, point) of the stack at its iterates z, one row each.
-
-        value is SW(z) (-C(y) for a split) and gradient grad SW(z); the Point
-        holds what the Newton step and the certificate read.  One kernel call
-        per family computes it.
-        """
+        """The Point of z: SW(z) (-C(y) for a split), grad SW(z) and what the
+        Newton step and the certificate read, from one kernel call per family."""
         x, y = self.totals(z), self.allocation(z)
         marginal, slope, total = self.costs.at(y)
-        sums = (self.stacked @ marginal[..., None])[..., 0]
+        sums = self.stacked @ marginal
         if self.masses is None:
             price, derivative, utility = self.demand.at(x)
-            w = -derivative
+            w, value = -derivative, float(utility.sum() - total.sum())
         else:
             # Fixed totals make any per-type term irrelevant; the cheapest sum
             # puts the optimum's gradient at zero on the used bundles.
-            price, utility, w = self.cheapest(sums), np.zeros_like(x), np.full_like(x, np.inf)
-        value = utility.sum(axis=-1) - total.sum(axis=-1)
-        gradient = np.repeat(price, self.sizes, axis=-1) - sums
-        return value, gradient, Point(z, x, y, sums, utility, w, slope, value)
+            price, utility, w = self.cheapest(sums), None, np.inf
+            value = float(0.0 - total.sum())
+        return Point(z, x, y, sums, utility, w, slope, value, np.repeat(price, self.sizes) - sums)
 
     def cheapest(self, sums):
         """Each type's cheapest bundle sum q_i = min over its rows of sums."""
-        return np.minimum.reduceat(sums, self.offsets[:-1], axis=-1)
+        return np.minimum.reduceat(sums, self.offsets[:-1])
 
     def projected_gradient(self, z, gradient):
-        """KKT residual ||z - P(z + gradient)||_inf of each stack row, P the projection on [0, cap].
+        """KKT residual ||z - P(z + gradient)||_inf, P the projection on [0, cap].
 
         gradient is grad SW(z); the residual is zero exactly at the
         program's optima.
         """
-        return np.abs(z - np.clip(z + gradient, 0.0, self.caps)).max(axis=-1)
+        return float(np.abs(z - np.clip(z + gradient, 0.0, self.caps)).max())
 
     def project(self, z):
         """z clipped into [0, cap], each fixed-mass block then rescaled to its total."""
         z = np.clip(z, 0.0, self.caps)
         if self.masses is not None:
-            z *= np.repeat(self.masses / self.totals(z), self.sizes, axis=-1)
+            z *= np.repeat(self.masses / self.totals(z), self.sizes)
         return z
 
     def certificate(self, point, tol):
-        """(gap, target) of each stack row: the module docstring's gap at p = c(y(z)), and tol * (1 + |value|)."""
+        """(gap, target) at the Point point: the module docstring's gap at p = c(y(z)), and tol * (1 + |value|)."""
         q, x = self.cheapest(point.sums), point.x
-        gap = np.array(_dots(point.z, point.sums - np.repeat(q, self.sizes, axis=-1)))
+        gap = point.z @ (point.sums - np.repeat(q, self.sizes))
         if self.masses is None:
             t = self.demand.demand_at_price(q)
-            gap += (self.demand.utility_integral(t) - point.utility - q * (t - x)).sum(axis=-1)
-        return gap, tol * (1.0 + np.abs(point.value))
+            gap += (self.demand.utility_integral(t) - point.utility - q * (t - x)).sum()
+        return float(gap), tol * (1.0 + abs(point.value))
 
-    def newton_step(self, point, gradient, free, damping):
-        """The d solving (H + damping I) d = gradient on the free coordinates, 0 elsewhere.
+    def newton_step(self, point, free, damping):
+        """The d solving (H + damping I) d = gradient on the free coordinates, 0 elsewhere, at the Point point.
 
-        One d per stack row of point, each with its own damping (a list of
-        one float per row).
         H = E^T diag(w) E + A diag(c'(y)) A^T, w = -lambda'(x), is the Hessian
         of -SW at z (E the type incidence, A the bundle rows), restricted to
         the free coordinates; with fixed masses w = inf, and d is the limit,
@@ -266,191 +204,100 @@ class FlowProgram:
         so that goods at c' = 0 drop out.
         """
         n_goods = self.stacked.shape[1]
-        block = max(1, STACK_CELLS // (n_goods * n_goods + len(self._pair_type)))
-        if len(gradient) > block:
-            return np.concatenate([
-                self.newton_step(point.take(rows), gradient[rows], free[rows], damping[rows])
-                for rows in (slice(r, r + block) for r in range(0, len(gradient), block))
-            ])
-        n_stack, n = gradient.shape
-        starts = self.offsets[:-1]
         on = free.astype(float)
-        s = np.sqrt(point.slope)
-        damping = _per_row(damping)
+        w, s = point.w, np.sqrt(point.slope)
         # A type's block on its m free coordinates is damping + w m along 1
         # and damping across it.  Inverting the two parts apart gives a single
         # free bundle 1 / (damping + w) with no cancellation.
-        m = np.maximum(np.add.reduceat(on, starts, axis=-1), 1.0)
-        along = 1.0 / (damping + point.w * m)
+        m = np.maximum(np.add.reduceat(on, self.offsets[:-1]), 1.0)
+        along = 1.0 / (damping + w * m)
 
         def solve_b(v):  # B^-1 v on the free coordinates
             v = v * on
-            mean = on * np.repeat(np.add.reduceat(v, starts, axis=-1) / m, self.sizes, axis=-1)
-            return (v - mean) / damping + mean * np.repeat(along, self.sizes, axis=-1)
+            mean = on * np.repeat(np.add.reduceat(v, self.offsets[:-1]) / m, self.sizes)
+            return (v - mean) / damping + mean * np.repeat(along, self.sizes)
 
-        def bincount(bins, weights, width):  # np.bincount of each stack row over its own width bins
-            if n_stack > 1:
-                bins = bins + width * np.arange(n_stack)[:, None]
-            return np.bincount(bins.ravel(), weights.ravel(), minlength=n_stack * width).reshape(n_stack, width)
-
-        # Gathers along the last axis use take, far cheaper per call than
-        # fancy indexing on a stack.
-        u = solve_b(gradient)
+        u = solve_b(point.gradient)
         pt = self._pair_type
-        b_inv = (self._pair_same - 1.0 / m.take(pt, axis=-1)) / damping + (along / m).take(pt, axis=-1)
-        weights = on.take(self._pair_rows[0], axis=-1) * on.take(self._pair_rows[1], axis=-1) * b_inv
-        k = bincount(self._pair_cells, weights, n_goods * n_goods).reshape(n_stack, n_goods, n_goods)
-        k *= s[:, :, None] * s[:, None, :]
-        k.reshape(n_stack, -1)[:, :: n_goods + 1] += 1.0
-        rhs = s * bincount(self._goods, u.take(self._rows, axis=-1), n_goods)
-        t = s * _solve_goods(k, rhs)
-        return u - solve_b(bincount(self._rows, t.take(self._goods, axis=-1), n))
-
-
-def _solve_goods(k, rhs):
-    """k^-1 rhs for each stack row.
-
-    k is symmetric with every eigenvalue at least 1, but its entries grow
-    like 1 / damping: near rounding, LU can meet an exactly zero pivot, and
-    least squares then gives that row the smallest solution instead.
-    """
-    try:
-        return np.linalg.solve(k, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if len(k) == 1:
-            return np.linalg.lstsq(k[0], rhs[0], rcond=None)[0][None]
-        return np.concatenate([_solve_goods(k[r : r + 1], rhs[r : r + 1]) for r in range(len(k))])
+        b_inv = (self._pair_same - 1.0 / m[pt]) / damping + (along / m)[pt]
+        weights = on[self._pair_rows[0]] * on[self._pair_rows[1]] * b_inv
+        k = np.bincount(self._pair_cells, weights, minlength=n_goods * n_goods).reshape(n_goods, n_goods)
+        k *= s[:, None] * s
+        k.flat[:: n_goods + 1] += 1.0
+        rhs = s * np.bincount(self._goods, u[self._rows], minlength=n_goods)
+        # k is symmetric with every eigenvalue at least 1, but its entries grow
+        # like 1 / damping: near rounding, LU can meet an exactly zero pivot,
+        # and least squares then gives the smallest solution instead.
+        try:
+            t = s * np.linalg.solve(k, rhs)
+        except np.linalg.LinAlgError:
+            t = s * np.linalg.lstsq(k, rhs, rcond=None)[0]
+        return u - solve_b(np.bincount(self._rows, t[self._goods], minlength=len(on)))
 
 
 def solve(program, z, max_iters, tol):
-    """The optimum of each stack row from z: one run of at most max_iters Newton steps, certified at tol.
-
-    Returns the Point of the last iterates.  The first stack row whose gap
-    misses its target raises SolverError.
-    """
+    """The optimum from z: one run of at most max_iters Newton steps, its gap certified at tol."""
     point, history = _run_newton(program, z, max_iters)
     gap, target = program.certificate(point, tol)
-    missed = np.flatnonzero(gap > target)
-    if missed.size:
-        r = int(missed[0])
+    if gap > target:
         name = "min-cost split" if program.masses is not None else "welfare solver"
-        raise SolverError(
-            f"{name} gap {float(gap[r]):.3e} above tolerance {float(target[r]):.3e}",
-            best_splits=point.z[r].copy(),
-            residual=float(gap[r]),
-            history=history[r],
-            row=r,
-        )
-    return point
+        message = f"{name} gap {gap:.3e} above tolerance {target:.3e}"
+        raise SolverError(message, best_splits=point.z, residual=gap, history=history)
+    return point.z
 
 
 def _run_newton(program, z, max_iters):
-    """Damped projected Newton on F = -SW(z) from z, each stack row on its own (see the module docstring).
+    """Damped projected Newton on F = -SW(z) from z (see the module docstring).
 
-    Returns (point, history): the Point of each stack row's last iterate,
-    uncertified (solve is the one caller in bicrit), and each stack row's
-    projected gradient at the start of each of its steps.  The loop runs on
-    the stack of the live rows: a row that stops leaves it, its last point
-    kept in the returned one.  Per-row numbers (projected gradient, value,
-    decrement) are Python floats, as cheap for one row as for a few.
+    Returns (point, history): the Point of the last iterate, uncertified
+    (solve is the one caller in bicrit), and the projected gradient at the
+    start of each step.
     """
-    history = [[] for _ in range(len(z))]
-    live = np.arange(len(z))  # the stack rows still running, in order
-    rows = live.tolist()
-    stack = program  # the program of the live rows
-    _, grad, point = stack.at(stack.project(z))
-    final = point  # each stack row's last point, written as the row leaves
-
-    def leave(gone):
-        """Drop the live rows marked gone, keeping their last points."""
-        nonlocal live, rows, stack, point, grad
-        gone = np.array(gone)
-        final.put(live[gone], point, gone)
-        keep = ~gone
-        live, point, grad = live[keep], point.take(keep), grad[keep]
-        rows = live.tolist()
-        stack = program.take(live)
-        return keep
-
-    for step_count in range(max_iters):
-        z = point.z
-        pgs = stack.projected_gradient(z, grad).tolist()
-        for r, value in zip(rows, pgs):
-            history[r].append(value)
+    point = program.at(program.project(z))
+    history = []
+    for _ in range(max_iters):
+        z, grad = point.z, point.gradient
+        pg = program.projected_gradient(z, grad)
+        history.append(pg)
         # grad is the gradient of SW, so F falls toward 0 where grad_k < 0
         # and toward the cap where grad_k > 0.  Without the cap side, a type
         # at the ceiling of a curve that ends at a positive price (the curve
         # reads 0 at the ceiling) steps back below it and returns, forever.
-        eps = _per_row([min(ACTIVE_EPS, p) for p in pgs])
+        eps = min(ACTIVE_EPS, pg)
         fixed = (z <= eps) & (grad < 0.0)
-        capped = (z >= stack.caps - eps) & (grad > 0.0)
+        capped = (z >= program.caps - eps) & (grad > 0.0)
         # A bundle at zero stays there unless it gains more than every bundle
         # its type uses below the cap, which can take the mass instead.  One
         # that differs from a used bundle only in goods at c'(0) = 0 would
         # otherwise get half of each mass shift, the damped step having no
         # curvature to tell the two apart, and cycle in and out of zero.
-        used = (z > 0.0) & (z < stack.caps)
-        best = np.maximum.reduceat(np.where(used, grad, -np.inf), stack.offsets[:-1], axis=-1)
-        fixed |= (z == 0.0) & (grad <= np.repeat(best, stack.sizes, axis=-1))
-        if stack.masses is not None:
+        used = (z > 0.0) & (z < program.caps)
+        best = np.maximum.reduceat(np.where(used, grad, -np.inf), program.offsets[:-1])
+        fixed |= (z == 0.0) & (grad <= np.repeat(best, program.sizes))
+        if program.masses is not None:
             # The mass a fixed block's fixed entries give up needs a free
             # entry to go to: its largest (Bertsekas's reference coordinate).
-            fixed &= z < np.repeat(np.maximum.reduceat(z, stack.offsets[:-1], axis=-1), stack.sizes, axis=-1)
-        d = stack.newton_step(point, grad, ~(fixed | capped), [max(p, DAMPING_FLOOR) for p in pgs])
+            fixed &= z < np.repeat(np.maximum.reduceat(z, program.offsets[:-1]), program.sizes)
+        d = program.newton_step(point, ~(fixed | capped), max(pg, DAMPING_FLOOR))
         # A full step sends the fixed coordinates to 0 and the capped ones to
         # their cap; a shorter one only moves them toward it, so that every
         # short enough step is a descent.
-        np.copyto(d, -z, where=fixed)
-        np.copyto(d, stack.caps - z, where=capped)
-        f = point.value.tolist()
+        d[fixed] = -z[fixed]
+        d[capped] = program.caps[capped] - z[capped]
         # Below this decrement a step's gain is lost in the objective's rounding.
-        unseen = [gain <= ROUNDING_REL * (1.0 + abs(value)) for gain, value in zip(_dots(grad, d), f)]
-        stops = [
-            hidden and (p <= PG_STOP or (step_count >= 3 and p > 0.5 * history[r][-4]))
-            for r, p, hidden in zip(rows, pgs, unseen)
-        ]
-        if all(stops):
+        f = point.value
+        unseen = grad @ d <= ROUNDING_REL * (1.0 + abs(f))
+        if unseen and (pg <= PG_STOP or (len(history) > 3 and pg > 0.5 * history[-4])):
             break
-        if any(stops):
-            keep = leave(stops)
-            z, d = point.z, d[keep]
-            f, unseen = [v for v, k in zip(f, stops) if not k], [u for u, k in zip(unseen, stops) if not k]
-        # Armijo backtracking, every searching row at the same step.  Rows
-        # part only where one takes a step that another does not.
-        searching = list(range(len(live)))
-        trial, z_old, d_old, grad_old = stack, z, d, grad
         step = 1.0
         for _ in range(MAX_HALVINGS):
-            z_new = trial.project(z_old + step * d_old)
-            _, grad_new, point_new = trial.at(z_new)
+            trial = program.at(program.project(z + step * d))
             # The slack is rounding in the objective; a step whose gain F
             # cannot resolve is taken whole.
-            taken = [
-                unseen[i] or new >= f[i] + ARMIJO * gain - ROUNDING_REL * abs(f[i])
-                for i, new, gain in zip(searching, point_new.value.tolist(), _dots(grad_old, z_new - z_old))
-            ]
-            if all(taken) and len(searching) == len(live):
-                grad, point = grad_new, point_new
-                searching = []
+            if unseen or trial.value >= f + ARMIJO * float(grad @ (trial.z - z)) - ROUNDING_REL * abs(f):
                 break
-            if any(taken):
-                accepted = np.array([i for i, ok in zip(searching, taken) if ok])
-                taken = np.array(taken)
-                point.put(accepted, point_new, taken)
-                grad[accepted] = grad_new[taken]
-                searching = [i for i, ok in zip(searching, taken.tolist()) if not ok]
-                if not searching:
-                    break
-                trial = stack.take(searching)
-                z_old, d_old, grad_old = z[searching], d[searching], grad[searching]
             step *= 0.5
-        # A row whose backtracking failed ends where it is.
-        if searching:
-            failed = [False] * len(live)
-            for i in searching:
-                failed[i] = True
-            leave(failed)
-            if not live.size:
-                break
-    final.put(live, point, slice(None))
-    return final, history
+        else:
+            break
+        point = trial
+    return point, history

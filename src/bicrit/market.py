@@ -279,10 +279,10 @@ def split_min_cost(cost_fns, masks, totals):
     masses = np.array([totals[i] for i in free], dtype=float)
     stacked = np.vstack([masks[i] for i in free])
     program = FlowProgram(stacked, sizes, _cost_batch(tuple(cost_fns)), masses=masses, base=base)
-    point = solve(program, np.repeat(masses / sizes, sizes)[None], NEWTON_STEPS, SOLVER_TOL)
-    for i, part in zip(free, np.split(point.z[0], program.offsets[1:-1])):
+    z = solve(program, np.repeat(masses / sizes, sizes), NEWTON_STEPS, SOLVER_TOL)
+    for i, part in zip(free, np.split(z, program.offsets[1:-1])):
         splits[i] = part
-    return splits, point.y[0]
+    return splits, program.allocation(z)
 
 
 def min_cost_allocation(inst: MarketInstance, pvec, demand):

@@ -10,17 +10,13 @@ g's cost C_g into the reserve-floored cost
 
 whose marginal is max(r, c_g(y)), so each rung solves the unchanged welfare
 program against C~_g and posts those marginals; the dummy's take is
-max(y0 - y_g, 0) with y0 = c_g^-1(r).  A ladder is one solve: its rungs are
-the rows of one stack of welfare programs (flow.py), one reserve per row,
-run together by one Newton loop in which each rung's run is the one it
-would have alone.  A final scan picks the smallest rung whose profit is
-within a fixed factor of the optimum welfare; that rung provably also keeps
-a constant fraction of the welfare.
+max(y0 - y_g, 0) with y0 = c_g^-1(r).  A final scan picks the smallest rung
+whose profit is within a fixed factor of the optimum welfare; that rung
+provably also keeps a constant fraction of the welfare.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -34,7 +30,7 @@ from .analysis import (
     threshold_price,
 )
 from .market import MarketInstance, PricingSolution
-from .solver import SolverConfig, SolverError, _marginal_solutions, _solve_flow
+from .solver import SolverConfig, SolverError, _marginal_solution, _solve_flow
 from .tolerances import BOUNDARY_SLACK, BOUND_TOL, FLOOR_MARGIN
 
 __all__ = [
@@ -74,15 +70,14 @@ class _ReserveFloored:
     """Costs C~ with marginal max(r, c(y)): C plus a dummy buyer valuing each good at r.
 
     Below y0 = c^-1(r) the dummy takes y0 - y and C~ is linear at slope r;
-    from y0 on the dummy takes nothing and C~ is C.  One reserve r per row
-    of a stack of programs: batched like the instance's CostBatch, with one
-    value per good on the last axis and a row per reserve on the leading one.
+    from y0 on the dummy takes nothing and C~ is C.  Batched like the
+    instance's CostBatch: one value per good in, one per good out.
     """
 
-    def __init__(self, inst: MarketInstance, reserves):
+    def __init__(self, inst: MarketInstance, reserve: float):
         self.costs = inst.cost_batch
-        self.reserve = np.reshape(np.asarray(reserves, dtype=float), (-1, 1))
-        self.y0 = self.costs.marginal_inverse(self.reserve)
+        self.reserve = reserve
+        self.y0 = self.costs.marginal_inverse(reserve)
         self._total_at_y0 = self.costs.total(self.y0)
 
     def marginal(self, y):
@@ -101,46 +96,33 @@ class _ReserveFloored:
             np.where(below, self._total_at_y0 + self.reserve * (y - self.y0), total),
         )
 
-    def take(self, rows):
-        """The floored costs of the reserves at rows."""
-        part = copy.copy(self)
-        part.reserve, part.y0, part._total_at_y0 = self.reserve[rows], self.y0[rows], self._total_at_y0[rows]
-        return part
-
 
 def augmented_we(
-    inst: MarketInstance, dummy_prices, cfg: SolverConfig, start=None
-) -> list[LadderSolution]:
-    """Welfare optima with a flat-valuation dummy buyer per good, dummies stripped.
+    inst: MarketInstance, dummy_price: float, cfg: SolverConfig, start=None
+) -> LadderSolution:
+    """Welfare optimum with a flat-valuation dummy buyer per good, dummies stripped.
 
-    One rung per dummy price, indexed by its position, all solved in one
-    stacked Newton run: each rung's run is the one it would have alone.  The
-    dummies enter as reserve-floored costs, so the posted prices are
+    The dummies enter as reserve-floored costs, so the posted prices are
     exactly max(dummy price, marginal cost) at the real buyers' allocation.
-    start is every rung's first split (zero if None).  Prices and demand
+    start is the solver's first split (see _solve_flow).  Prices and demand
     do not depend on it.  Where the reserve binds on goods shared by tied
     bundles the floored cost is linear, the optimal split is not unique, and
     neither are the allocation, sw and profit (measured with the instance's
-    own costs): which optimum is returned depends on start.  A rung that
-    fails to certify raises SolverError with its position as row.
+    own costs): which optimum is returned depends on start.
     """
-    prices = [float(p) for p in dummy_prices]
-    if not all(p > 0 for p in prices):
+    if not dummy_price > 0:
         raise ValueError("dummy price must be positive")
-    floored = _ReserveFloored(inst, prices)
-    first = np.zeros(int(inst.bundle_offsets[-1])) if start is None else start
-    z, y = _solve_flow(inst, floored, cfg, np.tile(first, (len(prices), 1)))
-    solutions = _marginal_solutions(inst, z, y, floored)
-    return [
-        LadderSolution(
-            index=j,
-            dummy_price=price,
-            solution=solution,
-            saturated=solution.prices > price + FLOOR_MARGIN * (1.0 + price),
-            dummy_allocation=np.maximum(y0 - allocation, 0.0),
-        )
-        for j, (price, solution, allocation, y0) in enumerate(zip(prices, solutions, y, floored.y0))
-    ]
+    floored = _ReserveFloored(inst, dummy_price)
+    z, y = _solve_flow(inst, floored, cfg, start)
+    solution = _marginal_solution(inst, z, y, floored)
+    margin = FLOOR_MARGIN * (1.0 + dummy_price)
+    return LadderSolution(
+        index=0,
+        dummy_price=dummy_price,
+        solution=solution,
+        saturated=solution.prices > dummy_price + margin,
+        dummy_allocation=np.maximum(floored.y0 - y, 0.0),
+    )
 
 
 def rung_count(inst: MarketInstance) -> int:
@@ -158,21 +140,24 @@ def ladder(
 ) -> list[LadderSolution]:
     """All augmented equilibria at dummy prices 2^j * threshold / (2 * max size).
 
-    The rungs are one augmented_we call, one stacked Newton run.  Every
-    rung starts from the welfare optimum opt's split, so the rungs do not
-    depend on each other or on their order.  A rung that fails to certify
-    raises SolverError naming its index and reserve price (the lowest such
-    index when several fail).
+    Every rung's solve starts from the welfare optimum opt's split, so the
+    rungs do not depend on each other or on their order.  A rung that fails
+    to certify raises SolverError naming its index and reserve price.
     alpha = 1 puts the threshold, and so every reserve, at 0: ValueError.
     """
     if not alpha < 1.0:
         raise ValueError(f"alpha={alpha}: the reserve-price ladder needs alpha < 1")
-    prices = [dummy_price_at(inst, j, alpha) for j in range(rung_count(inst) + 2)]
-    try:
-        return augmented_we(inst, prices, cfg, opt.split)
-    except SolverError as e:
-        message = f"ladder rung {e.row} at reserve price {prices[e.row]:.12g}: {e}"
-        raise SolverError(message, e.best_splits, e.residual, e.history, e.row) from e
+    rungs = []
+    for j in range(rung_count(inst) + 2):
+        price = dummy_price_at(inst, j, alpha)
+        try:
+            rung = augmented_we(inst, price, cfg, opt.split)
+        except SolverError as e:
+            message = f"ladder rung {j} at reserve price {price:.12g}: {e}"
+            raise SolverError(message, e.best_splits, e.residual, e.history) from e
+        rung.index = j
+        rungs.append(rung)
+    return rungs
 
 
 def _optimum_rung(opt: PricingSolution) -> LadderSolution:

@@ -3,18 +3,16 @@
 The program maximizes total buyer surplus minus production cost over bundle
 splits x_i(S) >= 0, with x_i and y_t induced linearly; each type's total is
 capped at its demand support.  A solve is one run of flow.solve on F = -SW
-over the box 0 <= z <= cap, from zero or given splits, certified by the
-weak-duality gap at the posted prices p = c(y(z)) that flow.py's docstring
-derives.  A reserve-price ladder is one such run too: its rungs are the
-rows of one stack of programs, each against its own reserve-floored costs
-and started from the welfare optimum's split (multi_minded.augmented_we).
+over the box 0 <= z <= cap, from zero or a given split (ladder rungs start
+from the welfare optimum's), certified by the weak-duality gap at the posted
+prices p = c(y(z)) that flow.py's docstring derives.
 
 The program works on the instance's struct-of-arrays forms: the stacked
 bundle incidence, the DemandBatch of its curves and a batched cost (the
-instance's CostBatch, or reserve-floored costs on the ladder's rungs).  A
-solve returns its splits, in stacked_masks row order, and its allocations,
-one row per program; market._solution turns each into a PricingSolution,
-posted at the marginals of the solved costs.
+instance's CostBatch, or reserve-floored costs on a ladder rung).  A solve
+returns its split, in stacked_masks row order, and its allocation;
+market._solution turns them into the PricingSolution, posted at the
+marginals of the solved costs.
 """
 
 from __future__ import annotations
@@ -63,30 +61,27 @@ def minimize(fun, x0, **kwargs):
     return scipy_minimize(fun, x0, **kwargs)
 
 
-def _solve_flow(inst: MarketInstance, costs, cfg: SolverConfig, start):
-    """Certified optima (z, y) of a stack of welfare programs against costs.
+def _solve_flow(inst: MarketInstance, costs, cfg: SolverConfig, start=None):
+    """Certified optimum (z, y) of the welfare program against costs.
 
-    start holds one first split per stack row, in stacked_masks row order;
-    each is clipped into [0, cap].  z holds each row's split, entries below
-    SPLIT_DUST zeroed, and y its allocation.
+    z is the split in stacked_masks row order, entries below SPLIT_DUST
+    zeroed, and y the allocation.  The run starts from start, a split in
+    the same order (zero if None), clipped into [0, cap].
     """
     program = FlowProgram(inst.stacked_masks, inst.bundle_sizes, costs, demand=inst.demand_batch)
-    z = solve(program, start, cfg.max_iters, cfg.tol).z
+    z = solve(program, np.zeros(int(program.offsets[-1])) if start is None else start, cfg.max_iters, cfg.tol)
     z[z < SPLIT_DUST] = 0.0
     return z, program.allocation(z)
 
 
-def _marginal_solutions(inst: MarketInstance, z, y, costs) -> list[PricingSolution]:
-    """The solutions of a solved stack (z, y), one per row, posted at the marginals of its costs."""
-    solutions = []
-    for split, allocation, prices in zip(z, y, costs.marginal(y)):
-        cheapest, _ = _bundle_prices(inst, prices)
-        demand = np.add.reduceat(split, inst.bundle_offsets[:-1])
-        solutions.append(_solution(inst, prices, cheapest, demand, split, allocation))
-    return solutions
+def _marginal_solution(inst: MarketInstance, z, y, costs) -> PricingSolution:
+    """The solution of a solved program (z, y), posted at the marginals of its costs."""
+    prices = costs.marginal(y)
+    cheapest, _ = _bundle_prices(inst, prices)
+    return _solution(inst, prices, cheapest, np.add.reduceat(z, inst.bundle_offsets[:-1]), z, y)
 
 
 def solve_welfare(inst: MarketInstance, cfg: SolverConfig | None = None) -> PricingSolution:
     """Welfare-maximizing solution with each good priced at its marginal cost."""
-    z, y = _solve_flow(inst, inst.cost_batch, cfg or SolverConfig(), np.zeros((1, int(inst.bundle_offsets[-1]))))
-    return _marginal_solutions(inst, z, y, inst.cost_batch)[0]
+    z, y = _solve_flow(inst, inst.cost_batch, cfg or SolverConfig())
+    return _marginal_solution(inst, z, y, inst.cost_batch)

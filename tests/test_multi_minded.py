@@ -7,8 +7,6 @@ import pytest
 
 from bicrit import multi_minded, solve_welfare
 from bicrit.analysis import mm_profit_factor
-from bicrit import flow as multi_minded_flow
-from bicrit.flow import FlowProgram
 from bicrit.multi_minded import (
     _ReserveFloored,
     augmented_we,
@@ -32,26 +30,26 @@ class TestReserveFlooredCosts:
     @pytest.mark.parametrize("reserve", [0.05, 0.3, 0.9])
     def test_matches_scalar_closed_form_on_both_sides_of_y0(self, reserve):
         inst = random_multi_minded_instance(np.random.default_rng(17), alpha=0.3, size_ratio=2)
-        floored = _ReserveFloored(inst, [reserve])
+        floored = _ReserveFloored(inst, reserve)
         costs = inst.cost_functions
         y0 = np.array([c.marginal_inverse(reserve) for c in costs])
         assert np.all(floored.y0 == y0) and np.all(y0 > 0)
         for factor in (0.0, 0.25, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.7, 3.0):
-            y = factor * y0[None]
-            want_marginal = [max(reserve, c.marginal(v)) for c, v in zip(costs, y[0])]
+            y = factor * y0
+            want_marginal = [max(reserve, c.marginal(v)) for c, v in zip(costs, y)]
             want_total = [
                 c.total(w) + reserve * (v - w) if v < w else c.total(v)
-                for c, v, w in zip(costs, y[0], y0)
+                for c, v, w in zip(costs, y, y0)
             ]
             marginal, _, total = floored.at(y)
-            np.testing.assert_allclose(floored.marginal(y)[0], want_marginal, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(floored.marginal(y), want_marginal, rtol=1e-14, atol=0.0)
             np.testing.assert_array_equal(marginal, floored.marginal(y))
-            np.testing.assert_allclose(total[0], want_total, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(total, want_total, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("reserve", [0.05, 0.3, 0.9])
     def test_slope_is_zero_below_y0_and_the_cost_slope_from_y0(self, reserve):
         inst = random_multi_minded_instance(np.random.default_rng(17), alpha=0.3, size_ratio=2)
-        floored = _ReserveFloored(inst, [reserve])
+        floored = _ReserveFloored(inst, reserve)
         y0 = floored.y0
         for factor in (0.0, 0.25, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.7, 3.0):
             y = factor * y0
@@ -69,14 +67,14 @@ class TestAugmentedWelfareClosedForm:
     # and the dummy buyer takes c^-1(r) - x whenever the reserve binds.
 
     def test_binding_reserve(self, single_good_instance):
-        [rung] = augmented_we(single_good_instance, [0.7], SolverConfig())
+        rung = augmented_we(single_good_instance, 0.7, SolverConfig())
         assert rung.solution.prices[0] == 0.7
         assert rung.solution.demand[0] == pytest.approx(0.3, abs=1e-6)
         assert rung.dummy_allocation[0] == pytest.approx(0.4, abs=1e-6)
         np.testing.assert_array_equal(rung.saturated, [False])
 
     def test_slack_reserve(self, single_good_instance):
-        [rung] = augmented_we(single_good_instance, [0.2], SolverConfig())
+        rung = augmented_we(single_good_instance, 0.2, SolverConfig())
         assert rung.solution.prices[0] == pytest.approx(0.5, abs=1e-6)
         assert rung.solution.demand[0] == pytest.approx(0.5, abs=1e-6)
         assert rung.dummy_allocation[0] == 0.0
@@ -84,7 +82,7 @@ class TestAugmentedWelfareClosedForm:
 
     def test_nonpositive_reserve_rejected(self, single_good_instance):
         with pytest.raises(ValueError):
-            augmented_we(single_good_instance, [0.7, 0.0], SolverConfig())
+            augmented_we(single_good_instance, 0.0, SolverConfig())
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +107,12 @@ def _ladder(k):
 def _cold_rungs(k):
     """The k-th market's rungs, each solved from zero instead of the optimum's split."""
     inst, _, rungs = _ladder(k)
-    return augmented_we(inst, [rung.dummy_price for rung in rungs], SolverConfig())
+    cold_rungs = []
+    for rung in rungs:
+        cold = augmented_we(inst, rung.dummy_price, SolverConfig())
+        cold.index = rung.index
+        cold_rungs.append(cold)
+    return cold_rungs
 
 
 @pytest.mark.parametrize("k", range(N_LADDERS))
@@ -186,149 +189,35 @@ class TestRandomLadders:
                     assert abs(warm_v[key] - v) <= 1e-10 * (1.0 + abs(v))
 
 
-def _rung_fields(rung):
-    sol = rung.solution
-    return [sol.prices, sol.demand, sol.split, sol.allocation, sol.paid, rung.saturated, rung.dummy_allocation]
+def test_failing_rung_names_its_index_and_reserve_price(monkeypatch):
+    inst, opt, _ = _ladder(0)
+    best, history = np.arange(3.0), [0.25, 0.125]
+    real = multi_minded._solve_flow
+    calls = []
 
+    def fail_on_second_rung(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise SolverError("welfare solver gap above tolerance", best_splits=best, residual=0.5, history=history)
+        return real(*args, **kwargs)
 
-def _assert_stack_equals_one_rung_solves(inst, reserves, start, monkeypatch):
-    """Each rung of one stacked augmented_we call against a solve of its reserve alone.
-
-    Every rung's run is the one it has alone, bit for bit, and the stack
-    steps only its live rows: the rows passed to newton_step, summed over
-    the steps, are the one-rung runs' steps.
-    """
-    rows = []
-    newton_step = FlowProgram.newton_step
-
-    def counted(self, point, gradient, *args):
-        rows.append(len(gradient))
-        return newton_step(self, point, gradient, *args)
-
-    monkeypatch.setattr(FlowProgram, "newton_step", counted)
-    stacked = augmented_we(inst, reserves, SolverConfig(), start)
-    stacked_rows = sum(rows)
-    rows.clear()
-    alone = [augmented_we(inst, [reserve], SolverConfig(), start)[0] for reserve in reserves]
-    assert rows == [1] * len(rows)
-    assert stacked_rows == len(rows)
-    for j, (rung, single) in enumerate(zip(stacked, alone)):
-        assert (rung.index, rung.dummy_price) == (j, reserves[j])
-        for got, want in zip(_rung_fields(rung), _rung_fields(single)):
-            np.testing.assert_array_equal(got, want)
-        assert (rung.solution.sw, rung.solution.profit) == (single.solution.sw, single.solution.profit)
-
-
-@pytest.mark.parametrize("k", range(N_LADDERS))
-def test_stacked_rungs_equal_one_rung_solves(k, monkeypatch):
-    inst, opt, rungs = _ladder(k)
-    _assert_stack_equals_one_rung_solves(inst, [r.dummy_price for r in rungs], opt.split, monkeypatch)
-
-
-def test_stacked_closed_form_rungs_equal_one_rung_solves(single_good_instance, monkeypatch):
-    opt = solve_welfare(single_good_instance)
-    _assert_stack_equals_one_rung_solves(single_good_instance, [0.2, 0.7], opt.split, monkeypatch)
+    monkeypatch.setattr(multi_minded, "_solve_flow", fail_on_second_rung)
+    with pytest.raises(SolverError) as exc:
+        ladder(inst, opt, SolverConfig(), inst.alpha)
+    message = str(exc.value)
+    assert "rung 1" in message
+    assert f"{multi_minded.dummy_price_at(inst, 1, inst.alpha):.12g}" in message
+    assert "welfare solver gap above tolerance" in message
+    assert exc.value.best_splits is best
+    assert exc.value.residual == 0.5
+    assert exc.value.history is history
 
 
 def test_rungs_own_their_arrays():
-    # No rung's vectors are views into the stack's arrays.
+    # No rung's vectors are views into the solver's or another rung's arrays.
     inst, _, rungs = _ladder(3)
     assert len(rungs) >= 3
     for rung in rungs:
-        for field in _rung_fields(rung):
+        sol = rung.solution
+        for field in (sol.prices, sol.demand, sol.split, sol.allocation, rung.saturated, rung.dummy_allocation):
             assert field.base is None
-
-
-def test_blocked_newton_steps_equal_the_stacked_ones(monkeypatch):
-    # With a budget of one cell every stack row is stepped on its own block:
-    # the bounded-memory path gives the same rungs.
-    inst, opt, rungs = _ladder(7)
-    monkeypatch.setattr(multi_minded_flow, "STACK_CELLS", 1)
-    blocked = augmented_we(inst, [r.dummy_price for r in rungs], SolverConfig(), opt.split)
-    for rung, again in zip(rungs, blocked):
-        for got, want in zip(_rung_fields(again), _rung_fields(rung)):
-            np.testing.assert_array_equal(got, want)
-
-
-def _stack_and_alone(k):
-    """The k-th ladder's rung programs: one stacked run and each rung's run alone, from opt's split."""
-    inst, opt, rungs = _ladder(k)
-    reserves = [r.dummy_price for r in rungs]
-    start = np.tile(opt.split, (len(reserves), 1))
-
-    def run(rows):
-        program = FlowProgram(
-            inst.stacked_masks, inst.bundle_sizes, _ReserveFloored(inst, [reserves[r] for r in rows]),
-            demand=inst.demand_batch,
-        )
-        return multi_minded_flow._run_newton(program, start[rows], SolverConfig().max_iters)
-
-    return run(list(range(len(reserves)))), [run([r]) for r in range(len(reserves))]
-
-
-def _assert_rows_run_alone(stacked, alone):
-    (point, history), points = stacked, [p for p, _ in alone]
-    assert history == [h[0] for _, h in alone]
-    for r, single in enumerate(points):
-        for got, want in zip(point, single):
-            np.testing.assert_array_equal(got[r], want[0])
-
-
-@pytest.mark.parametrize("k", [0, 7, 13])
-def test_rows_whose_backtracking_fails_leave_as_they_would_alone(k, monkeypatch):
-    # With one halving allowed, rows whose first trial step is rejected end
-    # their runs there, at different steps for different rows.
-    _ladder(k)
-    monkeypatch.setattr(multi_minded_flow, "MAX_HALVINGS", 1)
-    _assert_rows_run_alone(*_stack_and_alone(k))
-
-
-@pytest.mark.parametrize("k", [0, 7, 13])
-def test_a_singular_stacked_goods_solve_falls_back_row_by_row(k, monkeypatch):
-    # A stacked LU that meets a zero pivot in one row raises for the whole
-    # stack; each row is then solved alone, with the bits of its own run.
-    _ladder(k)
-    solve = np.linalg.solve
-
-    def singular_stacks(a, b):
-        if a.ndim == 3 and len(a) > 1:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return solve(a, b)
-
-    monkeypatch.setattr(multi_minded_flow.np.linalg, "solve", singular_stacks)
-    _assert_rows_run_alone(*_stack_and_alone(k))
-
-
-@pytest.mark.parametrize("missing", [[1], [1, 2]])
-def test_failing_rung_names_its_index_and_reserve_price(monkeypatch, missing):
-    """The ladder is one stacked run; where rungs miss their target the lowest is named."""
-    inst, opt, rungs = _ladder(0)
-    assert len(rungs) >= 3
-    real_certificate, real_solve = FlowProgram.certificate, multi_minded._solve_flow
-    seen, solves = {}, []
-
-    def miss(self, point, tol):
-        gap, target = real_certificate(self, point, tol)
-        seen.update(z=point.z.copy(), gap=gap.copy())
-        gap[missing] = 2.0 * target[missing] + 1.0
-        seen["missed"] = gap.copy()
-        return gap, target
-
-    def count(*args, **kwargs):
-        solves.append(args[2:])
-        return real_solve(*args, **kwargs)
-
-    monkeypatch.setattr(FlowProgram, "certificate", miss)
-    monkeypatch.setattr(multi_minded, "_solve_flow", count)
-    with pytest.raises(SolverError) as exc:
-        ladder(inst, opt, SolverConfig(), inst.alpha)
-    assert len(solves) == 1
-    assert len(seen["z"]) == len(rungs)
-    message = str(exc.value)
-    assert message.startswith(f"ladder rung 1 at reserve price {multi_minded.dummy_price_at(inst, 1, inst.alpha):.12g}: ")
-    assert "rung 2" not in message
-    assert "welfare solver gap" in message
-    assert exc.value.row == 1
-    np.testing.assert_array_equal(exc.value.best_splits, seen["z"][1])
-    assert exc.value.residual == seen["missed"][1]
-    assert len(exc.value.history) >= 1

@@ -30,34 +30,23 @@ def _welfare_program(inst, costs):
     return FlowProgram(inst.stacked_masks, inst.bundle_sizes, costs, demand=inst.demand_batch)
 
 
-def _at(program, z):
-    """(value, gradient, point) of the program at the one split z, a stack of one row."""
-    return program.at(np.asarray(z, dtype=float)[None])
-
-
 def _objective(program, z):
-    return _at(program, z)[0][0]
-
-
-def _gradient(program, z):
-    return _at(program, z)[1][0]
+    return program.at(z).value
 
 
 def _certificate(program, z, tol):
-    """(gap, target) of the program at the one split z."""
-    gap, target = program.certificate(_at(program, z)[2], tol)
-    return gap[0], target[0]
+    """(gap, target) of the program at the split z."""
+    return program.certificate(program.at(np.asarray(z, dtype=float)), tol)
 
 
 def _residual(program, z):
     """The program's projected gradient at z."""
-    z = np.asarray(z, dtype=float)[None]
-    return program.projected_gradient(z, program.at(z)[1])[0]
+    return program.projected_gradient(z, program.at(z).gradient)
 
 
 def _newton_run(program, z, max_iters):
-    """The last iterate of one Newton run from the one split z."""
-    return _run_newton(program, np.asarray(z, dtype=float)[None], max_iters)[0].z[0]
+    """The last iterate of one Newton run from z."""
+    return _run_newton(program, z, max_iters)[0].z
 
 
 class TestAnalyticFixtures:
@@ -154,8 +143,8 @@ class TestOptimalityCertificates:
         inst = instances.load(os.path.join(os.path.dirname(__file__), "golden", "ud-00.json"))
         with pytest.raises(SolverError) as err:
             solve_welfare(inst, SolverConfig(max_iters=1))
-        assert err.value.history == [_residual(_welfare_program(inst, inst.cost_batch), np.zeros(int(inst.bundle_offsets[-1])))]
-        assert err.value.row == 0
+        start = np.zeros(int(inst.bundle_offsets[-1]))
+        assert err.value.history == [_residual(_welfare_program(inst, inst.cost_batch), start)]
         assert err.value.residual > SolverConfig().tol
         # Every step of a longer run adds its projected gradient.
         with pytest.raises(SolverError) as err:
@@ -398,8 +387,8 @@ class TestDualGap:
             inst, np.zeros(len(inst.goods)), masses, levels=10
         )
         n = program.caps.size
-        z_opt = flow.solve(program, np.repeat(masses / program.sizes, program.sizes)[None], NEWTON_STEPS, SOLVER_TOL).z[0]
-        points = [program.project(rng.uniform(0.0, 1.0, size=(1, n)) * rng.random((1, n)).round() + 1e-3)[0] for _ in range(4)]
+        z_opt = flow.solve(program, np.repeat(masses / program.sizes, program.sizes), NEWTON_STEPS, SOLVER_TOL)
+        points = [program.project(rng.uniform(0.0, 1.0, size=n) * rng.random(n).round() + 1e-3) for _ in range(4)]
         for z in [z_opt, *points]:
             gap, _ = _certificate(program, z, 1.0)
             assert -_objective(program, z) - reference <= gap + 1e-12
@@ -413,7 +402,7 @@ class TestDualGap:
         """
         a = np.array([c.a for _, c in inst.goods])
         beta = np.array([c.beta for _, c in inst.goods])
-        p = program.costs.marginal(program.allocation(z[None]))[0]
+        p = program.costs.marginal(program.allocation(z))
         p_c = p if reserve is None else np.maximum(p, reserve)
         y0 = (p_c / a) ** (1.0 / beta)
         conjugate = p_c * y0 - a * y0 ** (beta + 1.0) / (beta + 1.0)
@@ -437,7 +426,7 @@ class TestDualGap:
             program = _welfare_program(inst, costs)
             n = program.caps.size
             z_opt = _newton_run(program, np.zeros(n), SolverConfig().max_iters)
-            points = [np.zeros(n), z_opt, program.project(z_opt * rng.uniform(0.9, 1.1, size=n))[0]]
+            points = [np.zeros(n), z_opt, program.project(z_opt * rng.uniform(0.9, 1.1, size=n))]
             points += [rng.uniform(0.0, 1.0, size=n) * rng.random(n).round() for _ in range(4)]
             for z in points:
                 gap, _ = _certificate(program, z, 1.0)
@@ -457,7 +446,7 @@ class TestValueAndGradient:
             program = _welfare_program(inst, costs)
             z = rng.uniform(0.05, 1.0, size=program.caps.size)
             assert np.all(program.totals(z) < program.type_caps)
-            g = _gradient(program, z)
+            g = program.at(z).gradient
             h = 1e-6
             for j in range(z.size):
                 step = np.zeros_like(z)
@@ -492,10 +481,9 @@ class TestNewtonStep:
                     curvature = 0.0
                 else:
                     curvature = -inst.demand_batch.derivative(x)[owner][:, None] * types
-                _, gradient, point = _at(program, z)
-                y = point.y[0]
-                hessian = curvature + (inst.stacked_masks * costs.at(y[None])[1][0]) @ inst.stacked_masks.T
-                grad = gradient[0]
+                point = program.at(z)
+                hessian = curvature + (inst.stacked_masks * costs.at(point.y)[1]) @ inst.stacked_masks.T
+                grad = point.gradient
                 # Within a type, B^-1 is 1 / damping across the 1 direction, so
                 # rounding in the goods-space correction grows like 1 / damping.
                 for damping in (1.0, 1e-3, 1e-6):
@@ -509,7 +497,7 @@ class TestNewtonStep:
                         want[free] = np.linalg.solve(system, np.concatenate([grad[free], np.zeros(len(e))]))[: free.sum()]
                     else:
                         want[free] = np.linalg.solve(system, grad[free])
-                    got = program.newton_step(point, gradient, free[None], [damping])[0]
+                    got = program.newton_step(point, free, damping)
                     scale = np.abs(want).max()
                     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * (1.0 + 1.0 / damping) * scale)
                     assert np.all(got[~free] == 0.0)
@@ -521,9 +509,9 @@ class TestProjectedGradient:
         inst = random_multi_minded_instance(rng, alpha=0.4, size_ratio=2)
         program = _welfare_program(inst, inst.cost_batch)
         z = rng.uniform(0.0, 0.5, size=program.caps.size) * (rng.random(program.caps.size) < 0.6)
-        g = _gradient(program, z)
-        want = np.max(np.abs(z - np.clip(z + g, 0.0, program.caps[0])))
-        assert program.projected_gradient(z[None], g[None])[0] == want
+        g = program.at(z).gradient
+        want = np.max(np.abs(z - np.clip(z + g, 0.0, program.caps)))
+        assert program.projected_gradient(z, g) == want
         assert _residual(_welfare_program(inst, inst.cost_batch), z) == want
 
     def test_vanishes_at_the_analytic_optimum(self, twin_goods_instance):
