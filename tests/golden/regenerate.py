@@ -9,7 +9,10 @@ keys of the benchmark workloads' fixed corpora:
   two goods of a block, so evaluate splits them over tied goods;
 * mm-NN: ten mm-ladder fixed 10 x 30 conftest markets, eight of them with
   reserves binding on some rung (the dummy buyer takes supply);
-* tiny-NN: fifteen tiny-verify fixed instances of at most 3 goods x 3 types.
+* tiny-NN: fifteen tiny-verify fixed instances of at most 3 goods x 3 types;
+* tab-ud-NN, tab-mm-NN, tab-tiny-NN: the first three ud, the first three mm
+  and the first five tiny keys with every curve tabulated (tests/tabulate.py)
+  at 17, 33 or 9 nodes in turn, stating the source curve's alpha.
 
 For each it writes <case>.json, the instance, and <case>.expected.json, a
 list of {"argv", "exit", "output"} entries: every command that applies
@@ -30,12 +33,16 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "..", "..", "benchmarks"))
+sys.path.insert(0, os.path.join(HERE, ".."))
 
 import generators as gen  # noqa: E402
+from tabulate import tabulated  # noqa: E402
 
 from bicrit import cli  # noqa: E402
 
 MM_KEYS = (0, 1, 2, 3, 4, 5, 7, 9, 11, 17)
+# Node counts of the tabulated cases, in turn over each family's keys.
+TAB_NODES = (17, 33, 9)
 
 
 def cases():
@@ -47,6 +54,15 @@ def cases():
         yield f"mm-{k:02d}", doc, ("price-mm", "--dummy-ladder-dump")
     for k in range(15):
         yield f"tiny-{k:02d}", gen.tiny_mm([3, k], alpha(k), conftest=True), ("price-mm", "--dummy-ladder-dump")
+    for k in range(3):
+        doc = gen.ud_grid([1, k], alpha(k), choices=2)
+        yield f"tab-ud-{k:02d}", tabulated(doc, TAB_NODES[k % 3]), ("price-ud", "--diagnostics")
+    for k in MM_KEYS[:3]:
+        doc = gen.mm_conftest_market([2, k], alpha(k), gen.MM_RATIOS[k % 2])
+        yield f"tab-mm-{k:02d}", tabulated(doc, TAB_NODES[k % 3]), ("price-mm", "--dummy-ladder-dump")
+    for k in range(5):
+        doc = gen.tiny_mm([3, k], alpha(k), conftest=True)
+        yield f"tab-tiny-{k:02d}", tabulated(doc, TAB_NODES[k % 3]), ("price-mm", "--dummy-ladder-dump")
 
 
 def run(argv, infile):

@@ -103,7 +103,8 @@ def test_golden_output(case, entry, tmp_path, capsys):
 
 
 def test_corpus_covers_every_family_and_command():
-    cases = {os.path.basename(p).split("-")[0] for p in glob.glob(os.path.join(GOLDEN, "*.expected.json"))}
+    names = [os.path.basename(p).split("-") for p in glob.glob(os.path.join(GOLDEN, "*.expected.json"))]
     commands = {entry.values[1]["argv"][0] for entry in _entries()}
-    assert cases == {"ud", "mm", "tiny"}
+    assert {name[0] for name in names} == {"ud", "mm", "tiny", "tab"}
+    assert {name[1] for name in names if name[0] == "tab"} == {"ud", "mm", "tiny"}
     assert commands == {"solve-welfare", "evaluate", "price-ud", "price-mm", "verify"}
