@@ -232,10 +232,6 @@ class CostBatch:
     def marginal(self, y):
         return self._on_pieces((_piece_marginal,), self._starts, _nonnegative(y))[0]
 
-    def slope(self, y):
-        """Derivative c'(y) of the marginal, the cost's curvature."""
-        return self._on_pieces((_piece_slope,), self._starts, _nonnegative(y))[0]
-
     def total(self, y):
         return self._on_pieces((_piece_total,), self._starts, _nonnegative(y))[0]
 

@@ -6,9 +6,10 @@ non-negative, and truncated to a finite support.  The regularity parameter
 ``alpha`` bounds how fast the ratio lambda/|lambda'| may grow: alpha = 0 is
 the monotone-hazard-rate class, alpha = 1 admits equal-revenue-like curves.
 
-DemandBatch is the one evaluation kernel: it holds the one ceiling mask and
-the one clamped inverse.  InverseDemand validates and stores one type's
-curve, and its methods evaluate through a one-curve DemandBatch.
+DemandBatch is the one evaluation kernel, of every family: it holds the one
+ceiling mask and the one clamped inverse.  InverseDemand validates and
+stores one type's curve, and its methods evaluate through a one-curve
+DemandBatch.
 """
 
 from __future__ import annotations
@@ -53,14 +54,16 @@ def _nonnegative(x, message):
 
 
 # -- family formulas ---------------------------------------------------------
-# One (eval, utility integral, inverse, derivative) tuple per kind of analytic
-# curve.  Every formula broadcasts over its parameters and argument, and
-# DemandBatch applies it with one parameter array per kind, so each
-# expression is written once and never sees a scalar exponent (NumPy rounds
-# x ** 2.0, say, differently from an elementwise power).  The kinds are the
-# families, except that a generalized Pareto below ALPHA_LIMIT is
-# "exponential" (its alpha -> 0 limit) and one at alpha = 1 is "gp-log" (its
-# utility integral is a log).
+# One (eval, utility integral, inverse, derivative) tuple per kind of curve.
+# Every formula broadcasts over its parameters and argument, and DemandBatch
+# applies it with one parameter array per kind, so each expression is
+# written once and never sees a scalar exponent (NumPy rounds x ** 2.0, say,
+# differently from an elementwise power).  The kinds are the families,
+# except that a generalized Pareto below ALPHA_LIMIT is "exponential" (its
+# alpha -> 0 limit) and one at alpha = 1 is "gp-log" (its utility integral
+# is a log).  The tabulated kind's parameters are one ragged table of its
+# curves' nodes; its eval keeps np.interp's rules (a node's own lambda at a
+# node, 0 past the last node).
 
 
 def _linear_eval(lam, alpha, scale, x):
@@ -116,12 +119,68 @@ def _gp_derivative(lam, alpha, scale, x):
     return -lam / scale * (1.0 + alpha * x / scale) ** (-1.0 / alpha - 1.0)
 
 
+def _node_table(curves):
+    """The curves' nodes end to end: each curve's first and last node, and per node
+    x, lambda, the slope of the segment it starts (0 at a last node) and U(x)."""
+    last = np.cumsum([len(d.points) for d in curves]) - 1
+    first = np.append(0, last[:-1] + 1)
+    xs, ls = np.array([p for d in curves for p in d.points]).T.copy()
+    j = np.setdiff1d(np.arange(len(xs)), last)  # the nodes that start a segment
+    slope, area, cum = np.zeros((3, len(xs)))
+    slope[j] = (ls[j + 1] - ls[j]) / (xs[j + 1] - xs[j])
+    area[j] = 0.5 * (ls[j] + ls[j + 1]) * (xs[j + 1] - xs[j])
+    for f, l in zip(first, last):
+        np.cumsum(area[f:l], out=cum[f + 1:l + 1])
+    return first, last, xs, ls, slope, cum
+
+
+def _last_node(first, last, keys, v):
+    """Per element of v, the last node j of its curve with keys[j] <= v, else the
+    first: np.searchsorted(side="right") - 1 on the curve's sorted keys (NaN past
+    every key), by one binary search of halving steps over each curve's nodes."""
+    end = first + np.zeros_like(v, dtype=np.intp)
+    step = 1 << (int(np.max(last - first)) + 1).bit_length() - 1
+    while step:
+        probe = end + (step - 1)
+        take = probe <= last
+        take &= ~(v < keys[np.minimum(probe, last, out=probe)])
+        np.add(end, step, out=end, where=take)
+        step >>= 1
+    return np.maximum(end - 1, first)
+
+
+def _tab_eval(first, last, xs, ls, slope, cum, x):
+    j = _last_node(first, last, xs, x)
+    between = slope[j] * (x - xs[j]) + ls[j]
+    return np.where(x > xs[last], 0.0, np.where(x == xs[j], ls[j], between))
+
+
+def _tab_utility(first, last, xs, ls, slope, cum, z):
+    j = np.minimum(_last_node(first, last, xs, z), last - 1)
+    dz = z - xs[j]
+    return cum[j] + ls[j] * dz + 0.5 * slope[j] * dz * dz
+
+
+def _tab_inverse(first, last, xs, ls, slope, cum, p):
+    # The last node with lambda >= p: the right end of any flat run, so the
+    # segment at k is strictly decreasing whenever k is interior.
+    k = _last_node(first, last, -ls, -p)
+    kk = np.minimum(k, last - 1)
+    x = xs[kk] + (p - ls[kk]) / np.minimum(slope[kk], -TINY)
+    return np.where(k == last, xs[last], x)
+
+
+def _tab_derivative(first, last, xs, ls, slope, cum, x):
+    return slope[np.minimum(_last_node(first, last, xs, x), last - 1)]
+
+
 _EVAL, _UTILITY, _INVERSE, _DERIVATIVE = range(4)
 _FORMULAS = {
     "linear": (_linear_eval, _linear_utility, _linear_inverse, _linear_derivative),
     "exponential": (_exp_eval, _exp_utility, _exp_inverse, _exp_derivative),
     "generalized-pareto": (_gp_eval, _gp_utility, _gp_inverse, _gp_derivative),
     "gp-log": (_gp_eval, _gp_log_utility, _gp_inverse, _gp_derivative),
+    "tabulated": (_tab_eval, _tab_utility, _tab_inverse, _tab_derivative),
 }
 
 
@@ -171,8 +230,7 @@ class InverseDemand:
         pts = self.points
         if not pts or len(pts) < 2:
             raise ValueError("tabulated demand needs at least two (x, lambda) points")
-        xs = [p[0] for p in pts]
-        ls = [p[1] for p in pts]
+        xs, ls = zip(*pts)
         if xs[0] != 0.0:
             raise ValueError("tabulated demand must start at x = 0")
         if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -220,36 +278,17 @@ class InverseDemand:
         return InverseDemand("generalized-pareto", lambda_max, alpha, scale, ceiling)
 
     @staticmethod
-    def tabulated(points, alpha: float) -> "InverseDemand":
+    def tabulated(points, alpha: float, **stated) -> "InverseDemand":
+        """lambda through the (x, lambda) points; a stated lambda_max, scale or support_ceiling must fit them."""
         pts = tuple((float(x), float(l)) for x, l in points)
         if len(pts) < 2:
             raise ValueError("tabulated demand needs at least two points")
-        return InverseDemand(
-            "tabulated", pts[0][1], alpha, 0.0, pts[-1][0], points=pts
-        )
-
-    # -- cached node arrays for the tabulated family -----------------------
-
-    @cached_property
-    def _xs(self):
-        return np.array([p[0] for p in self.points])
-
-    @cached_property
-    def _ls(self):
-        return np.array([p[1] for p in self.points])
-
-    @cached_property
-    def _slopes(self):
-        return np.diff(self._ls) / np.diff(self._xs)
-
-    @cached_property
-    def _cum_utility(self):
-        seg = 0.5 * (self._ls[:-1] + self._ls[1:]) * np.diff(self._xs)
-        return np.concatenate([[0.0], np.cumsum(seg)])
+        fields = {"lambda_max": pts[0][1], "scale": 0.0, "support_ceiling": pts[-1][0], **stated}
+        return InverseDemand("tabulated", alpha=alpha, points=pts, **fields)
 
     @cached_property
     def _kind(self) -> str:
-        """The curve's key in _FORMULAS, or "tabulated"."""
+        """The curve's key in _FORMULAS."""
         if self.family != "generalized-pareto":
             return self.family
         if self.alpha < ALPHA_LIMIT:
@@ -293,40 +332,8 @@ class InverseDemand:
         out = _hazard(np.asarray(self.eval(x)), np.abs(self.derivative(x)))
         return float(out) if out.ndim == 0 else out
 
-    # -- the tabulated family's formulas, on its node arrays -----------------
-
-    def _tabulated_eval(self, x):
-        return np.interp(x, self._xs, self._ls, right=0.0)
-
-    def _tabulated_derivative(self, x):
-        seg = np.clip(np.searchsorted(self._xs, x, side="right") - 1, 0, len(self._slopes) - 1)
-        return self._slopes[seg]
-
-    def _inverse_tabulated(self, p):
-        # Index of the last node with lambda >= p.  searchsorted on the negated
-        # (non-decreasing) sequence lands at the right end of any flat run, so
-        # the segment at k is strictly decreasing whenever k is interior.
-        k = np.searchsorted(-self._ls, -p, side="right") - 1
-        k = np.clip(k, 0, len(self._ls) - 1)
-        at_end = k >= len(self._slopes)
-        kk = np.minimum(k, len(self._slopes) - 1)
-        slope = np.minimum(self._slopes[kk], -TINY)
-        interp = self._xs[kk] + (p - self._ls[kk]) / slope
-        return np.where(at_end, self._xs[-1], interp)
-
-    def _tabulated_utility(self, z):
-        seg = np.clip(np.searchsorted(self._xs, z, side="right") - 1, 0, len(self._slopes) - 1)
-        dx = z - self._xs[seg]
-        return self._cum_utility[seg] + self._ls[seg] * dx + 0.5 * self._slopes[seg] * dx * dx
-
     def to_dict(self) -> dict:
-        d = {
-            "family": self.family,
-            "lambda_max": self.lambda_max,
-            "alpha": self.alpha,
-            "scale": self.scale,
-            "support_ceiling": self.support_ceiling,
-        }
+        d = {name: getattr(self, name) for name in ("family", "lambda_max", "alpha", "scale", "support_ceiling")}
         if self.points is not None:
             d["points"] = [list(p) for p in self.points]
         return d
@@ -339,43 +346,35 @@ class DemandBatch:
     batch on one curve.  Every method takes values with the curves on the
     last axis (in the order the curves were given) and any leading axes,
     checks the domain once and applies each kind's formula in one broadcast
-    call, looping only over tabulated curves.  As with CostBatch, callers
-    with many rows pass Fortran-ordered arrays.
+    call, a tabulated curve's on one ragged table of all their nodes.  As
+    with CostBatch, callers with many rows pass Fortran-ordered arrays.
     """
 
     def __init__(self, curves):
         curves = tuple(curves)
-        self.lambda_max = np.array([d.lambda_max for d in curves])
+        params = [np.array([getattr(d, name) for d in curves]) for name in ("lambda_max", "alpha", "scale")]
+        self.lambda_max = params[0]
         self.support_ceiling = np.array([d.support_ceiling for d in curves])
-        params = (
-            self.lambda_max,
-            np.array([d.alpha for d in curves]),
-            np.array([d.scale for d in curves]),
-        )
         kinds = [d._kind for d in curves]
-        self._kinds = []  # (index, formulas, parameters at index) per analytic kind
-        for kind in dict.fromkeys(k for k in kinds if k != "tabulated"):
+        self._kinds = []  # (index, formulas, parameters at index) per kind
+        for kind in dict.fromkeys(kinds):
             at = [i for i, k in enumerate(kinds) if k == kind]
             index = slice(None) if len(at) == len(curves) else np.array(at)
-            self._kinds.append((index, _FORMULAS[kind], tuple(a[index] for a in params)))
-        # (index, formulas in _FORMULAS order) per tabulated curve
-        self._tabulated = [
-            (i, (d._tabulated_eval, d._tabulated_utility, d._inverse_tabulated, d._tabulated_derivative))
-            for i, d in enumerate(curves) if d._kind == "tabulated"
-        ]
+            if kind == "tabulated":
+                self._kinds.append((index, _FORMULAS[kind], _node_table([curves[i] for i in at])))
+            else:
+                self._kinds.append((index, _FORMULAS[kind], tuple(a[index] for a in params)))
         # The truncation floor: each curve's price at its support ceiling.
         self._floor = np.maximum(self._apply(_EVAL, self.support_ceiling), TINY)
 
     def _apply(self, which, x):
-        if len(self._kinds) == 1 and not self._tabulated:
+        if len(self._kinds) == 1:
             # One kind covers every curve: its formula's result is the answer.
             _, formulas, params = self._kinds[0]
             return formulas[which](*params, x)
         out = np.empty_like(x)
         for index, formulas, params in self._kinds:
             out[..., index] = formulas[which](*params, x[..., index])
-        for i, formulas in self._tabulated:
-            out[..., i] = formulas[which](x[..., i])
         return out
 
     def _below_ceiling(self, which, x, message):
@@ -442,7 +441,8 @@ def _hazard(lam, der):
 
 def _regularity_grid(d: InverseDemand, grid_n: int) -> np.ndarray:
     if d.family == "tabulated":
-        return 0.5 * (d._xs[:-1] + d._xs[1:])
+        xs = np.array([x for x, _ in d.points])
+        return 0.5 * (xs[:-1] + xs[1:])
     # Exclude the ceiling itself: the truncated curve is zero there.
     return np.linspace(0.0, d.support_ceiling, num=grid_n, endpoint=False)
 

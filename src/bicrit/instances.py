@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
 
 from .costs import CostDomainError, CostFunction
 from .demand import InverseDemand
@@ -171,7 +170,7 @@ def _demand_from_spec(spec: dict, where: str, problems: list, strict: bool):
         scale = float(spec.get("scale", 1.0))
         if family == "tabulated":
             stated = {key: float(spec[key]) for key in ("scale", "support_ceiling") if key in spec}
-            return replace(InverseDemand.tabulated(spec["points"], alpha), lambda_max=lambda_max, **stated)
+            return InverseDemand.tabulated(spec["points"], alpha, lambda_max=lambda_max, **stated)
         if "support_ceiling" in spec:
             return InverseDemand(family, lambda_max, alpha, scale, float(spec["support_ceiling"]))
         if family == "linear":

@@ -225,7 +225,7 @@ class TestInvariants:
         rng = np.random.default_rng(17)
         d, _ = sample_family(family, rng)
         hi = min(d.support_ceiling, 5.0)
-        kinks = [float(v) for v in d._xs] if d.family == "tabulated" else None
+        kinks = [x for x, _ in d.points] if d.family == "tabulated" else None
         for x in np.linspace(0.1, hi, 7):
             pts = [k for k in kinks if k < x] if kinks else None
             ref, _ = quad(lambda z: d.eval(float(z)), 0.0, float(x), limit=200, points=pts)
@@ -260,7 +260,8 @@ class TestInvariants:
 def _grid_inside(d, n=40):
     hi = min(d.support_ceiling, d.inverse(max(d._batch._floor[0], 1e-4 * d.lambda_max)))
     if d.family == "tabulated":
-        return 0.5 * (d._xs[:-1] + d._xs[1:])
+        xs = np.array([x for x, _ in d.points])
+        return 0.5 * (xs[:-1] + xs[1:])
     return np.linspace(0.0, hi * 0.999, n)
 
 

@@ -53,7 +53,7 @@ class TestReserveFlooredCosts:
         y0 = floored.y0
         for factor in (0.0, 0.25, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.7, 3.0):
             y = factor * y0
-            want = np.where(y < y0, 0.0, inst.cost_batch.slope(y))
+            want = np.where(y < y0, 0.0, inst.cost_batch.at(y)[1])
             np.testing.assert_array_equal(floored.at(y)[1], want)
         # Away from the kink at y0, the slope is the marginal's derivative.
         for factor in (0.25, 0.9, 1.1, 1.7, 3.0):
