@@ -3,6 +3,9 @@
 Both programs route each buyer type's mass over its bundles: z >= 0 holds
 one entry per (type, bundle), x the types' totals and y = base + A^T z the
 goods' allocation (A the stacked bundle incidence, base a fixed allocation).
+A program keeps A only as its nonzeros' indices and takes its costs per
+solve, so one welfare program per instance serves the instance's costs and
+every ladder rung's reserve-floored ones.
 
 * The welfare program maximizes SW(z) = sum_i U_i(x_i) - sum_g C_g(y_g),
   each type's total capped at its demand support (solver.solve_welfare).
@@ -39,8 +42,8 @@ three steps (at large price scales, rounding in F keeps it above PG_STOP), or
 once backtracking fails or max_iters steps are taken.
 
 Each iterate is evaluated once, by FlowProgram.at: one kernel call per
-family of the program's DemandBatch and batched costs gives the value, the
-gradient and everything the Newton step and the certificate read of it.
+family of the DemandBatch and of the costs gives the value, the gradient
+and everything the Newton step and the certificate read of it.
 
 solve runs the loop once and certifies its last iterate z by the
 weak-duality gap at the posted prices p = c(y(z)).  The welfare program's
@@ -105,29 +108,30 @@ class Point(NamedTuple):
 
 
 class FlowProgram:
-    """A flow program over the bundle incidence stacked, sizes[i] rows per type.
+    """A flow program over a 0/1 bundle incidence, sizes[i] rows per type.
 
-    costs is a batched cost over the goods: at(y) gives the marginal, slope
-    and total of one value per good.  With a DemandBatch demand it is the
-    welfare program, each type's total capped at its demand support; with
-    fixed masses instead it is the min-cost split of those masses on top of
-    the allocation base.
+    With a DemandBatch demand it is the welfare program, each type's total
+    capped at its demand support; with fixed masses instead it is the
+    min-cost split of those masses on top of the allocation base.  Its
+    costs come with each evaluation (at): a batched cost over the goods
+    whose at(y) gives the marginal, slope and total of one value per good.
     """
 
-    def __init__(self, stacked, sizes, costs, demand=None, masses=None, base=0.0):
+    def __init__(self, incidence, sizes, demand=None, masses=None, base=0.0):
         self.demand = demand
         self.masses = masses
-        self.costs = costs
         self.base = base
         self.sizes = sizes
         self.offsets = np.concatenate([[0], np.cumsum(sizes)])
-        self.stacked = stacked
-        self.type_caps = np.full(len(sizes), np.inf) if masses is not None else demand.support_ceiling
-        self.caps = np.repeat(self.type_caps, self.sizes)
-        n_types, n_goods = len(self.sizes), self.stacked.shape[1]
+        n_types, (n_rows, self.n_goods) = len(sizes), incidence.shape
+        self.caps = np.repeat(np.full(n_types, np.inf) if masses is not None else demand.support_ceiling, sizes)
         owner = np.repeat(np.arange(n_types), self.sizes)
-        # The incidence's nonzeros: entry e puts bundle row _rows[e] on good _goods[e].
-        self._rows, self._goods = np.nonzero(self.stacked)
+        # The incidence's nonzeros, row by row: entry e puts bundle row _rows[e] on good _goods[e].
+        self._rows, self._goods = np.nonzero(incidence)
+        # Row r's entries start at _starts[r].  Every row has one, because an
+        # instance rejects empty bundles, so np.add.reduceat from _starts sums
+        # exactly each row's own entries.
+        self._starts = np.searchsorted(self._rows, np.arange(n_rows))
         # Every ordered pair of entries (e1, e2) on one type's rows: the
         # nonzeros of newton_step's goods-space matrix A^T B^-1 A.
         per_type = np.bincount(owner[self._rows], minlength=n_types)
@@ -139,20 +143,20 @@ class FlowProgram:
         e1, e2 = first + local // width, first + local % width
         self._pair_rows = self._rows[e1], self._rows[e2]
         self._pair_same = (self._pair_rows[0] == self._pair_rows[1]).astype(float)
-        self._pair_cells = self._goods[e1] * n_goods + self._goods[e2]
+        self._pair_cells = self._goods[e1] * self.n_goods + self._goods[e2]
 
     def totals(self, z):
         return np.add.reduceat(z, self.offsets[:-1])
 
     def allocation(self, z):
-        return self.base + self.stacked.T @ z
+        return self.base + np.bincount(self._goods, z[self._rows], minlength=self.n_goods)
 
-    def at(self, z):
-        """The Point of z: SW(z) (-C(y) for a split), grad SW(z) and what the
-        Newton step and the certificate read, from one kernel call per family."""
+    def at(self, z, costs):
+        """The Point of z against costs: SW(z) (-C(y) for a split), grad SW(z) and
+        what the Newton step and the certificate read, from one kernel call per family."""
         x, y = self.totals(z), self.allocation(z)
-        marginal, slope, total = self.costs.at(y)
-        sums = self.stacked @ marginal
+        marginal, slope, total = costs.at(y)
+        sums = np.add.reduceat(marginal[self._goods], self._starts)
         if self.masses is None:
             price, derivative, utility = self.demand.at(x)
             w, value = -derivative, float(utility.sum() - total.sum())
@@ -203,7 +207,7 @@ class FlowProgram:
         (I + S A^T B^-1 A S) t = S A^T B^-1 gradient with S = diag(sqrt(c')),
         so that goods at c' = 0 drop out.
         """
-        n_goods = self.stacked.shape[1]
+        n_goods = self.n_goods
         on = free.astype(float)
         w, s = point.w, np.sqrt(point.slope)
         # A type's block on its m free coordinates is damping + w m along 1
@@ -235,9 +239,9 @@ class FlowProgram:
         return u - solve_b(np.bincount(self._rows, t[self._goods], minlength=len(on)))
 
 
-def solve(program, z, max_iters, tol):
-    """The optimum from z: one run of at most max_iters Newton steps, its gap certified at tol."""
-    point, history = _run_newton(program, z, max_iters)
+def solve(program, costs, z, max_iters, tol):
+    """The optimum against costs from z: one run of at most max_iters Newton steps, its gap certified at tol."""
+    point, history = _run_newton(program, costs, z, max_iters)
     gap, target = program.certificate(point, tol)
     if gap > target:
         name = "min-cost split" if program.masses is not None else "welfare solver"
@@ -246,14 +250,14 @@ def solve(program, z, max_iters, tol):
     return point.z
 
 
-def _run_newton(program, z, max_iters):
-    """Damped projected Newton on F = -SW(z) from z (see the module docstring).
+def _run_newton(program, costs, z, max_iters):
+    """Damped projected Newton on F = -SW(z) against costs from z (see the module docstring).
 
     Returns (point, history): the Point of the last iterate, uncertified
     (solve is the one caller in bicrit), and the projected gradient at the
     start of each step.
     """
-    point = program.at(program.project(z))
+    point = program.at(program.project(z), costs)
     history = []
     for _ in range(max_iters):
         z, grad = point.z, point.gradient
@@ -291,7 +295,7 @@ def _run_newton(program, z, max_iters):
             break
         step = 1.0
         for _ in range(MAX_HALVINGS):
-            trial = program.at(program.project(z + step * d))
+            trial = program.at(program.project(z + step * d), costs)
             # The slack is rounding in the objective; a step whose gain F
             # cannot resolve is taken whole.
             if unseen or trial.value >= f + ARMIJO * float(grad @ (trial.z - z)) - ROUNDING_REL * abs(f):

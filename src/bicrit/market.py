@@ -6,8 +6,9 @@ are continuous: demand quantities are real masses of infinitesimal buyers.
 
 An instance caches its struct-of-arrays forms: one dense 0/1 incidence,
 stacked_masks, with a row per (type, bundle) of bundle_keys (type i's rows
-from bundle_offsets[i]; any one type's incidence is a row slice of it), and
-its curves and costs compiled into a DemandBatch and a CostBatch.  Bundle
+from bundle_offsets[i]; any one type's incidence is a row slice of it),
+its curves and costs compiled into a DemandBatch and a CostBatch, and its
+one welfare program (a flow.FlowProgram, for every welfare solve).  Bundle
 prices, envy-free demand and welfare are computed over these in one pass
 per price vector, not type by type.  A split is a vector over the same rows,
 and _solution is the one place that turns prices, demand, split and
@@ -167,6 +168,11 @@ class MarketInstance:
         return _cost_batch(self.cost_functions)
 
     @cached_property
+    def welfare_program(self) -> FlowProgram:
+        """The one welfare program, which solve_welfare and every ladder rung run against their costs."""
+        return FlowProgram(self.stacked_masks, self.bundle_sizes, demand=self.demand_batch)
+
+    @cached_property
     def lambda_max(self) -> float:
         return self.buyer_types[0].demand.lambda_max
 
@@ -278,8 +284,8 @@ def split_min_cost(cost_fns, masks, totals):
     sizes = np.array([masks[i].shape[0] for i in free])
     masses = np.array([totals[i] for i in free], dtype=float)
     stacked = np.vstack([masks[i] for i in free])
-    program = FlowProgram(stacked, sizes, _cost_batch(tuple(cost_fns)), masses=masses, base=base)
-    z = solve(program, np.repeat(masses / sizes, sizes), NEWTON_STEPS, SOLVER_TOL)
+    program = FlowProgram(stacked, sizes, masses=masses, base=base)
+    z = solve(program, _cost_batch(tuple(cost_fns)), np.repeat(masses / sizes, sizes), NEWTON_STEPS, SOLVER_TOL)
     for i, part in zip(free, np.split(z, program.offsets[1:-1])):
         splits[i] = part
     return splits, program.allocation(z)

@@ -30,7 +30,7 @@ from .analysis import (
     threshold_price,
 )
 from .market import MarketInstance, PricingSolution
-from .solver import SolverConfig, SolverError, _marginal_solution, _solve_flow
+from .solver import SolverConfig, SolverError, _solve_flow
 from .tolerances import BOUNDARY_SLACK, BOUND_TOL, FLOOR_MARGIN
 
 __all__ = [
@@ -80,9 +80,6 @@ class _ReserveFloored:
         self.y0 = self.costs.marginal_inverse(reserve)
         self._total_at_y0 = self.costs.total(self.y0)
 
-    def marginal(self, y):
-        return np.maximum(self.reserve, self.costs.marginal(y))
-
     def at(self, y):
         """(marginal, slope, total) from one CostBatch call.
 
@@ -98,7 +95,7 @@ class _ReserveFloored:
 
 
 def augmented_we(
-    inst: MarketInstance, dummy_price: float, cfg: SolverConfig, start=None
+    inst: MarketInstance, dummy_price: float, cfg: SolverConfig, start
 ) -> LadderSolution:
     """Welfare optimum with a flat-valuation dummy buyer per good, dummies stripped.
 
@@ -113,15 +110,14 @@ def augmented_we(
     if not dummy_price > 0:
         raise ValueError("dummy price must be positive")
     floored = _ReserveFloored(inst, dummy_price)
-    z, y = _solve_flow(inst, floored, cfg, start)
-    solution = _marginal_solution(inst, z, y, floored)
+    solution = _solve_flow(inst, floored, cfg, start)
     margin = FLOOR_MARGIN * (1.0 + dummy_price)
     return LadderSolution(
         index=0,
         dummy_price=dummy_price,
         solution=solution,
         saturated=solution.prices > dummy_price + margin,
-        dummy_allocation=np.maximum(floored.y0 - y, 0.0),
+        dummy_allocation=np.maximum(floored.y0 - solution.allocation, 0.0),
     )
 
 

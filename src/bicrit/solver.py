@@ -7,12 +7,11 @@ over the box 0 <= z <= cap, from zero or a given split (ladder rungs start
 from the welfare optimum's), certified by the weak-duality gap at the posted
 prices p = c(y(z)) that flow.py's docstring derives.
 
-The program works on the instance's struct-of-arrays forms: the stacked
-bundle incidence, the DemandBatch of its curves and a batched cost (the
-instance's CostBatch, or reserve-floored costs on a ladder rung).  A solve
-returns its split, in stacked_masks row order, and its allocation;
-market._solution turns them into the PricingSolution, posted at the
-marginals of the solved costs.
+Every solve runs the one program the instance caches,
+MarketInstance.welfare_program, against a batched cost passed to it: the
+instance's CostBatch, or reserve-floored costs on a ladder rung.  A solve
+returns its PricingSolution (built by market._solution), posted at the
+marginals of the solved costs at its allocation.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowProgram, SolverError, solve
+from .flow import SolverError, solve
 from .market import MarketInstance, PricingSolution, _bundle_prices, _solution
 from .tolerances import NEWTON_STEPS, SOLVER_TOL, SPLIT_DUST
 
@@ -61,27 +60,22 @@ def minimize(fun, x0, **kwargs):
     return scipy_minimize(fun, x0, **kwargs)
 
 
-def _solve_flow(inst: MarketInstance, costs, cfg: SolverConfig, start=None):
-    """Certified optimum (z, y) of the welfare program against costs.
+def _solve_flow(inst: MarketInstance, costs, cfg: SolverConfig, start) -> PricingSolution:
+    """The certified optimum of the instance's welfare program against costs, posted at their marginals.
 
-    z is the split in stacked_masks row order, entries below SPLIT_DUST
-    zeroed, and y the allocation.  The run starts from start, a split in
-    the same order (zero if None), clipped into [0, cap].
+    The run starts from start, a split in stacked_masks row order, clipped
+    into [0, cap].  Split entries below SPLIT_DUST are zeroed before the
+    allocation y is taken, and the solution posts the marginals of costs at y.
     """
-    program = FlowProgram(inst.stacked_masks, inst.bundle_sizes, costs, demand=inst.demand_batch)
-    z = solve(program, np.zeros(int(program.offsets[-1])) if start is None else start, cfg.max_iters, cfg.tol)
+    program = inst.welfare_program
+    z = solve(program, costs, start, cfg.max_iters, cfg.tol)
     z[z < SPLIT_DUST] = 0.0
-    return z, program.allocation(z)
-
-
-def _marginal_solution(inst: MarketInstance, z, y, costs) -> PricingSolution:
-    """The solution of a solved program (z, y), posted at the marginals of its costs."""
-    prices = costs.marginal(y)
+    y = program.allocation(z)
+    prices = costs.at(y)[0]
     cheapest, _ = _bundle_prices(inst, prices)
-    return _solution(inst, prices, cheapest, np.add.reduceat(z, inst.bundle_offsets[:-1]), z, y)
+    return _solution(inst, prices, cheapest, program.totals(z), z, y)
 
 
 def solve_welfare(inst: MarketInstance, cfg: SolverConfig | None = None) -> PricingSolution:
     """Welfare-maximizing solution with each good priced at its marginal cost."""
-    z, y = _solve_flow(inst, inst.cost_batch, cfg or SolverConfig())
-    return _marginal_solution(inst, z, y, inst.cost_batch)
+    return _solve_flow(inst, inst.cost_batch, cfg or SolverConfig(), np.zeros(int(inst.bundle_offsets[-1])))

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from bicrit import CostFunction, InverseDemand, MarketInstance, cli, instances, market, unit_demand
+from bicrit import CostFunction, InverseDemand, MarketInstance, cli, flow, instances, market, multi_minded, unit_demand
 from bicrit.solver import SolverConfig, solve_welfare
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -431,6 +431,35 @@ def test_verify_reads_the_pricing_commands_records(case, capsys):
         priced = _run_json(["price-mm", "--in", infile], capsys)
         ladder_checks = [(name[len("ladder_"):], ok) for name, ok in checks.items() if name.startswith("ladder_")]
         assert ladder_checks == [(c["name"], c["ok"]) for c in priced["bound_checks"]]
+
+
+def _programs_built(argv, monkeypatch, capsys):
+    """The record argv prints, and the kind of each FlowProgram it built: welfare or split."""
+    kinds = []
+    init = flow.FlowProgram.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        kinds.append("welfare" if self.masses is None else "split")
+
+    monkeypatch.setattr(flow.FlowProgram, "__init__", counted)
+    return _run_json(argv, capsys), kinds
+
+
+@pytest.mark.parametrize("case, n_rungs", [("mm-00", 3), ("mm-01", 4)])
+def test_price_mm_builds_one_program_for_every_rung(case, n_rungs, monkeypatch, capsys):
+    # The optimum and every rung run the instance's one welfare program.
+    infile = os.path.join(GOLDEN, case + ".json")
+    record, kinds = _programs_built(["price-mm", "--in", infile, "--dummy-ladder-dump"], monkeypatch, capsys)
+    assert len(record["rungs"]) == multi_minded.rung_count(instances.load(infile)) + 2 == n_rungs
+    assert kinds == ["welfare"]
+
+
+@pytest.mark.parametrize("case", ["ud-00", "ud-03"])
+def test_price_ud_builds_one_welfare_program_and_at_most_one_split(case, monkeypatch, capsys):
+    infile = os.path.join(GOLDEN, case + ".json")
+    _, kinds = _programs_built(["price-ud", "--in", infile, "--diagnostics"], monkeypatch, capsys)
+    assert kinds in (["welfare"], ["welfare", "split"])
 
 
 def _twelve_digits(v):

@@ -219,15 +219,15 @@ class TestSplitKKT:
         starts = []
         run_newton = flow._run_newton
 
-        def recorded(program, z, max_iters):
-            starts.append((program, program.project(z)))
-            return run_newton(program, z, max_iters)
+        def recorded(program, costs, z, max_iters):
+            starts.append((program, costs, program.project(z)))
+            return run_newton(program, costs, z, max_iters)
 
         monkeypatch.setattr(flow, "_run_newton", recorded)
         with pytest.raises(SolverError) as err:
             evaluate(inst, prices)
-        program, z = starts[-1]
-        assert err.value.history == [program.projected_gradient(z, program.at(z).gradient)]
+        program, costs, z = starts[-1]
+        assert err.value.history == [program.projected_gradient(z, program.at(z, costs).gradient)]
         assert err.value.history[0] > 0.0
 
     def test_violation_matches_per_type_loop(self):

@@ -42,8 +42,7 @@ class TestReserveFlooredCosts:
                 for c, v, w in zip(costs, y, y0)
             ]
             marginal, _, total = floored.at(y)
-            np.testing.assert_allclose(floored.marginal(y), want_marginal, rtol=1e-14, atol=0.0)
-            np.testing.assert_array_equal(marginal, floored.marginal(y))
+            np.testing.assert_allclose(marginal, want_marginal, rtol=1e-14, atol=0.0)
             np.testing.assert_allclose(total, want_total, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("reserve", [0.05, 0.3, 0.9])
@@ -58,7 +57,7 @@ class TestReserveFlooredCosts:
         # Away from the kink at y0, the slope is the marginal's derivative.
         for factor in (0.25, 0.9, 1.1, 1.7, 3.0):
             y, h = factor * y0, 1e-7 * factor * y0
-            want = (floored.marginal(y + h) - floored.marginal(y - h)) / (2.0 * h)
+            want = (floored.at(y + h)[0] - floored.at(y - h)[0]) / (2.0 * h)
             np.testing.assert_allclose(floored.at(y)[1], want, rtol=1e-5, atol=1e-9)
 
 
@@ -67,14 +66,14 @@ class TestAugmentedWelfareClosedForm:
     # and the dummy buyer takes c^-1(r) - x whenever the reserve binds.
 
     def test_binding_reserve(self, single_good_instance):
-        rung = augmented_we(single_good_instance, 0.7, SolverConfig())
+        rung = augmented_we(single_good_instance, 0.7, SolverConfig(), np.zeros(1))
         assert rung.solution.prices[0] == 0.7
         assert rung.solution.demand[0] == pytest.approx(0.3, abs=1e-6)
         assert rung.dummy_allocation[0] == pytest.approx(0.4, abs=1e-6)
         np.testing.assert_array_equal(rung.saturated, [False])
 
     def test_slack_reserve(self, single_good_instance):
-        rung = augmented_we(single_good_instance, 0.2, SolverConfig())
+        rung = augmented_we(single_good_instance, 0.2, SolverConfig(), np.zeros(1))
         assert rung.solution.prices[0] == pytest.approx(0.5, abs=1e-6)
         assert rung.solution.demand[0] == pytest.approx(0.5, abs=1e-6)
         assert rung.dummy_allocation[0] == 0.0
@@ -82,7 +81,7 @@ class TestAugmentedWelfareClosedForm:
 
     def test_nonpositive_reserve_rejected(self, single_good_instance):
         with pytest.raises(ValueError):
-            augmented_we(single_good_instance, 0.0, SolverConfig())
+            augmented_we(single_good_instance, 0.0, SolverConfig(), np.zeros(1))
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +108,7 @@ def _cold_rungs(k):
     inst, _, rungs = _ladder(k)
     cold_rungs = []
     for rung in rungs:
-        cold = augmented_we(inst, rung.dummy_price, SolverConfig())
+        cold = augmented_we(inst, rung.dummy_price, SolverConfig(), np.zeros(int(inst.bundle_offsets[-1])))
         cold.index = rung.index
         cold_rungs.append(cold)
     return cold_rungs

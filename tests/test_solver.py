@@ -26,27 +26,23 @@ from conftest import random_cost, random_unit_demand_instance, random_multi_mind
 from split_oracle import oracle_min_split_cost
 
 
-def _welfare_program(inst, costs):
-    return FlowProgram(inst.stacked_masks, inst.bundle_sizes, costs, demand=inst.demand_batch)
+def _objective(program, costs, z):
+    return program.at(z, costs).value
 
 
-def _objective(program, z):
-    return program.at(z).value
+def _certificate(program, costs, z, tol):
+    """(gap, target) of the program against costs at the split z."""
+    return program.certificate(program.at(np.asarray(z, dtype=float), costs), tol)
 
 
-def _certificate(program, z, tol):
-    """(gap, target) of the program at the split z."""
-    return program.certificate(program.at(np.asarray(z, dtype=float)), tol)
+def _residual(program, costs, z):
+    """The program's projected gradient against costs at z."""
+    return program.projected_gradient(z, program.at(z, costs).gradient)
 
 
-def _residual(program, z):
-    """The program's projected gradient at z."""
-    return program.projected_gradient(z, program.at(z).gradient)
-
-
-def _newton_run(program, z, max_iters):
-    """The last iterate of one Newton run from z."""
-    return _run_newton(program, z, max_iters)[0].z
+def _newton_run(program, costs, z, max_iters):
+    """The last iterate of one Newton run against costs from z."""
+    return _run_newton(program, costs, z, max_iters)[0].z
 
 
 class TestAnalyticFixtures:
@@ -92,7 +88,7 @@ class TestOptimalityCertificates:
         for _ in range(8):
             inst = random_unit_demand_instance(rng, alpha=alpha)
             opt = solve_welfare(inst)
-            norm = _residual(_welfare_program(inst, inst.cost_batch), opt.split)
+            norm = _residual(inst.welfare_program, inst.cost_batch, opt.split)
             assert norm <= 1e-6 * (1.0 + abs(opt.sw))
 
     def test_solutions_meet_kkt_to_solver_precision(self):
@@ -103,7 +99,7 @@ class TestOptimalityCertificates:
             else:
                 inst = random_multi_minded_instance(rng, alpha=0.4, size_ratio=1 + k % 4)
             opt = solve_welfare(inst)
-            norm = _residual(_welfare_program(inst, inst.cost_batch), opt.split)
+            norm = _residual(inst.welfare_program, inst.cost_batch, opt.split)
             assert norm <= 1e-10 * (1.0 + abs(opt.sw))
 
     def test_round_with_bundles_tied_at_zero_cost_slope_reaches_full_precision(self):
@@ -119,9 +115,9 @@ class TestOptimalityCertificates:
         for k in range(25):
             inst = random_multi_minded_instance(rng, *draws[k % 6])
         assert (len(inst.goods), len(inst.buyer_types)) == (4, 2)
-        program = _welfare_program(inst, inst.cost_batch)
-        z = _newton_run(program, np.zeros(program.caps.size), SolverConfig().max_iters)
-        assert _residual(program, z) <= 1e-12
+        program = inst.welfare_program
+        z = _newton_run(program, inst.cost_batch, np.zeros(program.caps.size), SolverConfig().max_iters)
+        assert _residual(program, inst.cost_batch, z) <= 1e-12
 
     def test_multi_minded_instances_certify(self):
         rng = np.random.default_rng(71)
@@ -144,7 +140,7 @@ class TestOptimalityCertificates:
         with pytest.raises(SolverError) as err:
             solve_welfare(inst, SolverConfig(max_iters=1))
         start = np.zeros(int(inst.bundle_offsets[-1]))
-        assert err.value.history == [_residual(_welfare_program(inst, inst.cost_batch), start)]
+        assert err.value.history == [_residual(inst.welfare_program, inst.cost_batch, start)]
         assert err.value.residual > SolverConfig().tol
         # Every step of a longer run adds its projected gradient.
         with pytest.raises(SolverError) as err:
@@ -341,16 +337,16 @@ class TestDualGap:
         inst = twin_goods_instance
         for reserve, z_opt in ((None, (1 / 3, 1 / 3)), (0.5, (0.25, 0.25))):
             costs = inst.cost_batch if reserve is None else _ReserveFloored(inst, reserve)
-            program = _welfare_program(inst, costs)
-            f_opt = _objective(program, np.array(z_opt))
+            program = inst.welfare_program
+            f_opt = _objective(program, costs, np.array(z_opt))
             for tol in (np.inf, 0.0):
                 for z in (z_opt, (0.0, 0.0), (0.5, 0.1), (0.2, 0.2), (0.6, 0.3)):
                     z = np.array(z)
-                    gap, target = _certificate(program, z, tol)
-                    assert target == tol * (1.0 + abs(_objective(program, z)))
-                    assert f_opt - _objective(program, z) <= gap + 1e-12
-                    assert gap <= _certificate(program, z, np.inf)[0]
-                assert _certificate(program, z_opt, tol)[0] <= 1e-12
+                    gap, target = _certificate(program, costs, z, tol)
+                    assert target == tol * (1.0 + abs(_objective(program, costs, z)))
+                    assert f_opt - _objective(program, costs, z) <= gap + 1e-12
+                    assert gap <= _certificate(program, costs, z, np.inf)[0]
+                assert _certificate(program, costs, z_opt, tol)[0] <= 1e-12
 
     # The same market with the type's mass held fixed: C(y) = y^2 / 2 per
     # good, so a mass m on top of base b splits to equal allocations.
@@ -363,16 +359,16 @@ class TestDualGap:
         ]
         for reserve, mass, base, z_opt in cases:
             costs = inst.cost_batch if reserve is None else _ReserveFloored(inst, reserve)
-            program = FlowProgram(inst.stacked_masks, inst.bundle_sizes, costs, masses=np.array([mass]), base=base)
-            cost_opt = -_objective(program, np.array(z_opt))
+            program = FlowProgram(inst.stacked_masks, inst.bundle_sizes, masses=np.array([mass]), base=base)
+            cost_opt = -_objective(program, costs, np.array(z_opt))
             for tol in (np.inf, 0.0):
                 for share in (0.0, 0.1, 0.3, 0.75, 1.0):
                     z = mass * np.array([share, 1.0 - share])
-                    gap, target = _certificate(program, z, tol)
-                    cost = -_objective(program, z)
-                    assert _certificate(program, z, 0.5)[1] == 0.5 * (1.0 + abs(cost))
+                    gap, target = _certificate(program, costs, z, tol)
+                    cost = -_objective(program, costs, z)
+                    assert _certificate(program, costs, z, 0.5)[1] == 0.5 * (1.0 + abs(cost))
                     assert cost - cost_opt <= gap + 1e-12
-                assert _certificate(program, z_opt, tol)[0] <= 1e-12
+                assert _certificate(program, costs, z_opt, tol)[0] <= 1e-12
 
     @pytest.mark.parametrize("seed", range(8))
     def test_fixed_mass_gap_bounds_the_excess_over_the_split_oracle(self, seed):
@@ -382,19 +378,19 @@ class TestDualGap:
         rng = np.random.default_rng(seed)
         inst = random_unit_demand_instance(rng, 0.0, max_goods=3, max_types=3)
         masses = rng.uniform(0.2, 1.0, size=len(inst.buyer_types))
-        program = FlowProgram(inst.stacked_masks, inst.bundle_sizes, inst.cost_batch, masses=masses)
+        program, costs = FlowProgram(inst.stacked_masks, inst.bundle_sizes, masses=masses), inst.cost_batch
         reference = oracle_min_split_cost(
             inst, np.zeros(len(inst.goods)), masses, levels=10
         )
         n = program.caps.size
-        z_opt = flow.solve(program, np.repeat(masses / program.sizes, program.sizes), NEWTON_STEPS, SOLVER_TOL)
+        z_opt = flow.solve(program, costs, np.repeat(masses / program.sizes, program.sizes), NEWTON_STEPS, SOLVER_TOL)
         points = [program.project(rng.uniform(0.0, 1.0, size=n) * rng.random(n).round() + 1e-3) for _ in range(4)]
         for z in [z_opt, *points]:
-            gap, _ = _certificate(program, z, 1.0)
-            assert -_objective(program, z) - reference <= gap + 1e-12
+            gap, _ = _certificate(program, costs, z, 1.0)
+            assert -_objective(program, costs, z) - reference <= gap + 1e-12
 
     @staticmethod
-    def _conjugate_gap(program, inst, reserve, z):
+    def _conjugate_gap(program, costs, inst, reserve, z):
         """D(p) - SW(z) at p = c(y(z)), with each cost's conjugate in closed form.
 
         For power costs C*(p) = p y0 - C(y0) at y0 = (p / a)^(1 / beta); the
@@ -402,14 +398,14 @@ class TestDualGap:
         """
         a = np.array([c.a for _, c in inst.goods])
         beta = np.array([c.beta for _, c in inst.goods])
-        p = program.costs.marginal(program.allocation(z))
+        p = costs.at(program.allocation(z))[0]
         p_c = p if reserve is None else np.maximum(p, reserve)
         y0 = (p_c / a) ** (1.0 / beta)
         conjugate = p_c * y0 - a * y0 ** (beta + 1.0) / (beta + 1.0)
-        q = np.minimum.reduceat(program.stacked @ p, program.offsets[:-1])
+        q = np.minimum.reduceat(inst.stacked_masks @ p, program.offsets[:-1])
         t = program.demand.demand_at_price(q)
         dual = conjugate.sum() + (program.demand.utility_integral(t) - q * t).sum()
-        return dual - _objective(program, z)
+        return dual - _objective(program, costs, z)
 
     @pytest.mark.parametrize("reserve", [None, 0.2, 0.6])
     def test_matches_the_conjugate_form_of_the_gap(self, reserve):
@@ -423,15 +419,15 @@ class TestDualGap:
                 tuple((g, CostFunction.power(c.a, c.beta)) for g, c in drawn.goods), drawn.buyer_types
             )
             costs = inst.cost_batch if reserve is None else _ReserveFloored(inst, reserve)
-            program = _welfare_program(inst, costs)
+            program = inst.welfare_program
             n = program.caps.size
-            z_opt = _newton_run(program, np.zeros(n), SolverConfig().max_iters)
+            z_opt = _newton_run(program, costs, np.zeros(n), SolverConfig().max_iters)
             points = [np.zeros(n), z_opt, program.project(z_opt * rng.uniform(0.9, 1.1, size=n))]
             points += [rng.uniform(0.0, 1.0, size=n) * rng.random(n).round() for _ in range(4)]
             for z in points:
-                gap, _ = _certificate(program, z, 1.0)
-                f = _objective(program, z)
-                assert abs(gap - self._conjugate_gap(program, inst, reserve, z)) <= 1e-12 * (1.0 + abs(f))
+                gap, _ = _certificate(program, costs, z, 1.0)
+                f = _objective(program, costs, z)
+                assert abs(gap - self._conjugate_gap(program, costs, inst, reserve, z)) <= 1e-12 * (1.0 + abs(f))
 
 
 class TestValueAndGradient:
@@ -443,15 +439,15 @@ class TestValueAndGradient:
         for ratio in (1, 2, 4):
             inst = random_multi_minded_instance(rng, alpha=0.4, size_ratio=ratio)
             costs = inst.cost_batch if reserve is None else _ReserveFloored(inst, reserve)
-            program = _welfare_program(inst, costs)
+            program = inst.welfare_program
             z = rng.uniform(0.05, 1.0, size=program.caps.size)
-            assert np.all(program.totals(z) < program.type_caps)
-            g = program.at(z).gradient
+            assert np.all(program.totals(z) < inst.demand_batch.support_ceiling)
+            g = program.at(z, costs).gradient
             h = 1e-6
             for j in range(z.size):
                 step = np.zeros_like(z)
                 step[j] = h
-                fd = (_objective(program, z + step) - _objective(program, z - step)) / (2.0 * h)
+                fd = (_objective(program, costs, z + step) - _objective(program, costs, z - step)) / (2.0 * h)
                 assert fd == pytest.approx(g[j], rel=1e-6, abs=1e-7)
 
 
@@ -467,7 +463,7 @@ class TestNewtonStep:
             for ratio in (1, 2, 4):
                 inst = random_multi_minded_instance(rng, alpha=0.4, size_ratio=ratio)
                 costs = inst.cost_batch if reserve is None else _ReserveFloored(inst, reserve)
-                program = _welfare_program(inst, costs)
+                program = inst.welfare_program
                 n = program.caps.size
                 # Some coordinates at zero, so that a reserve binds on some goods.
                 z = rng.uniform(0.0, 0.6, size=n) * (rng.random(n) < 0.7)
@@ -477,11 +473,11 @@ class TestNewtonStep:
                 if fixed_mass:
                     # The split routes on top of a base: the single-bundle types' goods.
                     base = rng.uniform(0.0, 0.5, size=len(inst.goods))
-                    program = FlowProgram(inst.stacked_masks, inst.bundle_sizes, costs, masses=x, base=base)
+                    program = FlowProgram(inst.stacked_masks, inst.bundle_sizes, masses=x, base=base)
                     curvature = 0.0
                 else:
                     curvature = -inst.demand_batch.derivative(x)[owner][:, None] * types
-                point = program.at(z)
+                point = program.at(z, costs)
                 hessian = curvature + (inst.stacked_masks * costs.at(point.y)[1]) @ inst.stacked_masks.T
                 grad = point.gradient
                 # Within a type, B^-1 is 1 / damping across the 1 direction, so
@@ -503,21 +499,46 @@ class TestNewtonStep:
                     assert np.all(got[~free] == 0.0)
 
 
+class TestIndexForm:
+    """A program's index form against the dense incidence products it replaces."""
+
+    @pytest.mark.parametrize("fixed_mass", [False, True])
+    def test_matches_the_dense_products(self, fixed_mass):
+        rng = np.random.default_rng(59)
+        for k in range(8):
+            if k % 2:
+                inst = random_unit_demand_instance(rng, alpha=0.3)
+            else:
+                inst = random_multi_minded_instance(rng, alpha=0.4, size_ratio=1 + k % 4)
+            stacked = inst.stacked_masks
+            n = stacked.shape[0]
+            z = rng.uniform(0.0, 0.6, size=n) * (rng.random(n) < 0.7)
+            if fixed_mass:
+                base = rng.uniform(0.1, 0.5, size=len(inst.goods))
+                program = FlowProgram(stacked, inst.bundle_sizes, masses=np.add.reduceat(z, inst.bundle_offsets[:-1]), base=base)
+            else:
+                base, program = 0.0, inst.welfare_program
+            y = program.allocation(z)
+            np.testing.assert_allclose(y, base + stacked.T @ z, rtol=1e-14, atol=0.0)
+            sums = program.at(z, inst.cost_batch).sums
+            np.testing.assert_allclose(sums, stacked @ inst.cost_batch.marginal(y), rtol=1e-14, atol=0.0)
+
+
 class TestProjectedGradient:
     def test_is_the_clipped_gradient_residual(self):
         rng = np.random.default_rng(53)
         inst = random_multi_minded_instance(rng, alpha=0.4, size_ratio=2)
-        program = _welfare_program(inst, inst.cost_batch)
+        program = inst.welfare_program
         z = rng.uniform(0.0, 0.5, size=program.caps.size) * (rng.random(program.caps.size) < 0.6)
-        g = program.at(z).gradient
+        g = program.at(z, inst.cost_batch).gradient
         want = np.max(np.abs(z - np.clip(z + g, 0.0, program.caps)))
         assert program.projected_gradient(z, g) == want
-        assert _residual(_welfare_program(inst, inst.cost_batch), z) == want
+        assert _residual(inst.welfare_program, inst.cost_batch, z) == want
 
     def test_vanishes_at_the_analytic_optimum(self, twin_goods_instance):
         # lambda(x) = 1 - x and c(y) = y on both goods: the optimum splits 2/3 evenly.
-        program = _welfare_program(twin_goods_instance, twin_goods_instance.cost_batch)
-        assert _residual(program, np.array([1 / 3, 1 / 3])) <= 1e-15
-        assert _residual(program, np.array([0.5, 0.1])) > 0.1
+        program, costs = twin_goods_instance.welfare_program, twin_goods_instance.cost_batch
+        assert _residual(program, costs, np.array([1 / 3, 1 / 3])) <= 1e-15
+        assert _residual(program, costs, np.array([0.5, 0.1])) > 0.1
         # At zero every bundle is worth entering: the residual is the full gradient.
-        assert _residual(program, np.zeros(2)) == pytest.approx(1.0)
+        assert _residual(program, costs, np.zeros(2)) == pytest.approx(1.0)
