@@ -21,9 +21,10 @@ type_ids, splits one per stacked_masks row.  Good and type ids are read only
 where text comes in or goes out (instances.py and cli.py), in messages that
 name a type or good, and to look up a bundle's goods.
 
-The min-cost split is the welfare program's fixed-mass limit: one
-flow.FlowProgram over all goods, run and certified by flow.solve as the
-welfare solve is; a split that misses its target raises SolverError.
+The min-cost split fixes in one pass every type with one tied bundle or no
+mass; only the types a tie splits reach the welfare program's fixed-mass
+limit, one flow.FlowProgram on top of the fixed types' allocation, run and
+certified by flow.solve as the welfare solve is; a miss raises SolverError.
 """
 
 from __future__ import annotations
@@ -255,40 +256,23 @@ def _cost_batch(cost_fns: tuple[CostFunction, ...]) -> CostBatch:
     return CostBatch(cost_fns)
 
 
-def split_min_cost(cost_fns, masks, totals):
-    """Distribute each type's total mass over the bundles its mask allows at least cost.
+def split_min_cost(cost_fns, masks, totals, base):
+    """Distribute each type's total mass over the bundles its mask allows at least cost, on top of base.
 
     masks is one (m_i, n_goods) incidence matrix per type and totals the mass
-    each type must route.  Types with a single allowed bundle are folded
-    into the fixed base allocation.  The others, the free types, form one
-    fixed-mass FlowProgram over all goods, started from even splits and
-    certified at SOLVER_TOL within NEWTON_STEPS steps; a miss raises SolverError.
+    each type must route.  They form one fixed-mass FlowProgram over all
+    goods, started from even splits and certified at SOLVER_TOL within
+    NEWTON_STEPS steps; a miss raises SolverError.
 
-    Returns (list of per-type split vectors, allocation vector y).
+    Returns (list of per-type split vectors, allocation vector y); ([], base) for no masks.
     """
-    n_goods = masks[0].shape[1] if masks else len(cost_fns)
-    base = np.zeros(n_goods)
-    splits = [np.zeros(m.shape[0]) for m in masks]
-    free = []
-    for i, (m, tot) in enumerate(zip(masks, totals)):
-        if tot <= 0.0:
-            continue
-        if m.shape[0] == 1:
-            splits[i][0] = tot
-            base = base + tot * m[0]
-        else:
-            free.append(i)
-    if not free:
-        return splits, base
-
-    sizes = np.array([masks[i].shape[0] for i in free])
-    masses = np.array([totals[i] for i in free], dtype=float)
-    stacked = np.vstack([masks[i] for i in free])
-    program = FlowProgram(stacked, sizes, masses=masses, base=base)
+    if not masks:
+        return [], base
+    sizes = np.array([m.shape[0] for m in masks])
+    masses = np.array(totals, dtype=float)
+    program = FlowProgram(np.vstack(masks), sizes, masses=masses, base=base)
     z = solve(program, _cost_batch(tuple(cost_fns)), np.repeat(masses / sizes, sizes), NEWTON_STEPS, SOLVER_TOL)
-    for i, part in zip(free, np.split(z, program.offsets[1:-1])):
-        splits[i] = part
-    return splits, program.allocation(z)
+    return np.split(z, program.offsets[1:-1]), program.allocation(z)
 
 
 def min_cost_allocation(inst: MarketInstance, pvec, demand):
@@ -305,16 +289,22 @@ def min_cost_allocation(inst: MarketInstance, pvec, demand):
 def _min_cost_split(inst: MarketInstance, tied, xvec):
     """min_cost_allocation over the stacked tie mask tied, the types' masses xvec.
 
+    A type with one tied row puts its mass there; the fixed rows' allocation,
+    in row order, is the base split_min_cost routes the types a tie splits on.
     Returns (z, y): the split in stacked_masks row order, zero off the tied
     rows, and the allocation vector.
     """
-    rows = inst.stacked_masks[tied]
-    # A type's tied rows end at the running count of tied rows on its last row.
-    ends = np.cumsum(tied)[inst.bundle_offsets[1:] - 1].tolist()
-    masks = [rows[start:end] for start, end in zip([0, *ends], ends)]
-    splits, y = split_min_cost(inst.cost_functions, masks, xvec.tolist())
-    z = np.zeros(len(tied))
-    z[tied] = np.concatenate(splits)
+    sizes = inst.bundle_sizes
+    counts = np.add.reduceat(tied, inst.bundle_offsets[:-1])
+    positive = xvec > 0.0
+    split = (counts > 1) & positive
+    free = tied & np.repeat(split, sizes)
+    z = np.where(tied & np.repeat((counts == 1) & positive, sizes), np.repeat(xvec, sizes), 0.0)
+    # Cutting at every split type's end leaves one empty piece after the last.
+    masks = np.split(inst.stacked_masks[free], np.cumsum(counts[split]))[:-1]
+    splits, y = split_min_cost(inst.cost_functions, masks, xvec[split].tolist(), inst.welfare_program.allocation(z))
+    if splits:
+        z[free] = np.concatenate(splits)
     return z, y
 
 

@@ -64,12 +64,12 @@ def _solve_flow(inst: MarketInstance, costs, cfg: SolverConfig, start) -> Pricin
     """The certified optimum of the instance's welfare program against costs, posted at their marginals.
 
     The run starts from start, a split in stacked_masks row order, clipped
-    into [0, cap].  Split entries below SPLIT_DUST are zeroed before the
+    into [0, cap].  Split entries up to SPLIT_DUST are zeroed before the
     allocation y is taken, and the solution posts the marginals of costs at y.
     """
     program = inst.welfare_program
     z = solve(program, costs, start, cfg.max_iters, cfg.tol)
-    z[z < SPLIT_DUST] = 0.0
+    z[z <= SPLIT_DUST] = 0.0
     y = program.allocation(z)
     prices = costs.at(y)[0]
     cheapest, _ = _bundle_prices(inst, prices)

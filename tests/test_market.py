@@ -18,7 +18,7 @@ from bicrit import (
     min_cost_allocation,
     solve_welfare,
 )
-from bicrit import flow, instances, market
+from bicrit import cli, flow, instances, market
 from bicrit.market import _bundle_prices, split_kkt_violation
 from bicrit.tolerances import KKT_TOL, SPLIT_DUST
 
@@ -265,6 +265,81 @@ class TestSplitKKT:
                     used = [b for j, b in enumerate(t.bundles) if given[lo + j] > SPLIT_DUST]
                     expected.append(min(sums[b] for b in used or t.bundles))
                 assert buyer_marginal_costs(inst, allocation, given) == pytest.approx(expected, rel=1e-12)
+
+
+class TestSplitContract:
+    """split_min_cost receives only the types a tie splits, on top of the fixed types' base."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Record each _min_cost_split call's (inst, tied, xvec) and its split_min_cost call's arguments."""
+        calls, splits = [], []
+        min_cost_split, split_min_cost = market._min_cost_split, market.split_min_cost
+
+        def recorded_split(inst, tied, xvec):
+            calls.append((inst, tied, xvec))
+            return min_cost_split(inst, tied, xvec)
+
+        def recorded_min_cost(cost_fns, masks, totals, base):
+            splits.append((masks, totals, base))
+            return split_min_cost(cost_fns, masks, totals, base)
+
+        monkeypatch.setattr(market, "_min_cost_split", recorded_split)
+        monkeypatch.setattr(market, "split_min_cost", recorded_min_cost)
+        return calls, splits
+
+    @pytest.mark.parametrize("case, most", [("ud-00", 53), ("ud-03", 49)])
+    def test_price_ud_passes_exactly_the_split_types(self, monkeypatch, tmp_path, case, most):
+        calls, splits = self._record(monkeypatch)
+        infile = os.path.join(os.path.dirname(__file__), "golden", case + ".json")
+        argv = ["price-ud", "--diagnostics", "--in", infile, "--out", str(tmp_path / "out.json")]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert len(calls) == len(splits) > 0
+        for (inst, tied, xvec), (masks, totals, _) in zip(calls, splits):
+            counts = np.add.reduceat(tied, inst.bundle_offsets[:-1])
+            split = (counts >= 2) & (xvec > 0.0)
+            assert [mask.shape[0] for mask in masks] == counts[split].tolist()
+            assert totals == xvec[split].tolist()
+            assert all(mask.shape[0] >= 2 for mask in masks) and all(total > 0.0 for total in totals)
+            rows = tied & np.repeat(split, inst.bundle_sizes)
+            np.testing.assert_array_equal(np.concatenate([*masks, np.zeros((0, len(inst.goods)))]),
+                                          inst.stacked_masks[rows])
+        assert max(len(masks) for masks, _, _ in splits) == most
+
+    def test_one_bundle_per_type_passes_no_masks_and_sums_in_type_order(self, monkeypatch):
+        _, splits = self._record(monkeypatch)
+        rng = np.random.default_rng(17)
+        goods = [(f"g{k}", random_cost(rng)) for k in range(6)]
+        types = [
+            (f"b{i:02d}", [[f"g{k}" for k in sorted(rng.choice(6, size=int(rng.integers(1, 4)), replace=False))]],
+             random_demand(rng, 0.3))
+            for i in range(40)
+        ]
+        inst = MarketInstance.create(goods, types)
+        sol = evaluate(inst, inst.price_vector(random_prices(rng, inst, high=0.6)))
+        assert [masks for masks, _, _ in splits] == [[]]
+        expected = np.zeros(len(inst.goods))
+        for t, x in zip(inst.buyer_types, sol.demand.tolist()):
+            for g in t.bundles[0]:
+                expected[inst.good_index[g]] += x
+        np.testing.assert_array_equal(sol.allocation, expected)
+
+    def test_no_masks_returns_the_base(self, twin_goods_instance):
+        base = np.array([0.25, 0.5])
+        splits, y = market.split_min_cost(twin_goods_instance.cost_functions, [], [], base)
+        assert splits == [] and y is base
+
+    def test_twin_goods_split_on_top_of_the_base(self, twin_goods_instance):
+        base = np.array([0.25, 0.0, 0.5])
+        cost_fns = (*twin_goods_instance.cost_functions, CostFunction.power(1.0, 1.0))
+        masks = [np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])]
+        totals = [0.6, 0.9]
+        splits, y = market.split_min_cost(cost_fns, masks, totals, base)
+        for split, total in zip(splits, totals):
+            assert split.sum() == pytest.approx(total, rel=1e-14)
+        np.testing.assert_allclose(y, base + sum(s @ m for s, m in zip(splits, masks)), rtol=1e-14)
+        # Equal marginals c(y) = y on every good a split uses: 0.25 + 1.5 + 0.5 over three goods.
+        np.testing.assert_allclose(y, np.full(3, 0.75), rtol=1e-9)
 
 
 def _violation_by_type(inst, allocation, split, admissible):

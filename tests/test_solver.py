@@ -20,7 +20,7 @@ from bicrit import (
 from bicrit import flow, instances, solver
 from bicrit.flow import FlowProgram, _run_newton
 from bicrit.multi_minded import _ReserveFloored
-from bicrit.tolerances import NEWTON_STEPS, SOLVER_TOL
+from bicrit.tolerances import NEWTON_STEPS, SOLVER_TOL, SPLIT_DUST
 
 from conftest import random_cost, random_unit_demand_instance, random_multi_minded_instance
 from split_oracle import oracle_min_split_cost
@@ -178,6 +178,21 @@ class TestOptimalityCertificates:
         opt = solve_welfare(inst)
         for k, cost in enumerate(inst.cost_functions):
             assert opt.prices[k] == cost.marginal(opt.allocation[k])
+
+    def test_an_entry_at_split_dust_is_dust_in_allocation_and_split_alike(self, monkeypatch):
+        # A solve that leaves an entry exactly at SPLIT_DUST: the split drops
+        # it, so the allocation must not count it either.
+        inst = random_multi_minded_instance(np.random.default_rng(71), alpha=0.5, size_ratio=2)
+        solve = solver.solve
+
+        def dusty(program, costs, z, max_iters, tol):
+            z = solve(program, costs, z, max_iters, tol)
+            z[np.argmin(z)] = SPLIT_DUST
+            return z
+
+        monkeypatch.setattr(solver, "solve", dusty)
+        sol = solve_welfare(inst)
+        np.testing.assert_array_equal(sol.allocation, inst.welfare_program.allocation(sol.split))
 
 
 def _scaled(inst, scale):
